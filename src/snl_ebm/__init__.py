@@ -4,23 +4,11 @@ The package treats the log-normalizer as one extra scalar parameter b: the
 objective mean u(x) - b - e^{-b} Z + 1 is maximized jointly in (model, b),
 touches Z only linearly (so importance estimates of Z give unbiased
 gradients), and recovers the true log-likelihood at b = log Z.
+
+The top level exports the pipeline entry points; everything else is
+imported from its module (``snl_ebm.objectives``, ``snl_ebm.datasets``, ...).
 """
 
-from .datasets import (
-    DEFAULT_DENSITY_N,
-    DEFAULT_REGRESSION_N,
-    DENSITY_NAMES,
-    DENSITY_SPLIT_SIZES,
-    REGRESSION_NAMES,
-    DatasetSplit,
-    Standardizer,
-    fit_standardizer,
-    generate_density_2d,
-    generate_regression_1d,
-    load_delimited,
-    load_named,
-    split_dataset,
-)
 from .errors import (
     ConfigError,
     DegenerateProposalError,
@@ -30,28 +18,8 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedExactFormError,
 )
-from .evaluation import DensityGrid, EvalReport, SplitReport, data_bounds, density_grid, evaluate, grid_points, sandwich
-from .models import DENSITY_WIDTHS, BernoulliModel, GaussianMeanModel, MlpEnergy
-from .objectives import (
-    GradientEstimate,
-    ImportanceBatch,
-    SnlValue,
-    ZEstimate,
-    estimate_z,
-    exact_snl_gradients,
-    generalized_kl,
-    gradient_relation_check,
-    l_is_objective,
-    log_weights,
-    maximize_over_b,
-    nce_gradients,
-    nce_objective,
-    snl_gradients,
-    snl_objective,
-    trapezoid_1d,
-    trapezoid_2d,
-    variational_log_bound,
-)
+from .evaluation import evaluate
+from .models import BernoulliModel, GaussianMeanModel, MlpEnergy
 from .proposals import (
     FittedGaussian,
     MdnProposal,
@@ -60,23 +28,17 @@ from .proposals import (
     TwoPointUniform,
     UniformBox,
     fit_gaussian,
-    mdn_log_likelihood_and_fit,
-    sample_and_score,
 )
 from .regression import (
     BilinearConditionalModel,
     ConditionalEnergyModel,
     NormalizerNet,
-    RegressionEpochRecord,
-    RegressionEvalReport,
     RegressionTrainConfig,
-    RegressionTrainResult,
     eval_regression_l_is,
-    snl_regression_objective,
     train_regression,
 )
 from .rng import PortableRng
-from .training import EpochRecord, SnlState, TrainConfig, TrainResult, init_b, train_density
+from .training import TrainConfig, train_density
 
 __version__ = "0.1.0"
 
@@ -85,76 +47,27 @@ __all__ = [
     "BilinearConditionalModel",
     "ConditionalEnergyModel",
     "ConfigError",
-    "DEFAULT_DENSITY_N",
-    "DEFAULT_REGRESSION_N",
-    "DENSITY_NAMES",
-    "DENSITY_SPLIT_SIZES",
-    "DENSITY_WIDTHS",
-    "DatasetSplit",
-    "DensityGrid",
     "DegenerateProposalError",
     "EnergyEvaluationError",
-    "EpochRecord",
-    "EvalReport",
     "FittedGaussian",
     "GaussianMeanModel",
-    "GradientEstimate",
-    "ImportanceBatch",
     "MdnProposal",
     "MlpEnergy",
     "NonFiniteObjectiveError",
     "NormalizerNet",
     "PortableRng",
-    "REGRESSION_NAMES",
-    "RegressionEpochRecord",
-    "RegressionEvalReport",
     "RegressionTrainConfig",
-    "RegressionTrainResult",
     "SnlError",
-    "SnlState",
-    "SnlValue",
-    "SplitReport",
     "StandardGaussian",
-    "Standardizer",
     "TrainConfig",
-    "TrainResult",
     "TrainingDivergedError",
     "TwoPointExhaustive",
     "TwoPointUniform",
     "UniformBox",
     "UnsupportedExactFormError",
-    "ZEstimate",
-    "data_bounds",
-    "density_grid",
-    "estimate_z",
     "eval_regression_l_is",
     "evaluate",
-    "exact_snl_gradients",
     "fit_gaussian",
-    "fit_standardizer",
-    "generalized_kl",
-    "generate_density_2d",
-    "generate_regression_1d",
-    "gradient_relation_check",
-    "grid_points",
-    "init_b",
-    "l_is_objective",
-    "load_delimited",
-    "load_named",
-    "log_weights",
-    "maximize_over_b",
-    "mdn_log_likelihood_and_fit",
-    "nce_gradients",
-    "nce_objective",
-    "sample_and_score",
-    "sandwich",
-    "snl_gradients",
-    "snl_objective",
-    "snl_regression_objective",
-    "split_dataset",
     "train_density",
     "train_regression",
-    "trapezoid_1d",
-    "trapezoid_2d",
-    "variational_log_bound",
 ]

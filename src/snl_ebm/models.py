@@ -43,6 +43,10 @@ class EnergyModel:
         """sum_i cotangent_i * dE(x_i)/dtheta as a flat vector."""
         raise NotImplementedError
 
+    def energy_vjp_prepared(self, x: np.ndarray):
+        """(energies, cotangent -> flat grad); MLP energies share one forward pass."""
+        return self.energy(x), lambda cotangent: self.energy_vjp(x, cotangent)
+
     @property
     def theta(self) -> np.ndarray:
         raise NotImplementedError

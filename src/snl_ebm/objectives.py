@@ -272,6 +272,57 @@ def nce_gradients(model, b: float, data: np.ndarray, proposal, batch: Importance
     return GradientEstimate(grad_theta=grad_theta, grad_b=grad_b)
 
 
+def step_terms(data, logw, b, objective="snl", nu=None, log_q_data=None):
+    """(value, d_data, d_samples, d_b) of one SNL or NCE ascent step.
+
+    The step is written once for k groups, each with its own normalizer b_j:
+    ``data`` (k, r) holds per-row data log-numerators (d/dE = -1), ``logw``
+    (k, m) the sample log-weights -E + log d - log q and ``b`` has shape (k,).
+    Density training is one group (k = 1, r = n, shared draws), regression
+    one group per point (k = n, r = 1, per-point draws and b_phi(x_i)).
+
+    SNL: value = mean_j [ mean_r data_jr - b_j - e^{-b_j} mean_m w_jm + 1 ].
+    NCE: value = minus the noise-contrastive loss of ``nce_objective``, with
+    logits G = data - b - log q(x) at the data (``log_q_data``, shaped like
+    ``data``) and G = logw - b at the samples, and nu noise draws per data
+    row (default m / r).
+
+    The cotangents are d value / dE at the data and sample rows, and d_b is
+    d value / db, so the caller's backward pass yields the ascent direction.
+    """
+    k, r = data.shape
+    m = logw.shape[1]
+    if objective == "snl":
+        log_z = logsumexp(logw, axis=1) - np.log(m)
+        value = float(np.mean(data.mean(axis=1) - b - np.exp(log_z - b) + 1.0))
+        d_data = np.full((k, r), -1.0 / (k * r))
+        d_samples = np.exp(logw - b[:, None]) / (k * m)
+        d_b = (-1.0 + np.exp(log_z - b)) / k
+        return value, d_data, d_samples, d_b
+    if objective == "nce":
+        if nu is None:
+            nu = m / r
+        if not nu > 0:
+            raise ValueError(f"noise ratio nu must be positive, got {nu!r}")
+        log_nu = np.log(nu)
+        g_data = data - b[:, None] - log_q_data
+        g_noise = logw - b[:, None]
+        value = float(np.mean(log_expit(g_data - log_nu)))
+        value += nu / (k * m) * float(np.sum(log_expit(log_nu - g_noise)))
+        s = expit(log_nu - g_data)  # 1 - sigma(G - log nu) at data
+        t = expit(g_noise - log_nu)  # sigma(G - log nu) at noise
+        d_data = -s / (k * r)
+        d_samples = nu / (k * m) * t
+        d_b = -(s.sum(axis=1) / (k * r) - nu / (k * m) * t.sum(axis=1))
+        return value, d_data, d_samples, d_b
+    raise ValueError(f"unknown objective {objective!r}")
+
+
+def divergence_diagnostics(sample_energies: np.ndarray, logw: np.ndarray) -> tuple[float, float]:
+    """(max sample energy, min importance weight), as reported when a run diverges."""
+    return float(np.max(sample_energies, initial=-np.inf)), float(np.exp(np.min(logw, initial=np.inf)))
+
+
 # -- generalized KL on quadrature grids -------------------------------------
 
 

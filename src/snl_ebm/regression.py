@@ -33,18 +33,23 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp
+from scipy.special import logsumexp
 
 from .errors import TrainingDivergedError
 from .nets import Mlp
+from .objectives import divergence_diagnostics, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, mdn_log_likelihood_and_fit
 from .rng import PortableRng
+from .training import validate_common
 
 FEATURE_WIDTHS = [1, 10, 10, 10]
 Y_WIDTHS = [1, 16, 32, 64, 128]
 HEAD_WIDTHS = [FEATURE_WIDTHS[-1] + Y_WIDTHS[-1], 10, 1]
 NORMALIZER_WIDTHS = [FEATURE_WIDTHS[-1], 10, 1]
+
+GRID_CHUNK = 64  # points per block of an energy grid; bounds memory at GRID_CHUNK * m * 10 doubles
+UNNORMALIZED_GAP = 50.0  # |log Z_hat(x) - b(x)| in nats beyond which the eval flags the model
 
 
 class ConditionalEnergyModel:
@@ -83,27 +88,31 @@ class ConditionalEnergyModel:
         e, _ = self.head.forward(np.column_stack([h, g]))
         return e[:, 0]
 
-    def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray, chunk: int = 64) -> np.ndarray:
-        """E(x_i, y_m) for a shared y set, shape (n, m).
+    def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """E(x_i, y_im), shape (n, m), for one shared set of draws ``ys`` of
+        shape (m,) or for per-point draws of shape (n, m).
 
         The head's first layer splits over the concat, so the y-branch and
-        its head contribution are computed once and broadcast against the
-        per-point feature part; points are processed in chunks to bound
-        memory at chunk * m * 10 doubles.
+        its head contribution are computed once per draw and broadcast
+        against the per-point feature part; points are processed in blocks
+        of GRID_CHUNK to bound memory.
         """
+        ys = np.asarray(ys, dtype=np.float64)
+        shared = ys.ndim == 1
         h = self.features(x)
-        g, _ = self.y_net.forward(np.asarray(ys, dtype=np.float64).reshape(-1, 1))
+        g, _ = self.y_net.forward(ys.reshape(-1, 1))
         w1, w2 = self.head.weights
         b1, b2 = self.head.biases
         k = h.shape[1]
+        n, m = h.shape[0], ys.shape[-1]
         h_part = h @ w1[:k]  # (n, 10)
-        g_part = g @ w1[k:]  # (m, 10)
-        n, m = h.shape[0], g.shape[0]
+        g_part = (g @ w1[k:]).reshape(1 if shared else n, m, -1)  # (1 or n, m, 10)
         out = np.empty((n, m))
-        for lo in range(0, n, chunk):
-            z = h_part[lo : lo + chunk, None, :] + g_part[None, :, :] + b1
+        for lo in range(0, n, GRID_CHUNK):
+            g_rows = g_part if shared else g_part[lo : lo + GRID_CHUNK]
+            z = h_part[lo : lo + GRID_CHUNK, None, :] + g_rows + b1
             np.maximum(z, 0.0, out=z)
-            out[lo : lo + chunk] = z @ w2[:, 0] + b2[0]
+            out[lo : lo + GRID_CHUNK] = z @ w2[:, 0] + b2[0]
         return out
 
 
@@ -136,8 +145,8 @@ class BilinearConditionalModel:
     def energy_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return -self.theta * np.asarray(x, dtype=np.float64) * np.asarray(y, dtype=np.float64)
 
-    def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray, chunk: int = 64) -> np.ndarray:
-        return -self.theta * np.outer(np.asarray(x, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+    def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return -self.theta * (np.asarray(x, dtype=np.float64)[:, None] * np.asarray(ys, dtype=np.float64))
 
     def exact_log_z(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * (self.theta * np.asarray(x, dtype=np.float64)) ** 2
@@ -172,9 +181,10 @@ class RegressionTrainConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.epochs < 0:  # zero epochs legal: returns the initial parameters
             raise ValueError("epochs must be nonnegative")
-        for name in ("batch_size", "samples_per_point"):
+        for name in ("batch_size", "samples_per_point", "learning_rate", "mdn_learning_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        validate_common(self)
 
 
 @dataclass(frozen=True)
@@ -206,16 +216,18 @@ def _propose(proposal, rng: PortableRng, h: np.ndarray, n: int, m: int):
     return ys, log_q
 
 
-def _regression_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, nu):
+def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, nu):
     """Objective value, ascent gradient over [theta; phi], and diagnostics.
 
+    h/cache_f are the feature net's output and backward cache at the batch
+    inputs, computed once by the caller and shared with the proposal.
     ys/log_q are the per-point proposal draws (n, m); log_q_data is q at the
-    observed pairs (only read by the ranking loss). The three sub-networks
+    observed pairs (only read by the ranking loss). The other sub-networks
     are evaluated once; data and sample rows share the y-branch and head
-    passes, with data rows first.
+    passes, with data rows first. ``objectives.step_terms`` does the step
+    math with one group per point.
     """
     n, m = ys.shape
-    h, cache_f = model.feature_net.forward(x.reshape(-1, 1))
     y_all = np.concatenate([y, ys.ravel()]).reshape(-1, 1)
     g_all, cache_y = model.y_net.forward(y_all)
     h_rows = np.concatenate([h, np.repeat(h, m, axis=0)])
@@ -230,35 +242,11 @@ def _regression_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 
         b_vals, cache_n = np.zeros(n), None
 
     logw = -e_samp - log_q
-    log_z = logsumexp(logw, axis=1) - np.log(m)
+    if log_q_data is not None:
+        log_q_data = log_q_data[:, None]
+    value, d_e_data, d_e_samp, d_b = step_terms(-e_data[:, None], logw, b_vals, objective, nu, log_q_data)
 
-    if objective == "snl":
-        value = snl_regression_objective(e_data, b_vals, log_z)
-        d_e_data = np.full(n, -1.0 / n)
-        d_e_samp = np.exp(logw - b_vals[:, None]) / (n * m)
-        d_b = (-1.0 + np.exp(log_z - b_vals)) / n
-    else:
-        # logistic classification of each observed pair against its own nu
-        # noise draws, on scores G = -E - b - log q.
-        if nu is None:
-            nu = float(m)
-        if not nu > 0:
-            raise ValueError(f"noise ratio nu must be positive, got {nu!r}")
-        log_nu = np.log(nu)
-        g_data = -e_data - b_vals - log_q_data
-        g_samp = -e_samp - b_vals[:, None] - log_q
-        loss = float(
-            np.mean(-log_expit(g_data - log_nu))
-            + nu * np.mean(np.mean(-log_expit(log_nu - g_samp), axis=1))
-        )
-        value = -loss
-        s = expit(log_nu - g_data)
-        t = expit(g_samp - log_nu)
-        d_e_data = -s / n
-        d_e_samp = nu * t / (n * m)
-        d_b = (-s + nu * t.mean(axis=1)) / n
-
-    cot = np.concatenate([d_e_data, d_e_samp.ravel()]).reshape(-1, 1)
+    cot = np.concatenate([d_e_data.ravel(), d_e_samp.ravel()]).reshape(-1, 1)
     g_head, d_input = model.head.backward(cache_h, cot, need_input_grad=True)
     k = h.shape[1]
     d_h_rows, d_g = d_input[:, :k], d_input[:, k:]
@@ -270,8 +258,7 @@ def _regression_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 
         d_h = d_h + d_h_norm
         grads.append(g_norm)
     grads[0] = model.feature_net.backward(cache_f, d_h)
-    diagnostics = (float(np.max(e_samp)) if m else float("nan"), float(np.min(logw)) if m else float("nan"))
-    return value, np.concatenate(grads), diagnostics
+    return value, np.concatenate(grads), divergence_diagnostics(e_samp, logw)
 
 
 def _params(model, normalizer):
@@ -292,22 +279,10 @@ def validation_snl(model, normalizer, proposal, x, y, m, rng):
     h = model.features(x)
     ys, log_q = _propose(proposal, rng, h, x.shape[0], m)
     e_data = model.energy_pairs(x, y)
-    e_samp = _pointwise_energies(model, h, ys)
+    e_samp = model.energy_grid_shared(x, ys)
     b_vals = normalizer.values(h) if normalizer is not None else np.zeros(x.shape[0])
     log_z = logsumexp(-e_samp - log_q, axis=1) - np.log(m)
     return snl_regression_objective(e_data, b_vals, log_z)
-
-
-def _pointwise_energies(model, h, ys):
-    """E(x_i, y_im) for per-point y draws, via the split head layer."""
-    n, m = ys.shape
-    g, _ = model.y_net.forward(ys.reshape(-1, 1))
-    w1, w2 = model.head.weights
-    b1, b2 = model.head.biases
-    k = h.shape[1]
-    z = (h @ w1[:k])[:, None, :] + (g @ w1[k:]).reshape(n, m, -1) + b1
-    np.maximum(z, 0.0, out=z)
-    return z @ w2[:, 0] + b2[0]
 
 
 def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config):
@@ -341,7 +316,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             x_b, y_b = x_tr[idx], y_tr[idx]
-            h_b = model.features(x_b)
+            h_b, cache_f = model.feature_net.forward(x_b.reshape(-1, 1))
             ys, log_q = _propose(proposal, proposal_rng, h_b, idx.size, config.samples_per_point)
             if config.objective == "nce":
                 if mdn is not None:
@@ -351,7 +326,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
             else:
                 log_q_data = None
             value, grad, diag = _regression_step(
-                model, normalizer, x_b, y_b, ys, log_q,
+                model, normalizer, h_b, cache_f, y_b, ys, log_q,
                 log_q_data, config.objective, config.nce_nu,
             )
             step_count += 1
@@ -415,7 +390,7 @@ class RegressionEvalReport:
 
 
 def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
-                         normalizer_fn=None, flag_threshold=50.0, chunk=64):
+                         normalizer_fn=None):
     """Importance-sampled conditional log-likelihood on shared proposal draws.
 
     One set of n_samples y draws is scored against every evaluation point;
@@ -434,7 +409,7 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     e_data = model.energy_pairs(x, y)
     b_vals = normalizer_fn(x) if normalizer_fn is not None else np.zeros(n)
 
-    logw = -model.energy_grid_shared(x, ys, chunk=chunk)  # values relative to the proposal measure
+    logw = -model.energy_grid_shared(x, ys)  # values relative to the proposal measure
     log_zq = logsumexp(logw, axis=1) - np.log(m)
     gap = log_zq - b_vals
     a_is = -e_data - b_vals - gap  # b cancels: -E - log Z_hat
@@ -446,7 +421,7 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     snl_ok = float(np.max(shifted)) < 600.0
     v_snl = np.exp(shifted).mean(axis=0) if snl_ok else np.zeros(m)
 
-    unnormalized = bool(np.any(np.abs(gap) > flag_threshold))
+    unnormalized = bool(np.any(np.abs(gap) > UNNORMALIZED_GAP))
     l_is = float(np.mean(a_is))
     l_snl = float(np.mean(a_snl))
     # delta method: the only randomness is the shared draws. For the log

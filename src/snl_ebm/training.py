@@ -7,9 +7,10 @@ the log mean importance weight at the initial parameters, which keeps the
 exp(log w - b) cotangents moderate from the first step.
 
 The per-step objective and gradients are computed in one fused pass (one
-forward per array); ``objectives.snl_gradients`` / ``nce_gradients`` remain
-the plain reference implementations and the fused path is tested against
-them.
+forward per array) around ``objectives.step_terms``, the step math shared
+with regression training; ``objectives.snl_gradients`` / ``nce_gradients``
+remain the plain reference implementations and the fused path is tested
+against them.
 """
 
 from __future__ import annotations
@@ -18,18 +19,27 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp
 
 from .errors import SnlError, TrainingDivergedError
 from .objectives import (
     GradientEstimate,
     ImportanceBatch,
+    divergence_diagnostics,
     estimate_z,
     snl_objective,
+    step_terms,
 )
 from .optim import AdamState, adam_step, sgd_step
 from .proposals import sample_and_score
 from .rng import PortableRng
+
+
+def validate_common(config) -> None:
+    """Checks shared by the density and regression training configs."""
+    if config.divergence_patience < 1:
+        raise ValueError("divergence_patience must be at least 1")
+    if config.nce_nu is not None and not config.nce_nu > 0:
+        raise ValueError(f"nce_nu must be positive, got {config.nce_nu!r}")
 
 
 @dataclass
@@ -56,6 +66,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        validate_common(self)
 
 
 @dataclass
@@ -66,6 +77,14 @@ class SnlState:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """Per-epoch metrics.
+
+    ``train_snl`` is the mean step value of the objective being optimised:
+    the SNL value under ``objective="snl"`` and the negated NCE loss under
+    ``objective="nce"`` (the column name is kept for existing readers).
+    ``val_snl`` is always the SNL value on the validation split.
+    """
+
     epoch: int
     train_snl: float
     val_snl: float
@@ -105,66 +124,29 @@ def optimizer_step(
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
-def _prepared_vjp(model, x: np.ndarray):
-    """(energies, cotangent -> flat grad), reusing the forward pass when the
-    model supports it."""
-    prepared = getattr(model, "energy_vjp_prepared", None)
-    if prepared is not None:
-        return prepared(x)
-    energies = model.energy(x)
-    return energies, lambda cot: model.energy_vjp(x, cot)
-
-
-def _base_terms(model, x: np.ndarray, cached: np.ndarray | None) -> np.ndarray | float:
-    if model.base is None:
-        return 0.0
-    return cached if cached is not None else model.base.log_density(x)
-
-
 def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, objective: str, proposal=None, nu: float | None = None):
-    """(snl value, ascent gradient, diagnostics) for one minibatch.
+    """(objective value, ascent gradient, diagnostics) for one minibatch.
 
-    For the NCE objective the returned gradient is the ascent direction on
-    the negated loss; the SNL value is still reported for metrics.
+    One forward pass per array; ``objectives.step_terms`` turns the energies
+    into the value and cotangents (for NCE the value is the negated loss),
+    and one backward pass per array turns those into the gradient.
     """
-    n = data.shape[0]
-    m = batch.m
-    e_data, vjp_data = _prepared_vjp(model, data)
-    e_samp, vjp_samp = _prepared_vjp(model, batch.samples)
-    base_data = _base_terms(model, data, None)
-    base_samp = _base_terms(model, batch.samples, batch.base_log_densities)
-    logw = -e_samp + base_samp - batch.proposal_log_densities
-    data_term = float(np.mean(-e_data + (base_data if model.base is not None and not model.base_is_carrier else 0.0)))
-    log_mean_w = logsumexp(logw) - np.log(m)
-    snl_value = data_term - b - float(np.exp(log_mean_w - b)) + 1.0
-
-    diagnostics = (float(np.max(e_samp, initial=-np.inf)), float(np.exp(np.min(logw, initial=np.inf))))
-
-    if objective == "snl":
-        grad_theta = vjp_data(np.full(n, -1.0 / n)) + vjp_samp(np.exp(logw - b) / m)
-        grad_b = -1.0 + float(np.exp(log_mean_w - b))
-        return snl_value, GradientEstimate(grad_theta, grad_b), diagnostics
-
+    e_data, vjp_data = model.energy_vjp_prepared(data)
+    e_samp, vjp_samp = model.energy_vjp_prepared(batch.samples)
+    log_d_data = log_d_samp = 0.0
+    if model.base is not None:
+        log_d_data = model.base.log_density(data)
+        log_d_samp = batch.base_log_densities
+        if log_d_samp is None:
+            log_d_samp = model.base.log_density(batch.samples)
+    logw = -e_samp + log_d_samp - batch.proposal_log_densities
     if objective == "nce":
-        if nu is None:
-            nu = m / n
-        if not nu > 0:
-            raise ValueError(f"noise ratio nu must be positive, got {nu!r}")
-        log_nu = np.log(nu)
-        log_q_data = proposal.log_density(data)
-        g_data = -e_data + (base_data if model.base is not None else 0.0) - b - log_q_data
-        g_noise = logw  # -E + log d - log q, still missing -b
-        g_noise = g_noise - b
-        loss = -float(np.mean(log_expit(g_data - log_nu)))
-        loss -= nu / m * float(np.sum(log_expit(log_nu - g_noise)))
-        s = expit(log_nu - g_data)
-        t = expit(g_noise - log_nu)
-        # ascent direction on -loss
-        grad_theta = -(vjp_data(s / n) + vjp_samp(-(nu / m) * t))
-        grad_b = -float(np.sum(s) / n - (nu / m) * np.sum(t))
-        return snl_value, GradientEstimate(grad_theta, grad_b), diagnostics
-
-    raise ValueError(f"unknown objective {objective!r}")
+        num_data, log_q_data = -e_data + log_d_data, proposal.log_density(data)[None]
+    else:  # a carrier base weights the samples but is not part of the data term
+        num_data, log_q_data = -e_data + (0.0 if model.base_is_carrier else log_d_data), None
+    value, d_data, d_samp, d_b = step_terms(num_data[None], logw[None], np.array([b]), objective, nu, log_q_data)
+    grad_theta = vjp_data(d_data[0]) + vjp_samp(d_samp[0])
+    return value, GradientEstimate(grad_theta, float(d_b[0])), divergence_diagnostics(e_samp, logw)
 
 
 def train_density(

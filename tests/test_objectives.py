@@ -30,6 +30,7 @@ from snl_ebm.objectives import (
     nce_objective,
     snl_gradients,
     snl_objective,
+    step_terms,
     trapezoid_1d,
     trapezoid_2d,
     variational_log_bound,
@@ -368,6 +369,52 @@ class TestNce:
         got = nce_gradients(model, 0.0, data, q, batch, nu=1.0)
         assert abs(got.grad_theta[0]) < 0.02
         assert abs(got.grad_b) < 0.02
+
+
+class TestStepTerms:
+    """The shared step kernel against central differences of its own value."""
+
+    @pytest.mark.parametrize("objective", ["snl", "nce"])
+    @pytest.mark.parametrize("k, r", [(1, 6), (5, 1)], ids=["density", "regression"])
+    def test_cotangents_match_finite_differences(self, objective, k, r):
+        rng = PortableRng(60)
+        m = 4
+        data = rng.normal((k, r)) - 1.0
+        logw = rng.normal((k, m))
+        b = rng.normal(k) * 0.5
+        log_q_data = rng.normal((k, r)) if objective == "nce" else None
+
+        def value(data, logw, b):
+            return step_terms(data, logw, b, objective, 1.5, log_q_data)[0]
+
+        _, d_data, d_samples, d_b = step_terms(data, logw, b, objective, 1.5, log_q_data)
+        assert d_data.shape == (k, r) and d_samples.shape == (k, m) and d_b.shape == (k,)
+        h = 1e-6
+        # data and logw are -E (+ constants), so d value / d E is minus their derivative
+        for arr, cot, sign in ((data, d_data, -1.0), (logw, d_samples, -1.0), (b, d_b, 1.0)):
+            for idx in np.ndindex(arr.shape):
+                saved = arr[idx]
+                arr[idx] = saved + h
+                up = value(data, logw, b)
+                arr[idx] = saved - h
+                down = value(data, logw, b)
+                arr[idx] = saved
+                assert sign * cot[idx] == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-9)
+
+    def test_default_nu_is_draws_per_data_row(self):
+        rng = PortableRng(61)
+        data, lq = rng.normal((1, 4)), rng.normal((1, 4))
+        shared, per_point = rng.normal((1, 8)), rng.normal((4, 3))
+        b1, b4 = np.zeros(1), np.zeros(4)
+        assert step_terms(data, shared, b1, "nce", None, lq)[0] == step_terms(data, shared, b1, "nce", 2.0, lq)[0]
+        assert step_terms(data.T, per_point, b4, "nce", None, lq.T)[0] == step_terms(data.T, per_point, b4, "nce", 3.0, lq.T)[0]
+
+    def test_rejects_bad_nu_and_objective(self):
+        data, logw = np.zeros((1, 2)), np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            step_terms(data, logw, np.zeros(1), "nce", 0.0, data)
+        with pytest.raises(ValueError):
+            step_terms(data, logw, np.zeros(1), "mle")
 
 
 class TestGeneralizedKl:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from snl_ebm.errors import TrainingDivergedError
+from snl_ebm import regression
 from snl_ebm.proposals import MdnProposal, StandardGaussian, fit_gaussian
 from snl_ebm.regression import (
     FEATURE_WIDTHS,
@@ -69,12 +70,37 @@ class TestSharedGrid:
         pair = model.energy_pairs(np.repeat(x, ys.size), np.tile(ys, x.size)).reshape(9, 13)
         np.testing.assert_allclose(grid, pair, rtol=1e-12, atol=1e-12)
 
-    def test_chunking_is_invisible(self):
+    def test_per_point_draws_match_pairwise_energies(self):
+        model = ConditionalEnergyModel(PortableRng(3))
+        x = PortableRng(4).normal(9)
+        ys = PortableRng(5).normal((9, 13))
+        grid = model.energy_grid_shared(x, ys)
+        pair = model.energy_pairs(np.repeat(x, 13), ys.ravel()).reshape(9, 13)
+        np.testing.assert_allclose(grid, pair, rtol=1e-12, atol=1e-12)
+
+    def test_bilinear_grid_takes_both_layouts(self):
+        m = BilinearConditionalModel(theta=0.7)
+        x = PortableRng(4).normal(5)
+        ys = PortableRng(5).normal(6)
+        shared = m.energy_grid_shared(x, ys)
+        np.testing.assert_array_equal(shared, m.energy_grid_shared(x, np.tile(ys, (5, 1))))
+        np.testing.assert_allclose(shared[2], m.energy_pairs(np.full(6, x[2]), ys), rtol=1e-15)
+
+    @staticmethod
+    def grids_at_two_chunk_sizes(monkeypatch, ys):
         model = ConditionalEnergyModel(PortableRng(6))
         x = PortableRng(7).normal(10)
-        ys = PortableRng(8).normal(21)
-        a = model.energy_grid_shared(x, ys, chunk=3)
-        b = model.energy_grid_shared(x, ys, chunk=1000)
+        monkeypatch.setattr(regression, "GRID_CHUNK", 3)
+        a = model.energy_grid_shared(x, ys)
+        monkeypatch.setattr(regression, "GRID_CHUNK", 1000)
+        return a, model.energy_grid_shared(x, ys)
+
+    def test_chunking_is_invisible(self, monkeypatch):
+        a, b = self.grids_at_two_chunk_sizes(monkeypatch, PortableRng(8).normal(21))
+        np.testing.assert_array_equal(a, b)
+
+    def test_chunking_is_invisible_for_per_point_draws(self, monkeypatch):
+        a, b = self.grids_at_two_chunk_sizes(monkeypatch, PortableRng(8).normal((10, 21)))
         np.testing.assert_array_equal(a, b)
 
 
@@ -126,6 +152,12 @@ class TestBilinearOracle:
         assert snl_regression_objective(e, lz, lz) == pytest.approx(ll, abs=1e-12)
 
 
+def run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, nu):
+    """_regression_step with the feature pass the training loop makes."""
+    h, cache_f = model.feature_net.forward(x.reshape(-1, 1))
+    return _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, nu)
+
+
 class TestStepGradients:
     @pytest.mark.parametrize("objective", ["snl", "nce"])
     @pytest.mark.parametrize("with_normalizer", [True, False])
@@ -153,11 +185,11 @@ class TestStepGradients:
 
         def value_at(flat):
             set_params(flat)
-            v, _, _ = _regression_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 2.0)
+            v, _, _ = run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 2.0)
             return v
 
         theta0 = params()
-        _, grad, _ = _regression_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 2.0)
+        _, grad, _ = run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 2.0)
         assert grad.shape == theta0.shape
         step = 1e-6
         for i in range(0, theta0.size, 97):  # spread spot-checks across all nets
@@ -176,7 +208,18 @@ class TestStepGradients:
         ys = np.zeros((2, 2))
         log_q = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            _regression_step(model, None, x, y, ys, log_q, np.zeros(2), "nce", -2.0)
+            run_step(model, None, x, y, ys, log_q, np.zeros(2), "nce", -2.0)
+
+    def test_diagnostics_report_min_weight_not_log_weight(self):
+        model = ConditionalEnergyModel(PortableRng(18))
+        x = PortableRng(19).normal(4)
+        y = PortableRng(20).normal(4)
+        ys = PortableRng(21).normal((4, 3))
+        log_q = StandardGaussian(1).log_density(ys.reshape(-1, 1)).reshape(4, 3)
+        _, _, (max_energy, min_weight) = run_step(model, None, x, y, ys, log_q, None, "snl", None)
+        e_samp = model.energy_grid_shared(x, ys)
+        assert max_energy == pytest.approx(float(np.max(e_samp)), rel=1e-12)
+        assert min_weight == pytest.approx(float(np.exp(np.min(-e_samp - log_q))), rel=1e-12)
 
 
 class TestTrainRegression:
@@ -262,7 +305,18 @@ class TestTrainRegression:
             train_regression(model, None, fit_gaussian(y.reshape(-1, 1)), (x, y), (x[:32], y[:32]), self.config(epochs=1, batch_size=16))
 
     def test_validate_rejects_bad_configs(self):
-        for kw in (dict(objective="mle"), dict(epochs=-1), dict(batch_size=0), dict(samples_per_point=0)):
+        bad = (
+            dict(objective="mle"),
+            dict(epochs=-1),
+            dict(batch_size=0),
+            dict(samples_per_point=0),
+            dict(learning_rate=0.0),
+            dict(learning_rate=-1.0),
+            dict(mdn_learning_rate=-1e-3),
+            dict(divergence_patience=0),
+            dict(nce_nu=0.0),
+        )
+        for kw in bad:
             with pytest.raises(ValueError):
                 RegressionTrainConfig(**kw).validate()
 

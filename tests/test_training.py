@@ -125,6 +125,20 @@ class TestFusedStep:
         with pytest.raises(ValueError):
             fused_step(self.model, 0.0, self.data, self.batch, "prml")
 
+    def test_oracle_model_uses_default_prepared_vjp(self):
+        model = GaussianMeanModel(0.7)
+        data = PortableRng(10).normal((20, 1))
+        batch = sample_and_score(StandardGaussian(1), PortableRng(11), 50, base=model.base)
+        _, grads, _ = fused_step(model, 0.1, data, batch, "snl")
+        want = snl_gradients(model, 0.1, data, batch)
+        np.testing.assert_allclose(grads.grad_theta, want.grad_theta, rtol=1e-12)
+        assert grads.grad_b == pytest.approx(want.grad_b, rel=1e-12)
+
+    def test_nce_value_is_negated_loss(self):
+        value, _, _ = fused_step(self.model, 0.1, self.data, self.batch, "nce", proposal=self.proposal, nu=2.0)
+        want = nce_objective(self.model, 0.1, self.data, self.proposal, self.batch, nu=2.0)
+        assert value == pytest.approx(-want, rel=1e-12)
+
     def test_tilted_model_uses_cached_base(self):
         base = StandardGaussian(2)
         model = MlpEnergy([2, 8, 1], base=base, rng=PortableRng(6))
@@ -252,6 +266,9 @@ class TestTrainDensity:
             dict(learning_rate=0.0),
             dict(batch_size=0),
             dict(proposal_samples=0),
+            dict(divergence_patience=0),
+            dict(nce_nu=0.0),
+            dict(nce_nu=-1.0),
         ]
         for kw in bad:
             with pytest.raises(ValueError):
