@@ -545,6 +545,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     payload = _read_checkpoint(args.checkpoint)
     if payload.get("kind") == "regression":
         return _eval_regression(args, args.checkpoint)

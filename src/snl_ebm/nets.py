@@ -67,8 +67,13 @@ class Mlp:
             self.biases[i] = flat[pos : pos + b.size].copy()
             pos += b.size
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Returns (output (n, out_width), cache for backward)."""
+    def forward(self, x: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, list | None]:
+        """Returns (output (n, out_width), cache for backward).
+
+        With ``keep_cache`` off the cache is None and ReLU runs in place, so
+        at most two layers' activations are alive at once (forward-only
+        evaluation at many rows).
+        """
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.widths[0]:
             raise ValueError(f"expected input shape (n, {self.widths[0]}), got {h.shape}")
@@ -76,15 +81,19 @@ class Mlp:
         masks = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            inputs.append(h)
-            z = h @ w + b
+            if keep_cache:
+                inputs.append(h)
+            z = h @ w
+            z += b
             if i < last or self.relu_output:
-                mask = z > 0.0
-                h = np.where(mask, z, 0.0)
-                masks.append(mask)
-            else:
-                h = z
-        return h, [inputs, masks]
+                if keep_cache:
+                    mask = z > 0.0
+                    masks.append(mask)
+                    z = np.where(mask, z, 0.0)
+                else:
+                    np.maximum(z, 0.0, out=z)
+            h = z
+        return h, [inputs, masks] if keep_cache else None
 
     def backward(self, cache: list, cotangent: np.ndarray, need_input_grad: bool = False):
         """Reverse pass. ``cotangent`` has shape (n, out_width).

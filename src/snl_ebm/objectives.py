@@ -103,17 +103,19 @@ def variational_log_bound(z: float, lam: float) -> float:
     return z * np.exp(-lam) + lam - 1.0
 
 
-def _check_finite_energies(energies: np.ndarray) -> None:
+def check_finite_energies(energies: np.ndarray, where: str = "sample", offset: int = 0) -> None:
+    """Raise EnergyEvaluationError at the first non-finite energy; its index
+    is the flat index into ``energies`` plus ``offset``."""
     bad = ~np.isfinite(energies)
     if bad.any():
         idx = int(np.argmax(bad))
-        raise EnergyEvaluationError(idx, float(energies[idx]))
+        raise EnergyEvaluationError(offset + idx, float(energies.flat[idx]), where)
 
 
 def log_weights(model, batch: ImportanceBatch) -> np.ndarray:
     """log w_m = -E(x_m) + log d(x_m) - log q(x_m), base term only if the model has one."""
     energies = model.energy(batch.samples)
-    _check_finite_energies(energies)
+    check_finite_energies(energies)
     logw = -energies - batch.proposal_log_densities
     if getattr(model, "base", None) is not None:
         if batch.base_log_densities is not None:

@@ -8,6 +8,8 @@ scales, and it is fitted by maximum likelihood on observed pairs.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
@@ -176,6 +178,17 @@ def sample_and_score(proposal, rng: PortableRng, m: int, base=None) -> Importanc
 # -- mixture density proposal ------------------------------------------------
 
 
+class MdnHeads(NamedTuple):
+    """Mixture parameters at one batch of features, shape (n, K) each, with
+    the heads' backward caches and the scale head's raw output."""
+
+    log_pi: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    caches: tuple
+    s_raw: np.ndarray
+
+
 class MdnProposal:
     """Conditional Gaussian mixture with one two-layer head per parameter.
 
@@ -210,59 +223,57 @@ class MdnProposal:
         self.mu_net.theta = flat[a:b]
         self.scale_net.theta = flat[b:]
 
-    def _params(self, features: np.ndarray):
+    def heads(self, features: np.ndarray) -> MdnHeads:
+        """Run the three heads once; sampling, scoring and the likelihood
+        gradient at the same features can all take the result."""
+        features = np.asarray(features, dtype=np.float64)
         logits, cache_pi = self.pi_net.forward(features)
         mu, cache_mu = self.mu_net.forward(features)
         s_raw, cache_s = self.scale_net.forward(features)
         log_pi = logits - logsumexp(logits, axis=1, keepdims=True)
         s = np.minimum(s_raw, self._SCALE_LOG_CAP)
         sigma = self.SCALE_FLOOR + np.exp(s)
-        return log_pi, mu, sigma, (cache_pi, cache_mu, cache_s, s_raw)
+        return MdnHeads(log_pi, mu, sigma, (cache_pi, cache_mu, cache_s), s_raw)
 
-    def mixture_params(self, features: np.ndarray):
-        log_pi, mu, sigma, _ = self._params(np.asarray(features, dtype=np.float64))
-        return log_pi, mu, sigma
+    @staticmethod
+    def _joint(heads: MdnHeads, y: np.ndarray) -> np.ndarray:
+        """log pi_k + log N(y | mu_k, sigma_k) for y of shape (n, m); shape (n, m, K)."""
+        sigma = heads.sigma[:, None, :]
+        comp = -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * ((y[:, :, None] - heads.mu[:, None, :]) / sigma) ** 2
+        return heads.log_pi[:, None, :] + comp
 
-    def log_density(self, features: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def log_density(self, features: np.ndarray, y: np.ndarray, heads: MdnHeads | None = None) -> np.ndarray:
         """Per-point conditional log q(y | features); y is (n,) or (n, m)."""
-        features = np.asarray(features, dtype=np.float64)
+        if heads is None:
+            heads = self.heads(features)
         y = np.asarray(y, dtype=np.float64)
-        squeeze = y.ndim == 1
-        if squeeze:
-            y = y.reshape(-1, 1)
-        log_pi, mu, sigma = self.mixture_params(features)
-        comp = (
-            -0.5 * _LOG_2PI
-            - np.log(sigma)[:, None, :]
-            - 0.5 * ((y[:, :, None] - mu[:, None, :]) / sigma[:, None, :]) ** 2
-        )
-        out = logsumexp(log_pi[:, None, :] + comp, axis=2)
-        return out[:, 0] if squeeze else out
+        out = logsumexp(self._joint(heads, y.reshape(y.shape[0], -1)), axis=2)
+        return out[:, 0] if y.ndim == 1 else out
 
-    def sample(self, rng: PortableRng, features: np.ndarray, m: int) -> np.ndarray:
+    def sample(self, rng: PortableRng, features: np.ndarray, m: int, heads: MdnHeads | None = None) -> np.ndarray:
         """m draws per feature row, shape (n, m)."""
-        features = np.asarray(features, dtype=np.float64)
-        log_pi, mu, sigma = self.mixture_params(features)
-        n = features.shape[0]
+        if heads is None:
+            heads = self.heads(features)
+        n = heads.mu.shape[0]
         u = rng.uniform((n, m))
-        cum = np.cumsum(np.exp(log_pi), axis=1)
+        cum = np.cumsum(np.exp(heads.log_pi), axis=1)
         cum[:, -1] = 1.0  # guard rounding so every u lands in a component
         k = np.sum(u[:, :, None] > cum[:, None, :], axis=2)
         rows = np.arange(n)[:, None]
         z = rng.normal((n, m))
-        return mu[rows, k] + sigma[rows, k] * z
+        return heads.mu[rows, k] + heads.sigma[rows, k] * z
 
     def log_likelihood(self, features: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(self.log_density(features, np.asarray(y).ravel())))
 
-    def loglik_gradient(self, features: np.ndarray, y: np.ndarray):
+    def loglik_gradient(self, features: np.ndarray, y: np.ndarray, heads: MdnHeads | None = None):
         """(mean log-likelihood, flat ascent gradient) treating features as constant."""
-        features = np.asarray(features, dtype=np.float64)
+        if heads is None:
+            heads = self.heads(features)
         y = np.asarray(y, dtype=np.float64).ravel()
-        n = features.shape[0]
-        log_pi, mu, sigma, (cache_pi, cache_mu, cache_s, s_raw) = self._params(features)
-        comp = -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * ((y[:, None] - mu) / sigma) ** 2
-        joint = log_pi + comp
+        log_pi, mu, sigma, (cache_pi, cache_mu, cache_s), s_raw = heads
+        n = mu.shape[0]
+        joint = self._joint(heads, y[:, None])[:, 0, :]
         total = logsumexp(joint, axis=1)
         resp = np.exp(joint - total[:, None])
         pi = np.exp(log_pi)

@@ -25,6 +25,13 @@ density, so values are relative to the proposal measure. b_i cancels in the
 limit and exactly in the display above; it is kept so the companion linear
 bound mean_i [ -E_i - b_i - e^{-b_i} Z_hat_i + 1 ] (same samples, hence never
 above the log form pointwise) and the normalization check can be reported.
+
+The n x M grid of E(x_i, y_m) is never held whole. The model yields it in
+blocks of max(1, GRID_CELLS // M) points against all M draws, and each block
+is reduced as it arrives: one exp per cell gives log Z_hat(x_i) and the
+per-draw sums behind both standard errors. A block holds its head hidden
+layer, 10 * GRID_CELLS doubles, so the evaluation's working memory is set by
+the draws (the y-branch runs once over all M) and not by n.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from scipy.special import logsumexp
 
 from .errors import TrainingDivergedError
 from .nets import Mlp
-from .objectives import divergence_diagnostics, step_terms
+from .objectives import check_finite_energies, divergence_diagnostics, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, mdn_log_likelihood_and_fit
 from .rng import PortableRng
@@ -48,8 +55,25 @@ Y_WIDTHS = [1, 16, 32, 64, 128]
 HEAD_WIDTHS = [FEATURE_WIDTHS[-1] + Y_WIDTHS[-1], 10, 1]
 NORMALIZER_WIDTHS = [FEATURE_WIDTHS[-1], 10, 1]
 
-GRID_CHUNK = 64  # points per block of an energy grid; bounds memory at GRID_CHUNK * m * 10 doubles
+# (point, draw) cells per block of an energy grid. A block is
+# max(1, GRID_CELLS // m) points against all m draws and holds its
+# (points, 10, m) head hidden layer, 10 * GRID_CELLS doubles (5 MB); the
+# evaluation reduces each block before the next is made. At m = 20k, blocks of
+# 2 to 4 points ran fastest (2-CPU Xeon, OpenBLAS); larger ones leave the cache.
+GRID_CELLS = 1 << 16
 UNNORMALIZED_GAP = 50.0  # |log Z_hat(x) - b(x)| in nats beyond which the eval flags the model
+SNL_SHIFT_CAP = 600.0  # log w - b beyond which e^{log w - b} is too close to overflow for the l_snl error
+
+
+def _block_points(m: int) -> int:
+    return max(1, GRID_CELLS // max(m, 1))
+
+
+def _collect(blocks, n: int, m: int) -> np.ndarray:
+    out = np.empty((n, m))
+    for lo, hi, e in blocks:
+        out[lo:hi] = e
+    return out
 
 
 class ConditionalEnergyModel:
@@ -82,38 +106,49 @@ class ConditionalEnergyModel:
         h, _ = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1))
         return h
 
-    def energy_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        h = self.features(x)
+    def energy_pairs(self, x: np.ndarray, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+        """E(x_i, y_i); ``h`` is ``features(x)`` when the caller already has it."""
+        if h is None:
+            h = self.features(x)
         g, _ = self.y_net.forward(np.asarray(y, dtype=np.float64).reshape(-1, 1))
         e, _ = self.head.forward(np.column_stack([h, g]))
         return e[:, 0]
 
-    def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """E(x_i, y_im), shape (n, m), for one shared set of draws ``ys`` of
-        shape (m,) or for per-point draws of shape (n, m).
+    def energy_grid_blocks(self, x: np.ndarray, ys: np.ndarray, h: np.ndarray | None = None):
+        """Yield (lo, hi, E[lo:hi]) for the grid E(x_i, y_ij) against one
+        shared set of draws ``ys`` of shape (m,) or per-point draws (n, m),
+        max(1, GRID_CELLS // m) points per block; the caller owns each block.
 
         The head's first layer splits over the concat, so the y-branch and
-        its head contribution are computed once per draw and broadcast
-        against the per-point feature part; points are processed in blocks
-        of GRID_CHUNK to bound memory.
+        its head contribution are computed once per call. A block's hidden
+        layer is laid out draw-major, (points, 10, m), so the innermost loops
+        run over the draws, and ``w2 @ z`` contracts the hidden axis.
         """
         ys = np.asarray(ys, dtype=np.float64)
-        shared = ys.ndim == 1
-        h = self.features(x)
-        g, _ = self.y_net.forward(ys.reshape(-1, 1))
+        if h is None:
+            h = self.features(x)
         w1, w2 = self.head.weights
         b1, b2 = self.head.biases
-        k = h.shape[1]
+        k, width = h.shape[1], w1.shape[1]
         n, m = h.shape[0], ys.shape[-1]
-        h_part = h @ w1[:k]  # (n, 10)
-        g_part = (g @ w1[k:]).reshape(1 if shared else n, m, -1)  # (1 or n, m, 10)
-        out = np.empty((n, m))
-        for lo in range(0, n, GRID_CHUNK):
-            g_rows = g_part if shared else g_part[lo : lo + GRID_CHUNK]
-            z = h_part[lo : lo + GRID_CHUNK, None, :] + g_rows + b1
-            np.maximum(z, 0.0, out=z)
-            out[lo : lo + GRID_CHUNK] = z @ w2[:, 0] + b2[0]
-        return out
+        h_part = h @ w1[:k] + b1  # (n, 10)
+        g, _ = self.y_net.forward(ys.reshape(-1, 1), keep_cache=False)
+        g_part = np.ascontiguousarray((g @ w1[k:]).reshape(-1, m, width).transpose(0, 2, 1))  # (1 or n, 10, m)
+        del g
+        step = _block_points(m)
+        z = np.empty((min(step, n), width, m))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            zb = z[: hi - lo]
+            np.add(h_part[lo:hi, :, None], g_part if g_part.shape[0] == 1 else g_part[lo:hi], out=zb)
+            np.maximum(zb, 0.0, out=zb)
+            e = w2[:, 0] @ zb
+            e += b2[0]
+            yield lo, hi, e
+
+    def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+        """E(x_i, y_ij), shape (n, m), collected from ``energy_grid_blocks``."""
+        return _collect(self.energy_grid_blocks(x, ys, h), np.size(x), np.shape(ys)[-1])
 
 
 class NormalizerNet:
@@ -145,8 +180,17 @@ class BilinearConditionalModel:
     def energy_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return -self.theta * np.asarray(x, dtype=np.float64) * np.asarray(y, dtype=np.float64)
 
+    def energy_grid_blocks(self, x: np.ndarray, ys: np.ndarray):
+        """Yield (lo, hi, E[lo:hi]) as ``ConditionalEnergyModel.energy_grid_blocks`` does."""
+        x = np.asarray(x, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        step = _block_points(ys.shape[-1])
+        for lo in range(0, x.shape[0], step):
+            hi = min(lo + step, x.shape[0])
+            yield lo, hi, -self.theta * (x[lo:hi, None] * (ys if ys.ndim == 1 else ys[lo:hi]))
+
     def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return -self.theta * (np.asarray(x, dtype=np.float64)[:, None] * np.asarray(ys, dtype=np.float64))
+        return _collect(self.energy_grid_blocks(x, ys), np.size(x), np.shape(ys)[-1])
 
     def exact_log_z(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * (self.theta * np.asarray(x, dtype=np.float64)) ** 2
@@ -206,14 +250,15 @@ class RegressionTrainResult:
 
 
 def _propose(proposal, rng: PortableRng, h: np.ndarray, n: int, m: int):
-    """Per-point samples (n, m) with their conditional/unconditional log q."""
+    """Per-point samples (n, m) with their conditional/unconditional log q,
+    and the MDN's heads at h (None for an unconditional proposal), which
+    sampling and scoring share."""
     if isinstance(proposal, MdnProposal):
-        ys = proposal.sample(rng, h, m)
-        log_q = proposal.log_density(h, ys)
-    else:
-        ys = proposal.sample(rng, n * m).reshape(n, m)
-        log_q = proposal.log_density(ys.reshape(-1, 1)).reshape(n, m)
-    return ys, log_q
+        heads = proposal.heads(h)
+        ys = proposal.sample(rng, h, m, heads)
+        return ys, proposal.log_density(h, ys, heads), heads
+    ys = proposal.sample(rng, n * m).reshape(n, m)
+    return ys, proposal.log_density(ys.reshape(-1, 1)).reshape(n, m), None
 
 
 def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, nu):
@@ -275,11 +320,12 @@ def _set_params(model, normalizer, flat):
 
 
 def validation_snl(model, normalizer, proposal, x, y, m, rng):
-    """Per-point SNL on held-out pairs with fresh proposal draws."""
+    """Per-point SNL on held-out pairs with fresh proposal draws; the
+    feature net runs once, for the proposal and both energy passes."""
     h = model.features(x)
-    ys, log_q = _propose(proposal, rng, h, x.shape[0], m)
-    e_data = model.energy_pairs(x, y)
-    e_samp = model.energy_grid_shared(x, ys)
+    ys, log_q, _ = _propose(proposal, rng, h, x.shape[0], m)
+    e_data = model.energy_pairs(x, y, h)
+    e_samp = model.energy_grid_shared(x, ys, h)
     b_vals = normalizer.values(h) if normalizer is not None else np.zeros(x.shape[0])
     log_z = logsumexp(-e_samp - log_q, axis=1) - np.log(m)
     return snl_regression_objective(e_data, b_vals, log_z)
@@ -317,10 +363,10 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
             idx = order[lo : lo + config.batch_size]
             x_b, y_b = x_tr[idx], y_tr[idx]
             h_b, cache_f = model.feature_net.forward(x_b.reshape(-1, 1))
-            ys, log_q = _propose(proposal, proposal_rng, h_b, idx.size, config.samples_per_point)
+            ys, log_q, heads = _propose(proposal, proposal_rng, h_b, idx.size, config.samples_per_point)
             if config.objective == "nce":
                 if mdn is not None:
-                    log_q_data = mdn.log_density(h_b, y_b[:, None])[:, 0]
+                    log_q_data = mdn.log_density(h_b, y_b[:, None], heads)[:, 0]
                 else:
                     log_q_data = proposal.log_density(y_b.reshape(-1, 1))
             else:
@@ -340,7 +386,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
             opt, step = adam_step(opt, grad, config.learning_rate)
             _set_params(model, normalizer, _params(model, normalizer) + step)
             if mdn is not None:
-                _, mdn_grad = mdn.loglik_gradient(h_b, y_b)
+                _, mdn_grad = mdn.loglik_gradient(h_b, y_b, heads)
                 mdn_opt, mdn_step = adam_step(mdn_opt, mdn_grad, config.mdn_learning_rate)
                 mdn.theta = mdn.theta + mdn_step
         val = validation_snl(
@@ -397,36 +443,56 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     the per-point estimates therefore share randomness and the standard
     errors are computed over draws (each draw contributes the across-point
     mean of its self-normalized weight, whose spread drives the error of
-    both forms).
+    both forms). The grid is reduced block by block as the model yields it,
+    with one exp per cell, so no (n, m) array is held. Non-finite data or
+    grid energies raise ``EnergyEvaluationError``.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if rng is None:
         rng = PortableRng(0)
     x, y = (np.asarray(a, dtype=np.float64) for a in pairs)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"x and y must have the same length, got {x.shape[0]} and {y.shape[0]}")
     n = x.shape[0]
     ys = np.asarray(proposal.sample(rng, n_samples), dtype=np.float64).reshape(-1)
     m = ys.shape[0]
 
     e_data = model.energy_pairs(x, y)
+    check_finite_energies(e_data, "data point")
     b_vals = normalizer_fn(x) if normalizer_fn is not None else np.zeros(n)
 
-    logw = -model.energy_grid_shared(x, ys)  # values relative to the proposal measure
-    log_zq = logsumexp(logw, axis=1) - np.log(m)
+    log_zq = np.empty(n)
+    # per-draw sums over points of w_ij / Z_hat_i and of w_ij e^{-b_i}
+    sum_is = np.zeros(m)
+    sum_snl = np.zeros(m)
+    top_shift = -np.inf  # running max over cells of log w - b
+    for lo, hi, e in model.energy_grid_blocks(x, ys):
+        check_finite_energies(e, "grid cell", offset=lo * m)
+        logw = np.negative(e, out=e)  # values relative to the proposal measure
+        rowmax = logw.max(axis=1)
+        logw -= rowmax[:, None]
+        s = np.exp(logw, out=logw)
+        total = s.sum(axis=1)
+        log_zq[lo:hi] = rowmax + np.log(total) - np.log(m)
+        sum_is += (m / total) @ s
+        shift = rowmax - b_vals[lo:hi]
+        top_shift = max(top_shift, float(shift.max()))
+        if top_shift < SNL_SHIFT_CAP:
+            sum_snl += np.exp(shift) @ s
+    snl_ok = top_shift < SNL_SHIFT_CAP
+
     gap = log_zq - b_vals
     a_is = -e_data - b_vals - gap  # b cancels: -E - log Z_hat
     a_snl = -e_data - b_vals - np.exp(gap) + 1.0
-    # per-draw across-point means of the (scaled) weights; their spread over
-    # the m shared draws drives the Monte Carlo error of each form.
-    v_is = np.exp(logw - log_zq[:, None]).mean(axis=0)
-    shifted = logw - b_vals[:, None]
-    snl_ok = float(np.max(shifted)) < 600.0
-    v_snl = np.exp(shifted).mean(axis=0) if snl_ok else np.zeros(m)
-
     unnormalized = bool(np.any(np.abs(gap) > UNNORMALIZED_GAP))
     l_is = float(np.mean(a_is))
     l_snl = float(np.mean(a_snl))
-    # delta method: the only randomness is the shared draws. For the log
-    # form d l_is = -mean_m v_is dm; for the linear form the weight enters
-    # directly.
+    # per-draw across-point means of the (scaled) weights; their spread over
+    # the m shared draws drives the Monte Carlo error of each form. Delta
+    # method: the only randomness is the shared draws. For the log form
+    # d l_is = -mean_m v_is dm; for the linear form the weight enters directly.
+    v_is, v_snl = sum_is / n, sum_snl / n
     l_is_se = float(np.std(v_is, ddof=1) / np.sqrt(m))
     l_snl_se = float(np.std(v_snl, ddof=1) / np.sqrt(m)) if snl_ok else float("nan")
     return RegressionEvalReport(

@@ -346,6 +346,16 @@ class TestRegressionPipeline:
         assert "expected a density checkpoint" in err
 
 
+@pytest.mark.parametrize("config, run_dir", [(density_config, "run"), (regression_config, "reg")])
+def test_eval_rejects_zero_samples(tmp_path, capsys, config, run_dir):
+    assert run(capsys, "train", "--config", config(tmp_path))[0] == 0
+    ckpt = str(tmp_path / run_dir / "checkpoint_final.json")
+    code, out, err = run(capsys, "eval", "--checkpoint", ckpt, "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
 class TestSetOnlyConfig:
     def test_training_from_overrides_alone(self, tmp_path, capsys):
         code, out, _ = run(

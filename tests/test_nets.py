@@ -25,6 +25,15 @@ def test_zero_init_outputs_zero():
     assert np.array_equal(out, np.zeros((5, 1)))
 
 
+@pytest.mark.parametrize("relu_output", [False, True])
+def test_forward_without_cache_gives_the_same_output(relu_output):
+    net = Mlp([3, 9, 6, 2], PortableRng(5), relu_output=relu_output)
+    x = PortableRng(6).normal((11, 3))
+    out, cache = net.forward(x, keep_cache=False)
+    assert cache is None
+    np.testing.assert_array_equal(out, net.forward(x)[0])
+
+
 def test_param_count():
     net = Mlp([2, 200, 100, 50, 50, 1])
     want = (2 * 200 + 200) + (200 * 100 + 100) + (100 * 50 + 50) + (50 * 50 + 50) + (50 * 1 + 1)

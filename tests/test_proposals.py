@@ -158,9 +158,9 @@ class TestMdnProposal:
     def test_single_component_is_a_gaussian(self):
         mdn = MdnProposal(4, 1, PortableRng(13))
         f = self.features(10)
-        _, mu, sigma = mdn.mixture_params(f)
+        heads = mdn.heads(f)
         y = PortableRng(14).normal(10)
-        want = norm.logpdf(y, loc=mu[:, 0], scale=sigma[:, 0])
+        want = norm.logpdf(y, loc=heads.mu[:, 0], scale=heads.sigma[:, 0])
         np.testing.assert_allclose(mdn.log_density(f, y), want, atol=1e-12)
 
     def test_density_normalizes_to_one(self):
@@ -207,6 +207,20 @@ class TestMdnProposal:
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
         mdn.theta = theta0
 
+    def test_shared_heads_give_identical_results(self):
+        mdn = MdnProposal(4, 2, PortableRng(28))
+        f = self.features(6)
+        y = PortableRng(29).normal(6)
+        heads = mdn.heads(f)
+        ys = mdn.sample(PortableRng(30), f, 5, heads)
+        np.testing.assert_array_equal(ys, mdn.sample(PortableRng(30), f, 5))
+        np.testing.assert_array_equal(mdn.log_density(f, ys, heads), mdn.log_density(f, ys))
+        np.testing.assert_array_equal(mdn.log_density(f, y, heads), mdn.log_density(f, y))
+        value, grad = mdn.loglik_gradient(f, y, heads)
+        again_value, again_grad = mdn.loglik_gradient(f, y)
+        assert value == again_value
+        np.testing.assert_array_equal(grad, again_grad)
+
     def test_fit_approaches_gaussian_entropy_bound(self):
         # constant features make the MDN unconditional; the best attainable
         # mean log-likelihood on N(0,1) data is about -0.5 log(2 pi e)
@@ -247,8 +261,7 @@ class TestMdnProposal:
         # force hugely negative raw scales
         mdn.scale_net.theta = mdn.scale_net.theta * 0.0 - 0.0
         mdn.scale_net.biases[-1] = np.full(2, -100.0)
-        _, _, sigma = mdn.mixture_params(np.ones((3, 2)))
-        assert np.all(sigma >= MdnProposal.SCALE_FLOOR)
+        assert np.all(mdn.heads(np.ones((3, 2))).sigma >= MdnProposal.SCALE_FLOOR)
 
 
 def test_from_descriptor_rejects_unknown_kind():

@@ -1,10 +1,13 @@
 """Conditional models: the bilinear oracle, the shared-grid energies,
 pointwise normalizer behavior, training, and the evaluation report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from snl_ebm.errors import TrainingDivergedError
+from snl_ebm.errors import EnergyEvaluationError, TrainingDivergedError
 from snl_ebm import regression
 from snl_ebm.proposals import MdnProposal, StandardGaussian, fit_gaussian
 from snl_ebm.regression import (
@@ -90,9 +93,9 @@ class TestSharedGrid:
     def grids_at_two_chunk_sizes(monkeypatch, ys):
         model = ConditionalEnergyModel(PortableRng(6))
         x = PortableRng(7).normal(10)
-        monkeypatch.setattr(regression, "GRID_CHUNK", 3)
+        monkeypatch.setattr(regression, "GRID_CELLS", 3 * ys.shape[-1])
         a = model.energy_grid_shared(x, ys)
-        monkeypatch.setattr(regression, "GRID_CHUNK", 1000)
+        monkeypatch.setattr(regression, "GRID_CELLS", 1000 * ys.shape[-1])
         return a, model.energy_grid_shared(x, ys)
 
     def test_chunking_is_invisible(self, monkeypatch):
@@ -382,3 +385,184 @@ class TestEvalRegression:
         report = eval_regression_l_is(m, (np.zeros(3), np.zeros(3)), StandardGaussian(1), n_samples=100, rng=PortableRng(52))
         keys = {line.split()[0] for line in report.lines()}
         assert {"l_is", "l_is_se", "l_snl", "l_snl_se", "n_points", "n_samples"} <= keys
+
+
+class FixedDraws:
+    """A proposal stub whose draws are given up front."""
+
+    def __init__(self, ys):
+        self.ys = np.asarray(ys, dtype=np.float64)
+
+    def sample(self, rng, n):
+        return self.ys[:n].reshape(-1, 1)
+
+
+def dense_reference(model, x, y, ys, b_vals):
+    """(l_is, l_is_se, l_snl, l_snl_se) by the full-grid formulas: the (n, m)
+    grid from energy_pairs on the expanded pairs and scipy's logsumexp."""
+    n, m = x.size, ys.size
+    e_data = model.energy_pairs(x, y)
+    logw = -model.energy_pairs(np.repeat(x, m), np.tile(ys, n)).reshape(n, m)
+    log_zq = logsumexp(logw, axis=1) - np.log(m)
+    gap = log_zq - b_vals
+    l_is = float(np.mean(-e_data - b_vals - gap))
+    l_snl = float(np.mean(-e_data - b_vals - np.exp(gap) + 1.0))
+    v_is = np.exp(logw - log_zq[:, None]).mean(axis=0)
+    shifted = logw - b_vals[:, None]
+    l_is_se = float(np.std(v_is, ddof=1) / np.sqrt(m))
+    if np.max(shifted) < 600.0:
+        l_snl_se = float(np.std(np.exp(shifted).mean(axis=0), ddof=1) / np.sqrt(m))
+    else:
+        l_snl_se = float("nan")
+    return l_is, l_is_se, l_snl, l_snl_se
+
+
+def report_values(report):
+    return report.l_is, report.l_is_se, report.l_snl, report.l_snl_se
+
+
+def sharp_conditional_model(seed):
+    """A random ConditionalEnergyModel with its energies scaled up, so that
+    the weights are far from uniform and the bounds far from zero."""
+    model = ConditionalEnergyModel(PortableRng(seed))
+    model.head.weights[1] = model.head.weights[1] * 100.0
+    return model
+
+
+class TestStreamedEval:
+    N_SAMPLES = 3000
+
+    def evaluate(self, model, x, y, normalizer_fn=None, proposal=None):
+        proposal = proposal if proposal is not None else StandardGaussian(1)
+        return eval_regression_l_is(model, (x, y), proposal, n_samples=self.N_SAMPLES,
+                                    rng=PortableRng(60), normalizer_fn=normalizer_fn)
+
+    def draws(self):
+        return StandardGaussian(1).sample(PortableRng(60), self.N_SAMPLES).reshape(-1)
+
+    def cases(self):
+        x = PortableRng(61).normal(37)
+        y = PortableRng(62).normal(37)
+        model = sharp_conditional_model(63)
+        norm = NormalizerNet(PortableRng(64))
+        yield "conditional", model, x, y, None
+        yield "conditional+normalizer", model, x, y, lambda xs: norm.values(model.features(xs))
+        yield "bilinear", BilinearConditionalModel(theta=1.3), x, y, lambda xs: 0.3 * xs
+
+    def test_matches_dense_reference(self):
+        for name, model, x, y, normalizer_fn in self.cases():
+            b_vals = normalizer_fn(x) if normalizer_fn is not None else np.zeros(x.size)
+            want = dense_reference(model, x, y, self.draws(), b_vals)
+            got = report_values(self.evaluate(model, x, y, normalizer_fn))
+            assert abs(want[0]) > 0.05 and abs(want[2]) > 0.05, name  # far from the trivial zero
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_block_size_is_invisible(self, monkeypatch):
+        for name, model, x, y, normalizer_fn in self.cases():
+            reports = []
+            for cells in (1, 5 * self.N_SAMPLES, 10**9):  # one point, five points, every point per block
+                monkeypatch.setattr(regression, "GRID_CELLS", cells)
+                reports.append(self.evaluate(model, x, y, normalizer_fn))
+            for other in reports[1:]:
+                assert (other.l_is, other.l_snl) == (reports[0].l_is, reports[0].l_snl), name
+                np.testing.assert_allclose([other.l_is_se, other.l_snl_se],
+                                           [reports[0].l_is_se, reports[0].l_snl_se], rtol=1e-12, err_msg=name)
+
+    def test_overflow_guard_when_only_the_last_block_crosses(self, monkeypatch):
+        monkeypatch.setattr(regression, "GRID_CELLS", 1)  # one point per block
+        model = BilinearConditionalModel(theta=0.8)
+        x = PortableRng(65).normal(6)
+        y = PortableRng(66).normal(6)
+        b_vals = np.zeros(6)
+        b_vals[-1] = -700.0  # log w - b > 600 on the last point only
+
+        report = self.evaluate(model, x, y, normalizer_fn=lambda xs: b_vals)
+        want = dense_reference(model, x, y, self.draws(), b_vals)
+        assert np.isnan(report.l_snl_se) and np.isnan(want[3])
+        np.testing.assert_allclose(report_values(report)[:3], want[:3], rtol=1e-12)
+        head = self.evaluate(model, x[:-1], y[:-1], normalizer_fn=lambda xs: b_vals[:-1])
+        assert np.isfinite(head.l_snl_se)
+
+    def test_peak_memory_stays_below_one_grid(self):
+        n, m = 400, 20000
+        model = ConditionalEnergyModel(PortableRng(67))
+        x = PortableRng(68).normal(n)
+        y = PortableRng(69).normal(n)
+        tracemalloc.start()
+        try:
+            eval_regression_l_is(model, (x, y), StandardGaussian(1), n_samples=m, rng=PortableRng(70))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8  # one (n, m) float64 grid
+
+    def test_nonfinite_data_energy_raises(self):
+        model = ConditionalEnergyModel(PortableRng(71))
+        model.theta = np.full(model.n_params, np.nan)
+        with pytest.raises(EnergyEvaluationError) as err:
+            self.evaluate(model, np.zeros(4), np.zeros(4))
+        assert "data point" in str(err.value)
+
+    def test_nonfinite_grid_energy_raises_in_its_block(self, monkeypatch):
+        monkeypatch.setattr(regression, "GRID_CELLS", 1)  # one point per block
+        ys = PortableRng(72).normal(self.N_SAMPLES)
+        ys[17] = 1e308
+        x = np.array([0.5, 0.5, 10.0])  # E = -theta x y overflows on the last point only
+        with pytest.raises(EnergyEvaluationError) as err, np.errstate(over="ignore"):
+            self.evaluate(BilinearConditionalModel(theta=1.0), x, np.zeros(3), proposal=FixedDraws(ys))
+        assert err.value.index == 2 * self.N_SAMPLES + 17
+        assert "grid cell" in str(err.value)
+
+    def test_rejects_no_samples(self):
+        model = BilinearConditionalModel()
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="n_samples"):
+                eval_regression_l_is(model, (np.zeros(3), np.zeros(3)), StandardGaussian(1), n_samples=bad)
+
+    def test_rejects_mismatched_pairs(self):
+        with pytest.raises(ValueError, match="3 and 4"):
+            eval_regression_l_is(BilinearConditionalModel(), (np.zeros(3), np.zeros(4)), StandardGaussian(1),
+                                 n_samples=10)
+
+
+def counting(monkeypatch, net):
+    """Count calls of one net's forward for the rest of the test."""
+    calls = []
+    original = net.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(net, "forward", counted)
+    return calls
+
+
+class TestForwardPasses:
+    def test_mdn_heads_and_features_run_once_per_step_and_validation(self, monkeypatch):
+        x, y = TestTrainRegression.toy_pairs(73, 96)  # two steps at batch size 64
+        model = ConditionalEnergyModel(PortableRng(74))
+        mdn = MdnProposal(FEATURE_WIDTHS[-1], 2, PortableRng(75))
+        heads = [counting(monkeypatch, net) for net in (mdn.pi_net, mdn.mu_net, mdn.scale_net)]
+        features = counting(monkeypatch, model.feature_net)
+        for objective in ("snl", "nce"):
+            for calls in heads + [features]:
+                calls.clear()
+            train_regression(model, NormalizerNet(PortableRng(76)), mdn, (x, y), (x[:24], y[:24]),
+                             TestTrainRegression.config(epochs=1, objective=objective))
+            assert [len(calls) for calls in heads] == [3, 3, 3], objective  # 2 steps + 1 validation
+            assert len(features) == 3, objective
+
+    def test_validation_snl_matches_pairwise_reference(self):
+        model = ConditionalEnergyModel(PortableRng(77))
+        norm = NormalizerNet(PortableRng(78))
+        x = PortableRng(79).normal(11)
+        y = PortableRng(80).normal(11)
+        proposal = fit_gaussian(y.reshape(-1, 1))
+        got = regression.validation_snl(model, norm, proposal, x, y, 7, PortableRng(81))
+        ys = proposal.sample(PortableRng(81), 11 * 7).reshape(11, 7)
+        log_q = proposal.log_density(ys.reshape(-1, 1)).reshape(11, 7)
+        e_samp = model.energy_pairs(np.repeat(x, 7), ys.ravel()).reshape(11, 7)
+        log_z = np.log(np.mean(np.exp(-e_samp - log_q), axis=1))
+        want = snl_regression_objective(model.energy_pairs(x, y), norm.values(model.features(x)), log_z)
+        assert got == pytest.approx(want, rel=1e-12)
