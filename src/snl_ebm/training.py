@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SnlError, TrainingDivergedError
+from .nets import Workspace
 from .objectives import (
     GradientEstimate,
     ImportanceBatch,
@@ -124,15 +125,19 @@ def optimizer_step(
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
-def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, objective: str, proposal=None, nu: float | None = None):
+def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, objective: str, proposal=None, nu: float | None = None,
+               workspaces: tuple | None = None):
     """(objective value, ascent gradient, diagnostics) for one minibatch.
 
     One forward pass per array; ``objectives.step_terms`` turns the energies
     into the value and cotangents (for NCE the value is the negated loss),
     and one backward pass per array turns those into the gradient.
+    ``workspaces`` is a pair of ``nets.Workspace`` (data, samples) that the
+    training loop reuses from step to step.
     """
-    e_data, vjp_data = model.energy_vjp_prepared(data)
-    e_samp, vjp_samp = model.energy_vjp_prepared(batch.samples)
+    space_data, space_samp = workspaces if workspaces is not None else (None, None)
+    e_data, vjp_data = model.energy_vjp_prepared(data, space_data)
+    e_samp, vjp_samp = model.energy_vjp_prepared(batch.samples, space_samp)
     log_d_data = log_d_samp = 0.0
     if model.base is not None:
         log_d_data = model.base.log_density(data)
@@ -181,6 +186,7 @@ def train_density(
     val_batch = sample_and_score(proposal, root.split("validation"), m, base=model.base)
 
     opt_state: AdamState | None = None
+    workspaces = (Workspace(), Workspace())
     n = train_data.shape[0]
     result = TrainResult(state=SnlState(model, b))
     best_val = -np.inf
@@ -198,7 +204,8 @@ def train_density(
             prop = sample_and_score(proposal, proposal_rng, m, base=model.base)
             try:
                 value, grads, diag = fused_step(
-                    model, b, batch_x, prop, config.objective, proposal=proposal, nu=config.nce_nu
+                    model, b, batch_x, prop, config.objective, proposal=proposal, nu=config.nce_nu,
+                    workspaces=workspaces,
                 )
             except SnlError:
                 value, grads, diag = np.nan, None, last_diag

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snl_ebm.nets import Mlp
+from snl_ebm.nets import Mlp, Workspace
 from snl_ebm.rng import PortableRng
 
 
@@ -147,3 +147,49 @@ def test_gradient_accumulates_over_batch():
         _, c = net.forward(row.reshape(1, 2))
         summed += net.backward(c, np.ones((1, 1)))
     np.testing.assert_allclose(whole, summed, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("keep_cache", [True, False])
+def test_nan_weight_gives_nan_output(keep_cache):
+    # ReLU must not turn a NaN pre-activation into 0, or non-finite checks never fire
+    net = Mlp([1, 4, 1], PortableRng(2))
+    net.weights[0][0, :] = np.nan
+    out, _ = net.forward(np.ones((3, 1)), keep_cache=keep_cache)
+    assert np.all(np.isnan(out))
+
+
+@pytest.mark.parametrize("relu_output", [False, True])
+def test_workspace_passes_match_fresh_passes_and_reuse_memory(relu_output):
+    net = Mlp([3, 9, 6, 2], PortableRng(5), relu_output=relu_output)
+    ws = Workspace()
+    outputs = []
+    for seed in (6, 7):  # the second step runs in the first step's arrays
+        x = PortableRng(seed).normal((11, 3))
+        cot = PortableRng(seed + 10).normal((11, 2))
+        cot_before = cot.copy()
+        out, cache = net.forward(x)
+        out_ws, cache_ws = net.forward(x, workspace=ws)
+        np.testing.assert_array_equal(out_ws, out)
+        flat, gx = net.backward(cache, cot, need_input_grad=True)
+        flat_ws, gx_ws = net.backward(cache_ws, cot, need_input_grad=True, workspace=ws)
+        np.testing.assert_array_equal(flat_ws, flat)
+        np.testing.assert_array_equal(gx_ws, gx)
+        np.testing.assert_array_equal(cot, cot_before)
+        outputs.append(out_ws)
+    assert np.shares_memory(outputs[0], outputs[1])
+    # gradients handed back are the caller's to keep
+    assert not any(np.shares_memory(flat_ws, a) for a in ws._arrays.values())
+    assert not any(np.shares_memory(gx_ws, a) for a in ws._arrays.values())
+
+
+def test_workspace_serves_two_nets_at_once():
+    first = Mlp([2, 5, 1], PortableRng(1))
+    second = Mlp([2, 5, 1], PortableRng(2))
+    ws = Workspace()
+    x = PortableRng(3).normal((4, 2))
+    out_1, cache_1 = first.forward(x, workspace=ws)
+    kept = out_1.copy()
+    out_2, cache_2 = second.forward(x, workspace=ws)
+    np.testing.assert_array_equal(out_1, kept)
+    np.testing.assert_array_equal(first.backward(cache_1, np.ones((4, 1)), workspace=ws),
+                                  first.backward(first.forward(x)[1], np.ones((4, 1))))

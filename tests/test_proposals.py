@@ -72,6 +72,32 @@ class TestFitGaussian:
         want = multivariate_normal(mean=fit.mean, cov=fit.cov).logpdf(x)
         np.testing.assert_allclose(fit.log_density(x), want, rtol=1e-10)
 
+    def test_log_density_solves_once_at_construction(self, monkeypatch):
+        # a per-call LAPACK solve wakes scipy's own BLAS thread pool, which
+        # then competes with numpy's for the CPUs
+        from scipy.linalg import solve_triangular
+
+        from snl_ebm import proposals
+
+        fit_1 = fit_gaussian(PortableRng(7).normal((40, 1)) * 1.7 + 0.3)
+        fit_2 = fit_gaussian(PortableRng(8).normal((40, 2)))
+        x_1 = PortableRng(9).normal((1000, 1)) * 3.0
+        x_2 = PortableRng(10).normal((1000, 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("log_density called the triangular solver")
+
+        monkeypatch.setattr(proposals, "solve_triangular", refuse)
+        got_1, got_2 = fit_1.log_density(x_1), fit_2.log_density(x_2)
+        monkeypatch.undo()
+
+        def solved(fit, x):
+            y = solve_triangular(fit._chol, (x - fit.mean).T, lower=True)
+            return -0.5 * (fit.dim * np.log(2 * np.pi) + fit._log_det + np.sum(y * y, axis=0))
+
+        np.testing.assert_array_equal(got_1, solved(fit_1, x_1))  # one dimension: the same bits
+        np.testing.assert_allclose(got_2, solved(fit_2, x_2), rtol=1e-13)
+
     def test_sampling_matches_fit(self):
         fit = FittedGaussian([0.5, -0.5], [[2.0, 0.5], [0.5, 1.0]])
         x = fit.sample(PortableRng(5), 200_000)

@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 
 from snl_ebm.errors import EnergyEvaluationError, TrainingDivergedError
 from snl_ebm import regression
+from snl_ebm.nets import Workspace
 from snl_ebm.proposals import MdnProposal, StandardGaussian, fit_gaussian
 from snl_ebm.regression import (
     FEATURE_WIDTHS,
@@ -203,6 +204,24 @@ class TestStepGradients:
             fd = (value_at(up) - value_at(down)) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-9), f"coordinate {i}"
         set_params(theta0)
+
+    @pytest.mark.parametrize("objective", ["snl", "nce"])
+    def test_workspace_changes_no_bits(self, objective):
+        rng = PortableRng(22)
+        model = ConditionalEnergyModel(rng.split("model"))
+        normalizer = NormalizerNet(rng.split("norm"))
+        workspace = Workspace()
+        for seed in (23, 24):  # the second step reuses the first step's arrays
+            x, y = PortableRng(seed).normal(6), PortableRng(seed + 10).normal(6)
+            ys = PortableRng(seed + 20).normal((6, 4))
+            log_q = StandardGaussian(1).log_density(ys.reshape(-1, 1)).reshape(6, 4)
+            log_q_data = StandardGaussian(1).log_density(y.reshape(-1, 1))
+            want = run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 2.0)
+            h, cache_f = model.feature_net.forward(x.reshape(-1, 1), workspace=workspace)
+            got = _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, 2.0,
+                                   workspace)
+            assert got[0] == want[0] and got[2] == want[2]
+            np.testing.assert_array_equal(got[1], want[1])
 
     def test_nce_rejects_nonpositive_nu(self):
         model = ConditionalEnergyModel(PortableRng(18))

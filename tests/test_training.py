@@ -5,6 +5,7 @@ import pytest
 
 from snl_ebm.errors import TrainingDivergedError
 from snl_ebm.models import BernoulliModel, GaussianMeanModel, MlpEnergy
+from snl_ebm.nets import Workspace
 from snl_ebm.objectives import (
     estimate_z,
     nce_gradients,
@@ -138,6 +139,18 @@ class TestFusedStep:
         value, _, _ = fused_step(self.model, 0.1, self.data, self.batch, "nce", proposal=self.proposal, nu=2.0)
         want = nce_objective(self.model, 0.1, self.data, self.proposal, self.batch, nu=2.0)
         assert value == pytest.approx(-want, rel=1e-12)
+
+    @pytest.mark.parametrize("objective", ["snl", "nce"])
+    def test_workspaces_change_no_bits(self, objective):
+        # data and samples of equal size: each needs its own workspace
+        batch = sample_and_score(self.proposal, PortableRng(8), 32)
+        workspaces = (Workspace(), Workspace())
+        for b in (0.2, -0.1):  # the second step reuses the first step's arrays
+            value, grads, diag = fused_step(self.model, b, self.data, batch, objective, proposal=self.proposal)
+            value_ws, grads_ws, diag_ws = fused_step(self.model, b, self.data, batch, objective,
+                                                     proposal=self.proposal, workspaces=workspaces)
+            assert value_ws == value and diag_ws == diag and grads_ws.grad_b == grads.grad_b
+            np.testing.assert_array_equal(grads_ws.grad_theta, grads.grad_theta)
 
     def test_tilted_model_uses_cached_base(self):
         base = StandardGaussian(2)
