@@ -87,6 +87,10 @@ def evaluate(model, b, splits, proposal, n_samples: int = 20000,
     differences between splits reflect the data term alone. ``rng``
     overrides the seed-derived stream when given.
     """
+    splits = {name: np.asarray(data, dtype=np.float64) for name, data in splits.items()}
+    empty = [name for name, data in splits.items() if data.shape[0] == 0]
+    if empty:
+        raise ValueError(f"split {empty[0]!r} is empty: each split needs at least one point")
     if rng is None:
         rng = PortableRng(seed).split("evaluate")
     batch = sample_and_score(proposal, rng, n_samples, base=model.base)
@@ -100,7 +104,6 @@ def evaluate(model, b, splits, proposal, n_samples: int = 20000,
 
     reports = []
     for name, data in splits.items():
-        data = np.asarray(data, dtype=np.float64)
         snl = snl_objective(model, b, data, z.log_mean_weight)
         values = model.unnorm_log_density(data)
         n = data.shape[0]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedExactFormError
-from .nets import Mlp
+from .nets import Mlp, bind
 from .proposals import StandardGaussian
 from .rng import PortableRng
 
@@ -54,6 +54,11 @@ class EnergyModel:
 
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def bind(self, buffer: np.ndarray) -> None:
+        """Move the parameters into ``buffer`` (flat, ``n_params`` long) and
+        keep them there, so that in-place updates of it change the model."""
         raise NotImplementedError
 
     @property
@@ -89,28 +94,25 @@ class EnergyModel:
         return float(np.mean(-self.energy(data))) - self.exact_log_z()
 
 
-class GaussianMeanModel(EnergyModel):
-    """E(x) = -theta x against a standard-Gaussian carrier.
-
-    Z = integral e^{theta x} phi(x) dx = e^{theta^2 / 2} (the Gaussian mgf),
-    so the model is N(theta, 1) and the likelihood optimum is theta = x_bar
-    with b = x_bar^2 / 2.
-    """
+class LinearOracle(EnergyModel):
+    """E(x) = -theta x on one coordinate, the shared form of the oracles."""
 
     dim = 1
-    base_is_carrier = True
 
     def __init__(self, theta: float = 0.0):
         self._theta = np.array([float(theta)])
-        self.base = StandardGaussian(1)
 
     @property
     def theta(self) -> np.ndarray:
-        return self._theta
+        return self._theta.copy()
 
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
-        self._theta = np.asarray(value, dtype=np.float64).reshape(1).copy()
+        self._theta[...] = np.asarray(value, dtype=np.float64).reshape(1)
+
+    def bind(self, buffer: np.ndarray) -> None:
+        buffer[...] = self._theta
+        self._theta = buffer
 
     def energy(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -119,6 +121,21 @@ class GaussianMeanModel(EnergyModel):
     def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return np.array([-float(np.dot(cotangent, x[:, 0]))])
+
+
+class GaussianMeanModel(LinearOracle):
+    """E(x) = -theta x against a standard-Gaussian carrier.
+
+    Z = integral e^{theta x} phi(x) dx = e^{theta^2 / 2} (the Gaussian mgf),
+    so the model is N(theta, 1) and the likelihood optimum is theta = x_bar
+    with b = x_bar^2 / 2.
+    """
+
+    base_is_carrier = True
+
+    def __init__(self, theta: float = 0.0):
+        super().__init__(theta)
+        self.base = StandardGaussian(1)
 
     def exact_log_z(self) -> float:
         return 0.5 * float(self._theta[0] ** 2)
@@ -127,34 +144,14 @@ class GaussianMeanModel(EnergyModel):
         return self._theta.copy()
 
 
-class BernoulliModel(EnergyModel):
+class BernoulliModel(LinearOracle):
     """E(x) = -theta x on support {0, 1} under counting measure.
 
     Z = 1 + e^theta; the likelihood optimum is theta = logit(x_bar).
     """
 
-    dim = 1
     base = None
     base_is_carrier = False
-
-    def __init__(self, theta: float = 0.0):
-        self._theta = np.array([float(theta)])
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        self._theta = np.asarray(value, dtype=np.float64).reshape(1).copy()
-
-    def energy(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return -self._theta[0] * x[:, 0]
-
-    def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.array([-float(np.dot(cotangent, x[:, 0]))])
 
     def exact_log_z(self) -> float:
         return float(np.logaddexp(0.0, self._theta[0]))
@@ -195,6 +192,9 @@ class MlpEnergy(EnergyModel):
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
         self.net.theta = value
+
+    def bind(self, buffer: np.ndarray) -> None:
+        bind([self.net], buffer)
 
     @property
     def n_params(self) -> int:

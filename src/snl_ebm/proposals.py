@@ -12,12 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.special import logsumexp
 
 from . import serialize
 from .errors import DegenerateProposalError
-from .nets import Mlp
-from .objectives import ImportanceBatch
+from .nets import Mlp, bind
+from .objectives import ImportanceBatch, logsumexp
 from .optim import AdamState, adam_step
 from .rng import PortableRng
 
@@ -212,14 +211,15 @@ class MdnProposal:
         self.pi_net = Mlp(widths, rng.split("pi") if rng else None)
         self.mu_net = Mlp(widths, rng.split("mu") if rng else None)
         self.scale_net = Mlp(widths, rng.split("scale") if rng else None)
+        self.nets = (self.pi_net, self.mu_net, self.scale_net)
 
     @property
     def theta(self) -> np.ndarray:
-        return np.concatenate([self.pi_net.theta, self.mu_net.theta, self.scale_net.theta])
+        return np.concatenate([net.params for net in self.nets])
 
     @theta.setter
     def theta(self, flat: np.ndarray) -> None:
-        sizes = [self.pi_net.n_params, self.mu_net.n_params, self.scale_net.n_params]
+        sizes = [net.n_params for net in self.nets]
         if flat.shape != (sum(sizes),):
             raise ValueError("parameter vector has the wrong length")
         a, b = sizes[0], sizes[0] + sizes[1]
@@ -323,9 +323,10 @@ def mdn_log_likelihood_and_fit(
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).ravel()
     n = features.shape[0]
-    state = AdamState.fresh(mdn.theta.shape[0])
+    params = bind(mdn.nets)
+    state = AdamState.fresh(params.size)
     history = []
-    last_good = mdn.theta
+    before_last_step = params.copy()
     shuffler = rng.split("mdn-shuffle") if rng is not None else None
     for _ in range(epochs):
         if batch_size is None or batch_size >= n:
@@ -335,16 +336,14 @@ def mdn_log_likelihood_and_fit(
             batches = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
         epoch_ll = []
         for idx in batches:
-            current = mdn.theta
             value, grad = mdn.loglik_gradient(features[idx], targets[idx])
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-                mdn.theta = last_good  # drop the step that went non-finite
+                params[...] = before_last_step  # drop the step that went non-finite
                 if epoch_ll:
                     history.append(float(np.mean(epoch_ll)))
                 return history
-            last_good = current
-            state, step = adam_step(state, grad, learning_rate)
-            mdn.theta = current + step
+            before_last_step[...] = params
+            adam_step(params, grad, state, learning_rate)
             epoch_ll.append(value)
         history.append(float(np.mean(epoch_ll)))
     return history

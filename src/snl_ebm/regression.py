@@ -40,11 +40,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import TrainingDivergedError
-from .nets import Mlp, Workspace
-from .objectives import check_finite_energies, divergence_diagnostics, step_terms
+from .nets import Mlp, Workspace, bind
+from .objectives import check_finite_energies, divergence_diagnostics, logsumexp, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, mdn_log_likelihood_and_fit
 from .rng import PortableRng
@@ -83,10 +82,11 @@ class ConditionalEnergyModel:
         self.feature_net = Mlp(FEATURE_WIDTHS, rng.split("feature") if rng else None, relu_output=True)
         self.y_net = Mlp(Y_WIDTHS, rng.split("y") if rng else None, relu_output=True)
         self.head = Mlp(HEAD_WIDTHS, rng.split("head") if rng else None)
+        self.nets = (self.feature_net, self.y_net, self.head)
 
     @property
     def theta(self) -> np.ndarray:
-        return np.concatenate([self.feature_net.theta, self.y_net.theta, self.head.theta])
+        return np.concatenate([net.params for net in self.nets])
 
     @theta.setter
     def theta(self, flat: np.ndarray) -> None:
@@ -274,10 +274,16 @@ def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, ob
     ``workspace`` (a ``nets.Workspace``) when the training loop gives one.
     """
     n, m = ys.shape
+    k = h.shape[1]
     y_all = np.concatenate([y, ys.ravel()]).reshape(-1, 1)
     g_all, cache_y = model.y_net.forward(y_all, workspace=workspace)
-    h_rows = np.concatenate([h, np.repeat(h, m, axis=0)])
-    e_all, cache_h = model.head.forward(np.column_stack([h_rows, g_all]), workspace=workspace)
+    # head input rows [h_i, g(y_i)] then [h_i, g(y_ij)], copied into one array
+    shape = (n * (m + 1), k + g_all.shape[1])
+    head_in = np.empty(shape) if workspace is None else workspace.array("head-input", shape)
+    head_in[:n, :k] = h
+    head_in[n:].reshape(n, m, shape[1])[:, :, :k] = h[:, None, :]
+    head_in[:, k:] = g_all
+    e_all, cache_h = model.head.forward(head_in, workspace=workspace)
     e_data = e_all[:n, 0]
     e_samp = e_all[n:, 0].reshape(n, m)
 
@@ -294,7 +300,6 @@ def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, ob
 
     cot = np.concatenate([d_e_data.ravel(), d_e_samp.ravel()]).reshape(-1, 1)
     g_head, d_input = model.head.backward(cache_h, cot, need_input_grad=True, workspace=workspace)
-    k = h.shape[1]
     d_h_rows, d_g = d_input[:, :k], d_input[:, k:]
     g_y = model.y_net.backward(cache_y, d_g, workspace=workspace)
     d_h = d_h_rows[:n] + d_h_rows[n:].reshape(n, m, k).sum(axis=1)
@@ -306,19 +311,6 @@ def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, ob
         grads.append(g_norm)
     grads[0] = model.feature_net.backward(cache_f, d_h, workspace=workspace)
     return value, np.concatenate(grads), divergence_diagnostics(e_samp, logw)
-
-
-def _params(model, normalizer):
-    parts = [model.theta]
-    if normalizer is not None:
-        parts.append(normalizer.phi)
-    return np.concatenate(parts)
-
-
-def _set_params(model, normalizer, flat):
-    model.theta = flat[: model.n_params]
-    if normalizer is not None:
-        normalizer.phi = flat[model.n_params :]
 
 
 def validation_snl(model, normalizer, proposal, x, y, m, rng):
@@ -351,8 +343,12 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     val_rng = root.split("validation")
     mdn = proposal if isinstance(proposal, MdnProposal) else None
 
-    opt = AdamState.fresh(_params(model, normalizer).size)
-    mdn_opt = AdamState.fresh(mdn.theta.size) if mdn is not None else None
+    # one flat buffer for [theta; phi] and one for the MDN, each stepped in place
+    params = bind(model.nets + ((normalizer.net,) if normalizer is not None else ()))
+    opt = AdamState.fresh(params.size)
+    if mdn is not None:
+        mdn_params = bind(mdn.nets)
+        mdn_opt = AdamState.fresh(mdn_params.size)
     result = RegressionTrainResult(model=model, normalizer=normalizer)
     workspace = Workspace()
     best_val = -np.inf
@@ -386,12 +382,10 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
                 continue
             bad_streak = 0
             values.append(value)
-            opt, step = adam_step(opt, grad, config.learning_rate)
-            _set_params(model, normalizer, _params(model, normalizer) + step)
+            adam_step(params, grad, opt, config.learning_rate)
             if mdn is not None:
                 _, mdn_grad = mdn.loglik_gradient(h_b, y_b, heads)
-                mdn_opt, mdn_step = adam_step(mdn_opt, mdn_grad, config.mdn_learning_rate)
-                mdn.theta = mdn.theta + mdn_step
+                adam_step(mdn_params, mdn_grad, mdn_opt, config.mdn_learning_rate)
         val = validation_snl(
             model, normalizer, proposal, x_val, y_val,
             config.samples_per_point, val_rng.split_index(epoch),
@@ -458,6 +452,8 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"x and y must have the same length, got {x.shape[0]} and {y.shape[0]}")
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("pairs are empty: the evaluation needs at least one (x, y) pair")
     ys = np.asarray(proposal.sample(rng, n_samples), dtype=np.float64).reshape(-1)
     m = ys.shape[0]
 
@@ -496,8 +492,12 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     # method: the only randomness is the shared draws. For the log form
     # d l_is = -mean_m v_is dm; for the linear form the weight enters directly.
     v_is, v_snl = sum_is / n, sum_snl / n
-    l_is_se = float(np.std(v_is, ddof=1) / np.sqrt(m))
-    l_snl_se = float(np.std(v_snl, ddof=1) / np.sqrt(m)) if snl_ok else float("nan")
+    l_is_se = l_snl_se = 0.0  # one draw has no spread to measure, as in ``evaluation.evaluate``
+    if m > 1:
+        l_is_se = float(np.std(v_is, ddof=1) / np.sqrt(m))
+        l_snl_se = float(np.std(v_snl, ddof=1) / np.sqrt(m))
+    if not snl_ok:
+        l_snl_se = float("nan")
     return RegressionEvalReport(
         l_is=l_is, l_is_se=l_is_se, l_snl=l_snl, l_snl_se=l_snl_se,
         unnormalized=unnormalized, n_points=n, n_samples=m,

@@ -8,9 +8,9 @@ exp(log w - b) cotangents moderate from the first step.
 
 The per-step objective and gradients are computed in one fused pass (one
 forward per array) around ``objectives.step_terms``, the step math shared
-with regression training; ``objectives.snl_gradients`` / ``nce_gradients``
-remain the plain reference implementations and the fused path is tested
-against them.
+with regression training; the tests check it against plain reference
+gradients. The loop binds the model's parameters and b into one flat
+buffer, which each optimizer step updates in place.
 """
 
 from __future__ import annotations
@@ -113,15 +113,17 @@ def optimizer_step(
     lr: float,
     kind: str = "adam",
     opt_state: AdamState | None = None,
-) -> tuple[np.ndarray, AdamState | None]:
-    """One ascent step on a flat parameter vector; raises on non-finite grads."""
+) -> AdamState | None:
+    """One ascent step, in place on a flat parameter vector; returns the
+    optimizer state (None for SGD) and raises on non-finite gradients."""
     if kind == "adam":
         if opt_state is None:
             opt_state = AdamState.fresh(params.shape[0])
-        opt_state, step = adam_step(opt_state, grad, lr)
-        return params + step, opt_state
+        adam_step(params, grad, opt_state, lr)
+        return opt_state
     if kind == "sgd":
-        return params + sgd_step(grad, lr), opt_state
+        params += sgd_step(grad, lr)
+        return opt_state
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
@@ -187,6 +189,10 @@ def train_density(
 
     opt_state: AdamState | None = None
     workspaces = (Workspace(), Workspace())
+    params = np.empty(model.n_params + 1)  # [theta; b], the model views its part
+    model.bind(params[:-1])
+    params[-1] = b
+    grad_vec = np.empty_like(params)
     n = train_data.shape[0]
     result = TrainResult(state=SnlState(model, b))
     best_val = -np.inf
@@ -210,12 +216,10 @@ def train_density(
             except SnlError:
                 value, grads, diag = np.nan, None, last_diag
             last_diag = diag
-            grad_vec = (
-                None
-                if grads is None
-                else np.concatenate([grads.grad_theta, [grads.grad_b]])
-            )
-            if not np.isfinite(value) or grad_vec is None or not np.all(np.isfinite(grad_vec)):
+            if grads is not None:
+                grad_vec[:-1] = grads.grad_theta
+                grad_vec[-1] = grads.grad_b
+            if not np.isfinite(value) or grads is None or not np.all(np.isfinite(grad_vec)):
                 bad_streak += 1
                 if bad_streak >= config.divergence_patience:
                     raise TrainingDivergedError(
@@ -223,9 +227,7 @@ def train_density(
                     )
                 continue
             bad_streak = 0
-            params = np.concatenate([model.theta, [b]])
-            params, opt_state = optimizer_step(params, grad_vec, config.learning_rate, config.optimizer, opt_state)
-            model.theta = params[:-1]
+            opt_state = optimizer_step(params, grad_vec, config.learning_rate, config.optimizer, opt_state)
             b = float(params[-1])
             step_values.append(value)
 

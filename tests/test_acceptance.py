@@ -18,6 +18,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from snl_ebm.datasets import fit_standardizer, load_named
@@ -408,6 +409,7 @@ def _density_benchmark_run(name, objective, seed):
     return rep.splits[0].l_is
 
 
+@pytest.mark.slow
 def test_density_benchmark_levels_and_snl_nce_ordering():
     """Five-seed benchmark on the two bundled 2-d datasets: the mean test
     upper bound should land within 0.08 of the reference levels -1.902
@@ -466,6 +468,7 @@ def _regression_benchmark_run(name, objective, proposal_kind, seed):
     return report.l_is
 
 
+@pytest.mark.slow
 def test_regression_benchmark_levels_and_snl_nce_ordering():
     """Five-seed conditional benchmark: on the first 1-d dataset the
     self-normalized objective with a two-component mixture proposal should

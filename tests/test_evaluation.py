@@ -35,6 +35,12 @@ class TestEvaluate:
         assert split.l_is_se == 0.0
         assert split.l_snl_se == 0.0
 
+    def test_empty_split_is_named(self):
+        model = GaussianMeanModel(0.0)
+        with pytest.raises(ValueError, match="split 'val' is empty"):
+            evaluate(model, 0.0, {"test": TWO_POINT, "val": np.empty((0, 1))}, StandardGaussian(1),
+                     n_samples=50, seed=0)
+
     def test_matched_proposal_recovers_exact_likelihood(self):
         # q = N(theta, 1) makes the importance weights constant, so even a
         # modest sample count nails l = mean(theta x) - theta^2 / 2 = 2

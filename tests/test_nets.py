@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snl_ebm.nets import Mlp, Workspace
+from snl_ebm.nets import Mlp, Workspace, bind
 from snl_ebm.rng import PortableRng
 
 
@@ -49,6 +49,44 @@ def test_theta_roundtrip_exact():
     out_a, _ = net.forward(np.linspace(-1, 1, 8).reshape(2, 4))
     out_b, _ = other.forward(np.linspace(-1, 1, 8).reshape(2, 4))
     assert np.array_equal(out_a, out_b)
+
+
+def test_writing_theta_changes_forward():
+    net = Mlp([2, 5, 1], PortableRng(11))
+    x = PortableRng(12).normal((4, 2))
+    before = net.forward(x)[0].copy()
+    theta = net.theta
+    theta[-1] += 1.0  # the output bias
+    net.theta = theta
+    np.testing.assert_array_equal(net.forward(x)[0], before + 1.0)
+    theta[-1] = 0.0  # the getter handed out a copy, not the buffer
+    assert net.theta[-1] != 0.0
+
+
+def test_layers_are_views_that_cannot_be_rebound():
+    net = Mlp([2, 3, 1], PortableRng(13))
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((2, 3))
+    with pytest.raises(TypeError):
+        net.biases[1] = np.zeros(1)
+    net.weights[1][...] = 0.0
+    net.biases[1][...] = 2.5
+    np.testing.assert_array_equal(net.forward(np.ones((3, 2)))[0], np.full((3, 1), 2.5))
+
+
+def test_bind_moves_parameters_into_one_buffer():
+    nets = [Mlp([2, 3, 1], PortableRng(14)), Mlp([1, 4, 2], PortableRng(15))]
+    x0, x1 = np.ones((2, 2)), np.ones((2, 1))
+    before = [nets[0].forward(x0)[0].copy(), nets[1].forward(x1)[0].copy()]
+    flat = np.concatenate([net.theta for net in nets])
+    buffer = bind(nets)
+    np.testing.assert_array_equal(buffer, flat)
+    np.testing.assert_array_equal(nets[0].forward(x0)[0], before[0])
+    np.testing.assert_array_equal(nets[1].forward(x1)[0], before[1])
+    buffer[-1] += 1.0  # the second net's last output bias
+    np.testing.assert_array_equal(nets[1].forward(x1)[0][:, 1], before[1][:, 1] + 1.0)
+    with pytest.raises(ValueError):
+        bind(nets, np.zeros(flat.size + 1))
 
 
 def test_theta_setter_rejects_wrong_length():
@@ -118,8 +156,8 @@ def test_linear_output_layer_is_affine():
 
 def test_relu_output_clamps_negative():
     net = Mlp([2, 2], relu_output=True)
-    net.weights[0] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    net.biases[0] = np.array([0.0, -5.0])
+    net.weights[0][...] = np.array([[1.0, 0.0], [0.0, 1.0]])
+    net.biases[0][...] = np.array([0.0, -5.0])
     out, _ = net.forward(np.array([[3.0, 1.0], [-2.0, 1.0]]))
     assert np.array_equal(out, np.array([[3.0, 0.0], [0.0, 0.0]]))
 
@@ -127,8 +165,8 @@ def test_relu_output_clamps_negative():
 def test_relu_derivative_zero_at_kink():
     # an exactly-zero preactivation must contribute zero gradient
     net = Mlp([1, 1, 1])
-    net.weights[0] = np.array([[1.0]])
-    net.weights[1] = np.array([[1.0]])
+    net.weights[0][...] = np.array([[1.0]])
+    net.weights[1][...] = np.array([[1.0]])
     out, cache = net.forward(np.array([[0.0]]))
     grad = net.backward(cache, np.array([[1.0]]))
     # layout: W1, b1, W2, b2; d/db1 passes through the relu mask at z=0

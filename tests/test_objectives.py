@@ -6,8 +6,11 @@ carrier) and once on a stochastic configuration where only a statistical
 tolerance applies. The exact cases use equality or atol=0.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 from scipy.stats import norm
 
 from snl_ebm.errors import (
@@ -25,6 +28,7 @@ from snl_ebm.objectives import (
     gradient_relation_check,
     l_is_objective,
     log_weights,
+    logsumexp,
     maximize_over_b,
     nce_gradients,
     nce_objective,
@@ -415,6 +419,57 @@ class TestStepTerms:
             step_terms(data, logw, np.zeros(1), "nce", 0.0, data)
         with pytest.raises(ValueError):
             step_terms(data, logw, np.zeros(1), "mle")
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestLogsumexp:
+    """The numpy kernel against the installed scipy, bit for bit, at the
+    shapes the package calls it with."""
+
+    CALLS = [((1024,), None, False), ((1, 1024), 1, False), ((64, 16), 1, False),
+             ((64, 16, 2), 2, False), ((64, 2), 1, True)]
+
+    @staticmethod
+    def both(a, axis, keepdims):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return (logsumexp(a, axis=axis, keepdims=keepdims),
+                    scipy.special.logsumexp(a, axis=axis, keepdims=keepdims))
+
+    @pytest.mark.parametrize("shape, axis, keepdims", CALLS)
+    def test_random_inputs(self, shape, axis, keepdims):
+        rng = PortableRng(70)
+        for scale in (1e-3, 1.0, 30.0, 700.0):
+            a = rng.normal(shape) * scale
+            got, want = self.both(a, axis, keepdims)
+            assert same_bits(got, want), (scale, got, want)
+            assert type(got) is type(want)
+
+    @pytest.mark.parametrize("shape, axis, keepdims", CALLS)
+    def test_edge_cases(self, shape, axis, keepdims):
+        base = PortableRng(71).normal(shape)
+        cases = {"tied maxima": np.round(base)}
+        if axis is None:
+            cases["all -inf"] = np.full(shape, -np.inf)
+        else:
+            a = base.copy()
+            a[(0,) * (len(shape) - 1)] = -np.inf  # one reduced slice all -inf
+            cases["all -inf slice"] = a
+        for name, value in (("+inf", np.inf), ("nan", np.nan), ("-inf entry", -np.inf)):
+            a = base.copy()
+            a.flat[3] = value
+            cases[name] = a
+        cases["1e308"] = np.full(shape, 1e308)
+        big = base.copy()
+        big.flat[:2] = 1.7976931348623157e308
+        cases["overflow"] = big
+        for name, a in cases.items():
+            got, want = self.both(a, axis, keepdims)
+            assert same_bits(got, want), (name, got, want)
 
 
 class TestGeneralizedKl:

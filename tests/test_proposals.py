@@ -286,7 +286,7 @@ class TestMdnProposal:
         mdn = MdnProposal(2, 2, PortableRng(27))
         # force hugely negative raw scales
         mdn.scale_net.theta = mdn.scale_net.theta * 0.0 - 0.0
-        mdn.scale_net.biases[-1] = np.full(2, -100.0)
+        mdn.scale_net.biases[-1][...] = np.full(2, -100.0)
         assert np.all(mdn.heads(np.ones((3, 2))).sigma >= MdnProposal.SCALE_FLOOR)
 
 

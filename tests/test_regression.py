@@ -2,6 +2,7 @@
 pointwise normalizer behavior, training, and the evaluation report."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,25 @@ class TestEvalRegression:
         assert report.unnormalized
         assert any(line.startswith("UNNORMALIZED") for line in report.lines())
 
+    def test_one_draw_gives_zero_standard_errors(self):
+        # as evaluation.evaluate does: one draw has no spread, and no
+        # degrees-of-freedom warning is raised
+        m = BilinearConditionalModel(theta=0.8)
+        x = PortableRng(53).normal(6)
+        y = PortableRng(54).normal(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = eval_regression_l_is(m, (x, y), StandardGaussian(1), n_samples=1, rng=PortableRng(55))
+        assert report.l_is_se == 0.0 and report.l_snl_se == 0.0
+        assert np.isfinite(report.l_is) and np.isfinite(report.l_snl)
+        assert report.n_samples == 1
+
+    def test_empty_pairs_rejected(self):
+        m = BilinearConditionalModel(theta=0.8)
+        with pytest.raises(ValueError, match="pairs are empty"):
+            eval_regression_l_is(m, (np.empty(0), np.empty(0)), StandardGaussian(1), n_samples=10,
+                                 rng=PortableRng(56))
+
     def test_report_lines_contain_all_fields(self):
         m = BilinearConditionalModel(theta=0.0)
         report = eval_regression_l_is(m, (np.zeros(3), np.zeros(3)), StandardGaussian(1), n_samples=100, rng=PortableRng(52))
@@ -444,7 +464,7 @@ def sharp_conditional_model(seed):
     """A random ConditionalEnergyModel with its energies scaled up, so that
     the weights are far from uniform and the bounds far from zero."""
     model = ConditionalEnergyModel(PortableRng(seed))
-    model.head.weights[1] = model.head.weights[1] * 100.0
+    model.head.weights[1][...] = model.head.weights[1] * 100.0
     return model
 
 

@@ -35,20 +35,22 @@ class TestOptim:
         # bias correction makes |step_1| = lr |g| / (|g| + eps) ~= lr
         state = AdamState.fresh(3)
         g = np.array([5.0, -0.3, 1e-3])
-        _, step = adam_step(state, g, lr=0.01)
+        step = np.zeros(3)
+        adam_step(step, g, state, lr=0.01)
         np.testing.assert_allclose(step, 0.01 * np.sign(g), rtol=1e-4)
 
     def test_adam_first_step_exact_formula(self):
         g = np.array([2.0])
-        _, step = adam_step(AdamState.fresh(1), g, lr=0.5)
+        step = np.zeros(1)
+        adam_step(step, g, AdamState.fresh(1), lr=0.5)
         want = 0.5 * 2.0 / (2.0 + 1e-8)
         assert step[0] == pytest.approx(want, rel=1e-15)
 
     def test_adam_state_advances(self):
         state = AdamState.fresh(1)
         g = np.array([1.0])
-        state, _ = adam_step(state, g, 0.1)
-        state, _ = adam_step(state, g, 0.1)
+        adam_step(np.zeros(1), g, state, 0.1)
+        adam_step(np.zeros(1), g, state, 0.1)
         assert state.t == 2
         assert state.m[0] == pytest.approx(1.0 - 0.9**2, rel=1e-12)
 
@@ -58,15 +60,15 @@ class TestOptim:
         with pytest.raises(ValueError):
             sgd_step(np.array([np.inf]), 0.1)
         with pytest.raises(ValueError):
-            adam_step(AdamState.fresh(1), np.array([np.nan]), 0.1)
+            adam_step(np.zeros(1), np.array([np.nan]), AdamState.fresh(1), 0.1)
 
     def test_optimizer_step_dispatch(self):
         params = np.zeros(2)
         grad = np.ones(2)
-        out, state = optimizer_step(params, grad, 0.1, "sgd")
-        np.testing.assert_array_equal(out, [0.1, 0.1])
+        state = optimizer_step(params, grad, 0.1, "sgd")
+        np.testing.assert_array_equal(params, [0.1, 0.1])
         assert state is None
-        out, state = optimizer_step(params, grad, 0.1, "adam")
+        state = optimizer_step(params, grad, 0.1, "adam")
         assert state is not None and state.t == 1
         with pytest.raises(ValueError):
             optimizer_step(params, grad, 0.1, "lbfgs")
