@@ -176,6 +176,8 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
         config["train.proposal_samples"] = 16 if task == "regression" else 1024
     if task == "density" and config["proposal.kind"] == "mdn":
         problems.append("proposal.kind mdn is only available for the regression task")
+    if config.get("proposal.components", 1) < 1:
+        problems.append(f"proposal.components must be at least 1, got {config['proposal.components']}")
 
     if problems:
         raise ConfigError(problems)
@@ -325,49 +327,15 @@ def _train_density(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _eval_density(args, payload_path: str) -> int:
-    model, b, standardizer, proposal, config_lines = load_density_checkpoint(payload_path)
-    config = dict(line.split(" = ", 1) for line in config_lines) if config_lines else {}
+def _density_scorer(args):
+    """Score function for ``_cmd_eval``: the bound report of every split."""
+    model, b, standardizer, proposal, config_lines = load_density_checkpoint(args.checkpoint)
 
-    dataset_name = config.get("data.name", "")
-    if args.data is not None:
-        points = datasets.load_delimited(args.data, has_header=args.has_header)
-        if standardizer is not None:
-            points = standardizer.transform(points)
-        splits = {"data": points}
-        dataset_name = args.data
-    elif dataset_name:
-        split = datasets.load_named(dataset_name, int(config.get("data.n", datasets.DEFAULT_DENSITY_N)),
-                                    int(config.get("data.seed", 0)))
-        if standardizer is not None:
-            split = standardizer.transform_split(split)
-        splits = {"train": split.train, "val": split.val, "test": split.test}
-    else:
-        print("checkpoint has no named dataset; pass --data", file=sys.stderr)
-        return 2
+    def score(splits, seed, dataset):
+        report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
+        return report.lines(), {s.name: s for s in report.splits}
 
-    seeds = _parse_seed_list(args.seeds)
-    lines = [f"dataset {dataset_name}", f"checkpoint {payload_path}",
-             f"n_samples {args.samples}", f"seeds {','.join(str(s) for s in seeds)}"]
-    per_seed = []
-    for seed in seeds:
-        report = evaluation.evaluate(model, b, splits, proposal,
-                                     n_samples=args.samples, seed=seed, dataset=dataset_name)
-        per_seed.append(report)
-        lines.append(f"[seed {seed}]")
-        lines.extend(report.lines())
-    lines.append("[aggregate]")
-    for name in splits:
-        for field in ("l_snl", "l_is"):
-            values = np.array([getattr(s, field) for r in per_seed for s in r.splits if s.name == name])
-            std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            lines.append(f"{name}.{field}_mean {values.mean():.12g}")
-            lines.append(f"{name}.{field}_std {std:.12g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
-    return 0
+    return score, standardizer, config_lines
 
 
 # -- regression pipeline ------------------------------------------------------
@@ -458,60 +426,26 @@ def _train_regression(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _eval_regression(args, payload_path: str) -> int:
-    model, normalizer, _, eval_proposal, standardizer, config_lines = load_regression_checkpoint(payload_path)
-    config = dict(line.split(" = ", 1) for line in config_lines) if config_lines else {}
-
-    dataset_name = config.get("data.name", "")
-    if args.data is not None:
-        points = datasets.load_delimited(args.data, has_header=args.has_header)
-        if standardizer is not None:
-            points = standardizer.transform(points)
-        dataset_name = args.data
-    elif dataset_name:
-        split = datasets.load_named(dataset_name, int(config.get("data.n", datasets.DEFAULT_REGRESSION_N)),
-                                    int(config.get("data.seed", 0)))
-        if standardizer is not None:
-            split = standardizer.transform_split(split)
-        points = split.test
-    else:
-        print("checkpoint has no named dataset; pass --data", file=sys.stderr)
-        return 2
-
-    pairs = (points[:, 0], points[:, 1])
+def _regression_scorer(args):
+    """Score function for ``_cmd_eval``: the bound report of the test split
+    (or of ``--data``), reported as ``test``."""
+    model, normalizer, _, eval_proposal, standardizer, config_lines = load_regression_checkpoint(args.checkpoint)
     normalizer_fn = None
     if normalizer is not None:
         normalizer_fn = lambda xs: normalizer.values(model.features(xs))
-    seeds = _parse_seed_list(args.seeds)
-    lines = [f"dataset {dataset_name}", f"checkpoint {payload_path}",
-             f"n_samples {args.samples}", f"seeds {','.join(str(s) for s in seeds)}"]
-    reports = []
-    for seed in seeds:
+
+    def score(splits, seed, dataset):
+        points = splits["data"] if args.data is not None else splits["test"]
         report = regression.eval_regression_l_is(
-            model, pairs, eval_proposal, n_samples=args.samples,
+            model, (points[:, 0], points[:, 1]), eval_proposal, n_samples=args.samples,
             rng=PortableRng(seed).split("evaluate"), normalizer_fn=normalizer_fn,
         )
-        reports.append(report)
-        lines.append(f"[seed {seed}]")
-        lines.extend("test." + line for line in report.lines())
-    lines.append("[aggregate]")
-    for field in ("l_snl", "l_is"):
-        values = np.array([getattr(r, field) for r in reports])
-        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-        lines.append(f"test.{field}_mean {values.mean():.12g}")
-        lines.append(f"test.{field}_std {std:.12g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
-    return 0
+        return ["test." + line for line in report.lines()], {"test": report}
+
+    return score, standardizer, config_lines
 
 
 # -- commands -----------------------------------------------------------------
-
-
-def _parse_seed_list(text: str) -> list[int]:
-    return [int(p) for p in str(text).split(",") if p.strip() != ""]
 
 
 def _cmd_generate(args) -> int:
@@ -545,13 +479,57 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """Score a checkpoint on --data or its named dataset, once per seed,
+    then write each seed's report and the [aggregate] block."""
     if args.samples < 1:
         print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
-    payload = _read_checkpoint(args.checkpoint)
-    if payload.get("kind") == "regression":
-        return _eval_regression(args, args.checkpoint)
-    return _eval_density(args, args.checkpoint)
+    seeds = [int(p) for p in str(args.seeds).split(",") if p.strip() != ""]
+    if not seeds:
+        print(f"--seeds must name at least one seed, got {args.seeds!r}", file=sys.stderr)
+        return 2
+    is_regression = _read_checkpoint(args.checkpoint).get("kind") == "regression"
+    score, standardizer, config_lines = (_regression_scorer if is_regression else _density_scorer)(args)
+    config = dict(line.split(" = ", 1) for line in config_lines)
+
+    dataset_name = config.get("data.name", "")
+    if args.data is not None:
+        points = datasets.load_delimited(args.data, has_header=args.has_header)
+        if standardizer is not None:
+            points = standardizer.transform(points)
+        splits = {"data": points}
+        dataset_name = args.data
+    elif dataset_name:
+        default_n = datasets.DEFAULT_REGRESSION_N if is_regression else datasets.DEFAULT_DENSITY_N
+        split = datasets.load_named(dataset_name, int(config.get("data.n", default_n)),
+                                    int(config.get("data.seed", 0)))
+        if standardizer is not None:
+            split = standardizer.transform_split(split)
+        splits = {"train": split.train, "val": split.val, "test": split.test}
+    else:
+        print("checkpoint has no named dataset; pass --data", file=sys.stderr)
+        return 2
+
+    lines = [f"dataset {dataset_name}", f"checkpoint {args.checkpoint}",
+             f"n_samples {args.samples}", f"seeds {','.join(str(s) for s in seeds)}"]
+    per_seed = []
+    for seed in seeds:
+        seed_lines, reports = score(splits, seed, dataset_name)
+        per_seed.append(reports)
+        lines.append(f"[seed {seed}]")
+        lines.extend(seed_lines)
+    lines.append("[aggregate]")
+    for name in per_seed[0]:
+        for field in ("l_snl", "l_is"):
+            values = np.array([getattr(reports[name], field) for reports in per_seed])
+            std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+            lines.append(f"{name}.{field}_mean {values.mean():.12g}")
+            lines.append(f"{name}.{field}_std {std:.12g}")
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _cmd_grid(args) -> int:

@@ -11,8 +11,11 @@ l_snl <= l_is holds pointwise for every draw, with equality at b = log Z_hat.
 The true log-likelihood sits in between on average: the log form is an upper
 bound in expectation (Jensen), the linear form a lower bound for any b.
 
-Standard errors cover the Monte Carlo draws only; the per-split data term
-gets its own error column so the two sources stay legible.
+Z_hat and the standard errors of both forms come from
+``objectives.bound_pair`` with one group, the reduction conditional
+evaluation shares; its docstring states the estimator. The errors cover the
+Monte Carlo draws only; the per-split data term gets its own error column so
+the two sources stay legible.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ImportanceBatch, estimate_z, l_is_objective, snl_objective
+from .errors import NonFiniteObjectiveError
+from .objectives import bound_pair, log_weights
 from .proposals import sample_and_score
 from .rng import PortableRng
 
@@ -72,13 +76,6 @@ class EvalReport:
         return out
 
 
-def sandwich(model, b: float, data: np.ndarray, batch: ImportanceBatch) -> tuple[float, float]:
-    """(l_snl, l_is) on the same draws; the first never exceeds the second."""
-    z = estimate_z(model, batch)
-    snl = snl_objective(model, b, data, z.log_mean_weight)
-    return snl.value, l_is_objective(model, data, z)
-
-
 def evaluate(model, b, splits, proposal, n_samples: int = 20000,
              seed: int = 0, dataset: str = "", rng: PortableRng | None = None) -> EvalReport:
     """Report both forms for every split against one shared sample set.
@@ -87,6 +84,8 @@ def evaluate(model, b, splits, proposal, n_samples: int = 20000,
     differences between splits reflect the data term alone. ``rng``
     overrides the seed-derived stream when given.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     splits = {name: np.asarray(data, dtype=np.float64) for name, data in splits.items()}
     empty = [name for name, data in splits.items() if data.shape[0] == 0]
     if empty:
@@ -94,33 +93,32 @@ def evaluate(model, b, splits, proposal, n_samples: int = 20000,
     if rng is None:
         rng = PortableRng(seed).split("evaluate")
     batch = sample_and_score(proposal, rng, n_samples, base=model.base)
-    z = estimate_z(model, batch)
-    m = batch.m
-    # spread of the self-normalized weights drives both Monte Carlo errors
-    scaled = np.exp(z.log_weights - z.log_mean_weight)
-    scaled_sd = float(np.std(scaled, ddof=1)) if m > 1 else 0.0
-    l_is_se = scaled_sd / np.sqrt(m)
-    l_snl_se = float(np.exp(z.log_mean_weight - b)) * scaled_sd / np.sqrt(m)
+    log_z, l_is_se, l_snl_se = bound_pair([(0, 1, log_weights(model, batch)[None, :])], [b], batch.m)
+    log_z = float(log_z[0])
+    with np.errstate(over="ignore"):  # overflow gives l_snl = -inf, reported as such
+        normalizer_term = float(-b - np.exp(log_z - b) + 1.0)
 
     reports = []
     for name, data in splits.items():
-        snl = snl_objective(model, b, data, z.log_mean_weight)
         values = model.unnorm_log_density(data)
+        data_term = float(np.mean(values))
+        if not np.isfinite(data_term):
+            raise NonFiniteObjectiveError("data", data_term)
         n = data.shape[0]
         reports.append(SplitReport(
             name=name,
             n=n,
-            data_term=float(np.mean(values)),
+            data_term=data_term,
             data_term_se=float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-            l_snl=snl.value,
-            l_is=float(snl.data_term - z.log_mean_weight),
+            l_snl=data_term + normalizer_term,
+            l_is=data_term - log_z,
             l_snl_se=l_snl_se,
             l_is_se=l_is_se,
         ))
     return EvalReport(
         b=float(b),
-        log_z_estimate=float(z.log_mean_weight),
-        n_samples=m,
+        log_z_estimate=log_z,
+        n_samples=batch.m,
         splits=tuple(reports),
         dataset=dataset,
         seed=seed,

@@ -21,8 +21,10 @@ upper bound substitutes the estimate inside the log:
 
     ell_IS = mean_i u_theta(x_i) - log mean_m w_m  >=  ell_SNL   (same samples).
 
-All log-weight arithmetic happens in log space; the mean weight is only
-exponentiated after subtracting the running maximum.
+``step_terms`` is the SNL/NCE step of both training loops and
+``bound_pair`` the reduction of both evaluations. All log-weight arithmetic
+happens in log space; the mean weight is only exponentiated after
+subtracting the running maximum.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import expit, log_expit
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -39,6 +40,8 @@ from .errors import (
     EnergyEvaluationError,
     NonFiniteObjectiveError,
 )
+
+SNL_SHIFT_CAP = 600.0  # log w - b beyond which e^{log w - b} is too close to overflow for the l_snl error
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,6 @@ class ZEstimate:
     mean_weight: float
     log_mean_weight: float
     standard_error: float
-    log_weights: np.ndarray
     count: int
 
 
@@ -128,13 +130,6 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     return out[()] if out.ndim == 0 else out
 
 
-def variational_log_bound(z: float, lam: float) -> float:
-    """z e^{-lambda} + lambda - 1, an upper bound on log z, tight at lambda = log z."""
-    if not z > 0:
-        raise ValueError(f"z must be positive, got {z!r}")
-    return z * np.exp(-lam) + lam - 1.0
-
-
 def check_finite_energies(energies: np.ndarray, where: str = "sample", offset: int = 0) -> None:
     """Raise EnergyEvaluationError at the first non-finite energy; its index
     is the flat index into ``energies`` plus ``offset``."""
@@ -177,7 +172,6 @@ def estimate_z(model, batch: ImportanceBatch) -> ZEstimate:
         mean_weight=float(np.exp(log_mean)),
         log_mean_weight=log_mean,
         standard_error=float(np.exp(top) * sd / np.sqrt(m)),
-        log_weights=logw,
         count=m,
     )
 
@@ -198,112 +192,44 @@ def snl_objective(model, b: float, data: np.ndarray, log_z: float) -> SnlValue:
     return SnlValue(value=data_term + normalizer_term, data_term=data_term, normalizer_term=normalizer_term)
 
 
-def snl_gradients(model, b: float, data: np.ndarray, batch: ImportanceBatch) -> GradientEstimate:
-    """Unbiased gradient of ell_SNL with respect to (theta, b).
+def bound_pair(blocks, b, m: int):
+    """(log Z_hat, l_is_se, l_snl_se) of k groups on one set of m draws.
 
-    grad_theta = -mean_i grad E(x_i) + e^{-b} mean_m w_m grad E(x_m)
-    grad_b     = -1 + e^{-b} mean_m w_m
-
-    The sample-side cotangents e^{-b} w_m / M are formed as exp(log w_m - b),
-    which stays bounded whenever b tracks the running log Z.
+    ``blocks`` yields (lo, hi, logw[lo:hi]), (hi - lo, m) log weights that
+    the reducer overwrites, and ``b`` has shape (k,): one group for density
+    evaluation, one per point for conditional evaluation. Each cell takes one
+    exp, s = e^{log w - rowmax}, so log Z_hat_j = rowmax_j + log sum_m s_jm
+    - log m. The errors treat the m shared draws as the only randomness
+    (delta method): the spread over draws of the mean over groups of
+    w_jm / Z_hat_j gives the error of l_is = data - log Z_hat, and that of
+    w_jm e^{-b_j} the error of l_snl = data - b - e^{-b} Z_hat + 1, each
+    std(ddof=1) / sqrt(m), and 0 for one draw. Once some log w - b passes
+    SNL_SHIFT_CAP the l_snl error is nan. A group whose weights are all zero
+    raises ``DegenerateProposalError``.
     """
-    logw = log_weights(model, batch)
-    n = data.shape[0]
-    data_grad = model.energy_vjp(data, np.full(n, -1.0 / n))
-    sample_cot = np.exp(logw - b) / batch.m
-    sample_grad = model.energy_vjp(batch.samples, sample_cot)
-    grad_b = -1.0 + float(np.exp(logsumexp(logw) - np.log(batch.m) - b))
-    return GradientEstimate(grad_theta=data_grad + sample_grad, grad_b=grad_b)
-
-
-def exact_snl_gradients(model, b: float, data: np.ndarray) -> GradientEstimate:
-    """Closed-form gradient of ell_SNL for models with an exact normalizer."""
-    n = data.shape[0]
-    data_grad = model.energy_vjp(data, np.full(n, -1.0 / n))
-    log_z = model.exact_log_z()
-    grad_theta = data_grad - np.exp(log_z - b) * model.exact_log_z_grad()
-    grad_b = -1.0 + float(np.exp(log_z - b))
-    return GradientEstimate(grad_theta=grad_theta, grad_b=grad_b)
-
-
-def gradient_relation_check(model, b: float, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two routes to grad_theta ell_SNL for closed-form models.
-
-    Left: the direct formula. Right: grad ell + grad log Z (1 - e^{log Z - b}),
-    which exposes how the SNL gradient degenerates to the likelihood gradient
-    as b approaches log Z. The two must agree identically.
-    """
-    lhs = exact_snl_gradients(model, b, data).grad_theta
-    n = data.shape[0]
-    grad_ll = model.energy_vjp(data, np.full(n, -1.0 / n)) - model.exact_log_z_grad()
-    log_z = model.exact_log_z()
-    rhs = grad_ll + model.exact_log_z_grad() * (1.0 - np.exp(log_z - b))
-    return lhs, rhs
-
-
-def l_is_objective(model, data: np.ndarray, z_estimate: ZEstimate) -> float:
-    """ell_IS = mean_i u(x_i) - log mean_m w_m, a stochastic upper bound on ell."""
-    if np.isneginf(z_estimate.log_mean_weight):
-        raise DegenerateProposalError("log of zero mean weight")
-    data_term = float(np.mean(model.unnorm_log_density(data)))
-    return data_term - z_estimate.log_mean_weight
-
-
-def maximize_over_b(data_term: float, log_z: float) -> tuple[float, float]:
-    """Numerically maximize D - b - e^{log_z - b} + 1 over b.
-
-    Returns (argmax b, max value). Used to confirm that the 1-D maximum
-    recovers the exact likelihood at b = log Z.
-    """
-
-    def neg(bv: float) -> float:
-        return -(data_term - bv - np.exp(log_z - bv) + 1.0)
-
-    res = minimize_scalar(neg, bracket=(log_z - 2.0, log_z + 1.0), method="brent", options={"xtol": 1e-12})
-    return float(res.x), float(-res.fun)
-
-
-def nce_scores(model, b: float, x: np.ndarray, proposal) -> np.ndarray:
-    """Classifier logit G(x) = [-E(x) + log d(x) - b] - log q(x)."""
-    g = model.weight_log_numerator(x) - b - proposal.log_density(x)
-    return g
-
-
-def nce_objective(model, b: float, data: np.ndarray, proposal, batch: ImportanceBatch, nu: float | None = None) -> float:
-    """Noise-contrastive loss (to be minimized) with noise ratio nu.
-
-    J = -mean_i log sigma(G(x_i) - log nu) - (nu/M) sum_m log sigma(-G(x_m) + log nu),
-    nu defaulting to M / n.
-    """
-    n = data.shape[0]
-    if nu is None:
-        nu = batch.m / n
-    if not nu > 0:
-        raise ValueError(f"noise ratio nu must be positive, got {nu!r}")
-    log_nu = np.log(nu)
-    g_data = nce_scores(model, b, data, proposal)
-    g_noise = nce_scores(model, b, batch.samples, proposal)
-    loss = -float(np.mean(log_expit(g_data - log_nu)))
-    loss -= nu / batch.m * float(np.sum(log_expit(log_nu - g_noise)))
-    return loss
-
-
-def nce_gradients(model, b: float, data: np.ndarray, proposal, batch: ImportanceBatch, nu: float | None = None) -> GradientEstimate:
-    """Gradient of the NCE loss with respect to (theta, b)."""
-    n = data.shape[0]
-    if nu is None:
-        nu = batch.m / n
-    if not nu > 0:
-        raise ValueError(f"noise ratio nu must be positive, got {nu!r}")
-    log_nu = np.log(nu)
-    g_data = nce_scores(model, b, data, proposal)
-    g_noise = nce_scores(model, b, batch.samples, proposal)
-    s = expit(log_nu - g_data)  # 1 - sigma(G - log nu) at data
-    t = expit(g_noise - log_nu)  # sigma(G - log nu) at noise
-    # dJ/dG = -s/n at data, +(nu/M) t at noise; dG/dtheta = -grad E, dG/db = -1.
-    grad_theta = model.energy_vjp(data, s / n) + model.energy_vjp(batch.samples, -(nu / batch.m) * t)
-    grad_b = float(np.sum(s) / n - (nu / batch.m) * np.sum(t))
-    return GradientEstimate(grad_theta=grad_theta, grad_b=grad_b)
+    b = np.asarray(b, dtype=np.float64)
+    log_z = np.empty(b.shape[0])
+    sums = np.zeros((2, m))  # per-draw sums over groups of w_jm / Z_hat_j and of w_jm e^{-b_j}
+    top_shift = -np.inf  # running max over cells of log w - b
+    for lo, hi, logw in blocks:
+        rowmax = logw.max(axis=1)
+        if np.isneginf(rowmax).any():
+            raise DegenerateProposalError(f"all importance weights of group {lo + int(np.argmin(rowmax))} are zero")
+        logw -= rowmax[:, None]
+        s = np.exp(logw, out=logw)
+        total = s.sum(axis=1)
+        log_z[lo:hi] = rowmax + np.log(total) - np.log(m)
+        sums[0] += (m / total) @ s
+        shift = rowmax - b[lo:hi]
+        top_shift = max(top_shift, float(shift.max()))
+        if top_shift < SNL_SHIFT_CAP:
+            sums[1] += np.exp(shift) @ s
+    l_is_se = l_snl_se = 0.0
+    if m > 1:
+        l_is_se, l_snl_se = (float(np.std(v, ddof=1) / np.sqrt(m)) for v in sums / b.shape[0])
+    if top_shift >= SNL_SHIFT_CAP:
+        l_snl_se = float("nan")
+    return log_z, l_is_se, l_snl_se
 
 
 def step_terms(data, logw, b, objective="snl", nu=None, log_q_data=None):
@@ -316,8 +242,9 @@ def step_terms(data, logw, b, objective="snl", nu=None, log_q_data=None):
     one group per point (k = n, r = 1, per-point draws and b_phi(x_i)).
 
     SNL: value = mean_j [ mean_r data_jr - b_j - e^{-b_j} mean_m w_jm + 1 ].
-    NCE: value = minus the noise-contrastive loss of ``nce_objective``, with
-    logits G = data - b - log q(x) at the data (``log_q_data``, shaped like
+    NCE: value = mean log sigma(G_data - log nu) + (nu / (k m)) sum log
+    sigma(log nu - G_noise), minus the noise-contrastive loss, with logits
+    G = data - b - log q(x) at the data (``log_q_data``, shaped like
     ``data``) and G = logw - b at the samples, and nu noise draws per data
     row (default m / r).
 
@@ -355,63 +282,3 @@ def step_terms(data, logw, b, objective="snl", nu=None, log_q_data=None):
 def divergence_diagnostics(sample_energies: np.ndarray, logw: np.ndarray) -> tuple[float, float]:
     """(max sample energy, min importance weight), as reported when a run diverges."""
     return float(np.max(sample_energies, initial=-np.inf)), float(np.exp(np.min(logw, initial=np.inf)))
-
-
-# -- generalized KL on quadrature grids -------------------------------------
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Nodes and weights; integral f ~= sum_j weights_j f(points_j)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def trapezoid_1d(lo: float, hi: float, n: int) -> Quadrature:
-    xs = np.linspace(lo, hi, n)
-    h = (hi - lo) / (n - 1)
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    return Quadrature(points=xs.reshape(-1, 1), weights=w)
-
-
-def trapezoid_2d(lo: float, hi: float, n: int) -> Quadrature:
-    base = trapezoid_1d(lo, hi, n)
-    x1, x2 = np.meshgrid(base.points[:, 0], base.points[:, 0], indexing="ij")
-    pts = np.column_stack([x1.ravel(), x2.ravel()])
-    w = np.outer(base.weights, base.weights).ravel()
-    return Quadrature(points=pts, weights=w)
-
-
-def discrete_points(points: np.ndarray) -> Quadrature:
-    """Counting-measure quadrature over an enumerated support."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    return Quadrature(points=pts, weights=np.ones(pts.shape[0]))
-
-
-def generalized_kl(f1, f2, quadrature: Quadrature) -> float:
-    """KL between unnormalised densities:
-
-        KL(f1 || f2) = integral log(f1/f2) f1 + (integral f2 - integral f1).
-
-    Reduces to ordinary KL for normalized inputs; returns +inf when f2
-    vanishes somewhere f1 does not. f1, f2 map (m, d) points to (m,) values.
-    """
-    v1 = np.asarray(f1(quadrature.points), dtype=np.float64)
-    v2 = np.asarray(f2(quadrature.points), dtype=np.float64)
-    if (v1 < 0).any() or (v2 < 0).any():
-        raise ValueError("densities must be nonnegative")
-    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
-        raise ValueError("densities must be finite on the quadrature grid")
-    w = quadrature.weights
-    mass1 = float(np.sum(w * v1))
-    mass2 = float(np.sum(w * v2))
-    support = v1 > 0
-    if np.any(v2[support] == 0):
-        return float("inf")
-    log_ratio = np.zeros_like(v1)
-    log_ratio[support] = np.log(v1[support]) - np.log(v2[support])
-    return float(np.sum(w[support] * v1[support] * log_ratio[support]) + mass2 - mass1)

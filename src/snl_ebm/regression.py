@@ -27,11 +27,12 @@ bound mean_i [ -E_i - b_i - e^{-b_i} Z_hat_i + 1 ] (same samples, hence never
 above the log form pointwise) and the normalization check can be reported.
 
 The n x M grid of E(x_i, y_m) is never held whole. The model yields it in
-blocks of max(1, GRID_CELLS // M) points against all M draws, and each block
-is reduced as it arrives: one exp per cell gives log Z_hat(x_i) and the
-per-draw sums behind both standard errors. A block holds its head hidden
-layer, 10 * GRID_CELLS doubles, so the evaluation's working memory is set by
-the draws (the y-branch runs once over all M) and not by n.
+blocks of max(1, GRID_CELLS // M) points against all M draws, and
+``objectives.bound_pair`` reduces each block as it arrives, one group per
+point; its docstring states the estimator of log Z_hat(x_i) and of both
+standard errors, which density evaluation shares. A block holds its head
+hidden layer, 10 * GRID_CELLS doubles, so the evaluation's working memory is
+set by the draws (the y-branch runs once over all M) and not by n.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 from .nets import Mlp, Workspace, bind
-from .objectives import check_finite_energies, divergence_diagnostics, logsumexp, step_terms
+from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, mdn_log_likelihood_and_fit
 from .rng import PortableRng
@@ -61,7 +62,6 @@ NORMALIZER_WIDTHS = [FEATURE_WIDTHS[-1], 10, 1]
 # 2 to 4 points ran fastest (2-CPU Xeon, OpenBLAS); larger ones leave the cache.
 GRID_CELLS = 1 << 16
 UNNORMALIZED_GAP = 50.0  # |log Z_hat(x) - b(x)| in nats beyond which the eval flags the model
-SNL_SHIFT_CAP = 600.0  # log w - b beyond which e^{log w - b} is too close to overflow for the l_snl error
 
 
 def _block_points(m: int) -> int:
@@ -200,14 +200,6 @@ class BilinearConditionalModel:
         return float(np.mean(-self.energy_pairs(x, y) - self.exact_log_z(x)))
 
 
-def snl_regression_objective(energies: np.ndarray, b_values: np.ndarray, log_z: np.ndarray) -> float:
-    """mean_i [ -E_i - b_i - e^{log_z_i - b_i} + 1 ] from per-pair arrays."""
-    e = np.asarray(energies, dtype=np.float64)
-    b = np.asarray(b_values, dtype=np.float64)
-    lz = np.asarray(log_z, dtype=np.float64)
-    return float(np.mean(-e - b - np.exp(lz - b) + 1.0))
-
-
 @dataclass
 class RegressionTrainConfig:
     objective: str = "snl"  # "snl" | "nce"
@@ -321,8 +313,7 @@ def validation_snl(model, normalizer, proposal, x, y, m, rng):
     e_data = model.energy_pairs(x, y, h)
     e_samp = model.energy_grid_shared(x, ys, h)
     b_vals = normalizer.values(h) if normalizer is not None else np.zeros(x.shape[0])
-    log_z = logsumexp(-e_samp - log_q, axis=1) - np.log(m)
-    return snl_regression_objective(e_data, b_vals, log_z)
+    return step_terms(-e_data[:, None], -e_samp - log_q, b_vals)[0]
 
 
 def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config):
@@ -438,11 +429,9 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
 
     One set of n_samples y draws is scored against every evaluation point;
     the per-point estimates therefore share randomness and the standard
-    errors are computed over draws (each draw contributes the across-point
-    mean of its self-normalized weight, whose spread drives the error of
-    both forms). The grid is reduced block by block as the model yields it,
-    with one exp per cell, so no (n, m) array is held. Non-finite data or
-    grid energies raise ``EnergyEvaluationError``.
+    errors are computed over draws. ``objectives.bound_pair`` reduces the
+    grid block by block as the model yields it, so no (n, m) array is held.
+    Non-finite data or grid energies raise ``EnergyEvaluationError``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -461,44 +450,17 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     check_finite_energies(e_data, "data point")
     b_vals = normalizer_fn(x) if normalizer_fn is not None else np.zeros(n)
 
-    log_zq = np.empty(n)
-    # per-draw sums over points of w_ij / Z_hat_i and of w_ij e^{-b_i}
-    sum_is = np.zeros(m)
-    sum_snl = np.zeros(m)
-    top_shift = -np.inf  # running max over cells of log w - b
-    for lo, hi, e in model.energy_grid_blocks(x, ys):
-        check_finite_energies(e, "grid cell", offset=lo * m)
-        logw = np.negative(e, out=e)  # values relative to the proposal measure
-        rowmax = logw.max(axis=1)
-        logw -= rowmax[:, None]
-        s = np.exp(logw, out=logw)
-        total = s.sum(axis=1)
-        log_zq[lo:hi] = rowmax + np.log(total) - np.log(m)
-        sum_is += (m / total) @ s
-        shift = rowmax - b_vals[lo:hi]
-        top_shift = max(top_shift, float(shift.max()))
-        if top_shift < SNL_SHIFT_CAP:
-            sum_snl += np.exp(shift) @ s
-    snl_ok = top_shift < SNL_SHIFT_CAP
+    def log_weight_blocks():
+        for lo, hi, e in model.energy_grid_blocks(x, ys):
+            check_finite_energies(e, "grid cell", offset=lo * m)
+            yield lo, hi, np.negative(e, out=e)  # values relative to the proposal measure
 
-    gap = log_zq - b_vals
-    a_is = -e_data - b_vals - gap  # b cancels: -E - log Z_hat
-    a_snl = -e_data - b_vals - np.exp(gap) + 1.0
-    unnormalized = bool(np.any(np.abs(gap) > UNNORMALIZED_GAP))
-    l_is = float(np.mean(a_is))
-    l_snl = float(np.mean(a_snl))
-    # per-draw across-point means of the (scaled) weights; their spread over
-    # the m shared draws drives the Monte Carlo error of each form. Delta
-    # method: the only randomness is the shared draws. For the log form
-    # d l_is = -mean_m v_is dm; for the linear form the weight enters directly.
-    v_is, v_snl = sum_is / n, sum_snl / n
-    l_is_se = l_snl_se = 0.0  # one draw has no spread to measure, as in ``evaluation.evaluate``
-    if m > 1:
-        l_is_se = float(np.std(v_is, ddof=1) / np.sqrt(m))
-        l_snl_se = float(np.std(v_snl, ddof=1) / np.sqrt(m))
-    if not snl_ok:
-        l_snl_se = float("nan")
+    log_z, l_is_se, l_snl_se = bound_pair(log_weight_blocks(), b_vals, m)
+    gap = log_z - b_vals
+    with np.errstate(over="ignore"):  # overflow gives l_snl = -inf, reported as such
+        a_snl = -e_data - b_vals - np.exp(gap) + 1.0
     return RegressionEvalReport(
-        l_is=l_is, l_is_se=l_is_se, l_snl=l_snl, l_snl_se=l_snl_se,
-        unnormalized=unnormalized, n_points=n, n_samples=m,
+        l_is=float(np.mean(-e_data - b_vals - gap)),  # b cancels: -E - log Z_hat
+        l_is_se=l_is_se, l_snl=float(np.mean(a_snl)), l_snl_se=l_snl_se,
+        unnormalized=bool(np.any(np.abs(gap) > UNNORMALIZED_GAP)), n_points=n, n_samples=m,
     )

@@ -1,0 +1,185 @@
+"""Reference math the tests check the package against.
+
+These are the textbook forms of the SNL and NCE gradients, the closed-form
+gradients of models with an exact normalizer, a 1-D maximization over b,
+and quadrature with the generalized KL divergence. The package trains and
+evaluates through ``objectives.step_terms`` and ``objectives.bound_pair``;
+nothing in it imports this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import minimize_scalar
+from scipy.special import expit, log_expit
+
+from snl_ebm.objectives import GradientEstimate, ImportanceBatch, log_weights, logsumexp
+
+
+def variational_log_bound(z: float, lam: float) -> float:
+    """z e^{-lambda} + lambda - 1, an upper bound on log z, tight at lambda = log z."""
+    if not z > 0:
+        raise ValueError(f"z must be positive, got {z!r}")
+    return z * np.exp(-lam) + lam - 1.0
+
+
+def snl_gradients(model, b: float, data: np.ndarray, batch: ImportanceBatch) -> GradientEstimate:
+    """Unbiased gradient of ell_SNL with respect to (theta, b).
+
+    grad_theta = -mean_i grad E(x_i) + e^{-b} mean_m w_m grad E(x_m)
+    grad_b     = -1 + e^{-b} mean_m w_m
+
+    The sample-side cotangents e^{-b} w_m / M are formed as exp(log w_m - b),
+    which stays bounded whenever b tracks the running log Z.
+    """
+    logw = log_weights(model, batch)
+    n = data.shape[0]
+    data_grad = model.energy_vjp(data, np.full(n, -1.0 / n))
+    sample_cot = np.exp(logw - b) / batch.m
+    sample_grad = model.energy_vjp(batch.samples, sample_cot)
+    grad_b = -1.0 + float(np.exp(logsumexp(logw) - np.log(batch.m) - b))
+    return GradientEstimate(grad_theta=data_grad + sample_grad, grad_b=grad_b)
+
+
+def exact_snl_gradients(model, b: float, data: np.ndarray) -> GradientEstimate:
+    """Closed-form gradient of ell_SNL for models with an exact normalizer."""
+    n = data.shape[0]
+    data_grad = model.energy_vjp(data, np.full(n, -1.0 / n))
+    log_z = model.exact_log_z()
+    grad_theta = data_grad - np.exp(log_z - b) * model.exact_log_z_grad()
+    grad_b = -1.0 + float(np.exp(log_z - b))
+    return GradientEstimate(grad_theta=grad_theta, grad_b=grad_b)
+
+
+def gradient_relation_check(model, b: float, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two routes to grad_theta ell_SNL for closed-form models.
+
+    Left: the direct formula. Right: grad ell + grad log Z (1 - e^{log Z - b}),
+    which exposes how the SNL gradient degenerates to the likelihood gradient
+    as b approaches log Z. The two must agree identically.
+    """
+    lhs = exact_snl_gradients(model, b, data).grad_theta
+    n = data.shape[0]
+    grad_ll = model.energy_vjp(data, np.full(n, -1.0 / n)) - model.exact_log_z_grad()
+    log_z = model.exact_log_z()
+    rhs = grad_ll + model.exact_log_z_grad() * (1.0 - np.exp(log_z - b))
+    return lhs, rhs
+
+
+def maximize_over_b(data_term: float, log_z: float) -> tuple[float, float]:
+    """Numerically maximize D - b - e^{log_z - b} + 1 over b.
+
+    Returns (argmax b, max value). Used to confirm that the 1-D maximum
+    recovers the exact likelihood at b = log Z.
+    """
+
+    def neg(bv: float) -> float:
+        return -(data_term - bv - np.exp(log_z - bv) + 1.0)
+
+    res = minimize_scalar(neg, bracket=(log_z - 2.0, log_z + 1.0), method="brent", options={"xtol": 1e-12})
+    return float(res.x), float(-res.fun)
+
+
+def nce_scores(model, b: float, x: np.ndarray, proposal) -> np.ndarray:
+    """Classifier logit G(x) = [-E(x) + log d(x) - b] - log q(x)."""
+    g = model.weight_log_numerator(x) - b - proposal.log_density(x)
+    return g
+
+
+def nce_objective(model, b: float, data: np.ndarray, proposal, batch: ImportanceBatch, nu: float | None = None) -> float:
+    """Noise-contrastive loss (to be minimized) with noise ratio nu.
+
+    J = -mean_i log sigma(G(x_i) - log nu) - (nu/M) sum_m log sigma(-G(x_m) + log nu),
+    nu defaulting to M / n.
+    """
+    n = data.shape[0]
+    if nu is None:
+        nu = batch.m / n
+    if not nu > 0:
+        raise ValueError(f"noise ratio nu must be positive, got {nu!r}")
+    log_nu = np.log(nu)
+    g_data = nce_scores(model, b, data, proposal)
+    g_noise = nce_scores(model, b, batch.samples, proposal)
+    loss = -float(np.mean(log_expit(g_data - log_nu)))
+    loss -= nu / batch.m * float(np.sum(log_expit(log_nu - g_noise)))
+    return loss
+
+
+def nce_gradients(model, b: float, data: np.ndarray, proposal, batch: ImportanceBatch, nu: float | None = None) -> GradientEstimate:
+    """Gradient of the NCE loss with respect to (theta, b)."""
+    n = data.shape[0]
+    if nu is None:
+        nu = batch.m / n
+    if not nu > 0:
+        raise ValueError(f"noise ratio nu must be positive, got {nu!r}")
+    log_nu = np.log(nu)
+    g_data = nce_scores(model, b, data, proposal)
+    g_noise = nce_scores(model, b, batch.samples, proposal)
+    s = expit(log_nu - g_data)  # 1 - sigma(G - log nu) at data
+    t = expit(g_noise - log_nu)  # sigma(G - log nu) at noise
+    # dJ/dG = -s/n at data, +(nu/M) t at noise; dG/dtheta = -grad E, dG/db = -1.
+    grad_theta = model.energy_vjp(data, s / n) + model.energy_vjp(batch.samples, -(nu / batch.m) * t)
+    grad_b = float(np.sum(s) / n - (nu / batch.m) * np.sum(t))
+    return GradientEstimate(grad_theta=grad_theta, grad_b=grad_b)
+
+
+# -- generalized KL on quadrature grids -------------------------------------
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    """Nodes and weights; integral f ~= sum_j weights_j f(points_j)."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+
+def trapezoid_1d(lo: float, hi: float, n: int) -> Quadrature:
+    xs = np.linspace(lo, hi, n)
+    h = (hi - lo) / (n - 1)
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return Quadrature(points=xs.reshape(-1, 1), weights=w)
+
+
+def trapezoid_2d(lo: float, hi: float, n: int) -> Quadrature:
+    base = trapezoid_1d(lo, hi, n)
+    x1, x2 = np.meshgrid(base.points[:, 0], base.points[:, 0], indexing="ij")
+    pts = np.column_stack([x1.ravel(), x2.ravel()])
+    w = np.outer(base.weights, base.weights).ravel()
+    return Quadrature(points=pts, weights=w)
+
+
+def discrete_points(points: np.ndarray) -> Quadrature:
+    """Counting-measure quadrature over an enumerated support."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    return Quadrature(points=pts, weights=np.ones(pts.shape[0]))
+
+
+def generalized_kl(f1, f2, quadrature: Quadrature) -> float:
+    """KL between unnormalised densities:
+
+        KL(f1 || f2) = integral log(f1/f2) f1 + (integral f2 - integral f1).
+
+    Reduces to ordinary KL for normalized inputs; returns +inf when f2
+    vanishes somewhere f1 does not. f1, f2 map (m, d) points to (m,) values.
+    """
+    v1 = np.asarray(f1(quadrature.points), dtype=np.float64)
+    v2 = np.asarray(f2(quadrature.points), dtype=np.float64)
+    if (v1 < 0).any() or (v2 < 0).any():
+        raise ValueError("densities must be nonnegative")
+    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+        raise ValueError("densities must be finite on the quadrature grid")
+    w = quadrature.weights
+    mass1 = float(np.sum(w * v1))
+    mass2 = float(np.sum(w * v2))
+    support = v1 > 0
+    if np.any(v2[support] == 0):
+        return float("inf")
+    log_ratio = np.zeros_like(v1)
+    log_ratio[support] = np.log(v1[support]) - np.log(v2[support])
+    return float(np.sum(w[support] * v1[support] * log_ratio[support]) + mass2 - mass1)

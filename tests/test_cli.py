@@ -110,12 +110,14 @@ class TestConfigErrors:
             "train.momentum = 0.9",   # unknown key
             "train.epochs = abc",     # bad value
             "data.name = checkerboard",
+            "proposal.components = 0",  # out of range
         ])
         code, _, err = run(capsys, "train", "--config", cfg)
         assert code == 2
         assert "train.momentum" in err
         assert "train.epochs" in err
         assert "out.dir is required" in err
+        assert "proposal.components must be at least 1" in err
 
     def test_empty_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "empty.cfg", ["# nothing here"])
@@ -354,6 +356,16 @@ def test_eval_rejects_zero_samples(tmp_path, capsys, config, run_dir):
     assert code == 2
     assert out == ""
     assert "--samples must be at least 1" in err
+
+
+@pytest.mark.parametrize("config, run_dir", [(density_config, "run"), (regression_config, "reg")])
+def test_eval_rejects_empty_seed_list(tmp_path, capsys, config, run_dir):
+    assert run(capsys, "train", "--config", config(tmp_path))[0] == 0
+    ckpt = str(tmp_path / run_dir / "checkpoint_final.json")
+    code, out, err = run(capsys, "eval", "--checkpoint", ckpt, "--seeds", ",")
+    assert code == 2
+    assert out == ""
+    assert "--seeds must name at least one seed" in err
 
 
 class TestSetOnlyConfig:

@@ -1,6 +1,8 @@
 """Held-out reporting: the two likelihood forms on shared draws, the grid
 export, and the bounding-box helper."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,9 @@ from snl_ebm.evaluation import (
     density_grid,
     evaluate,
     grid_points,
-    sandwich,
 )
 from snl_ebm.models import GaussianMeanModel, MlpEnergy
-from snl_ebm.objectives import estimate_z
+from snl_ebm.objectives import SNL_SHIFT_CAP, estimate_z, log_weights
 from snl_ebm.proposals import FittedGaussian, StandardGaussian, sample_and_score
 from snl_ebm.rng import PortableRng
 
@@ -110,11 +111,47 @@ class TestSandwich:
         rng = PortableRng(21)
         batch = sample_and_score(StandardGaussian(1), rng, 500, base=model.base)
         log_z = estimate_z(model, batch).log_mean_weight
+
+        def sandwich(b):  # (l_snl, l_is) on the 500 draws of ``batch``
+            report = evaluate(model, b, {"t": TWO_POINT}, StandardGaussian(1), n_samples=500, rng=PortableRng(21))
+            return report.splits[0].l_snl, report.splits[0].l_is
+
         for b in np.linspace(log_z - 3.0, log_z + 3.0, 25):
-            lo, hi = sandwich(model, float(b), TWO_POINT, batch)
+            lo, hi = sandwich(float(b))
             assert lo <= hi + 1e-12
-        lo, hi = sandwich(model, float(log_z), TWO_POINT, batch)
+        lo, hi = sandwich(float(log_z))
         assert lo == pytest.approx(hi, abs=1e-12)
+
+    def test_standard_errors_match_dense_formula(self):
+        # l_is_se = std(w / mean w) / sqrt(m) and l_snl_se = std(w e^{-b}) / sqrt(m)
+        model = GaussianMeanModel(0.9)
+        for b in (-0.4, 0.3, 2.0):
+            report = evaluate(model, b, {"t": TWO_POINT}, StandardGaussian(1), n_samples=3000, seed=8)
+            batch = sample_and_score(StandardGaussian(1), PortableRng(8).split("evaluate"), 3000, base=model.base)
+            w = np.exp(log_weights(model, batch))
+            (split,) = report.splits
+            assert split.l_is_se == pytest.approx(np.std(w / w.mean(), ddof=1) / np.sqrt(3000), rel=1e-12)
+            assert split.l_snl_se == pytest.approx(np.std(w * np.exp(-b), ddof=1) / np.sqrt(3000), rel=1e-12)
+            assert report.log_z_estimate == pytest.approx(np.log(w.mean()), rel=1e-12)
+
+    @pytest.mark.parametrize("b", [-650.0, -800.0])
+    def test_overflowing_normalizer_term(self, b):
+        # past SNL_SHIFT_CAP the l_snl error is nan; where e^{log Z_hat - b}
+        # overflows l_snl is -inf; l_is is unaffected and nothing warns
+        model = GaussianMeanModel(1.0)
+        ref = evaluate(model, 0.0, {"t": TWO_POINT}, StandardGaussian(1), n_samples=200, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(model, b, {"t": TWO_POINT}, StandardGaussian(1), n_samples=200, seed=4)
+        (split,), (want,) = report.splits, ref.splits
+        assert -b > SNL_SHIFT_CAP
+        assert split.l_is == pytest.approx(want.l_is, rel=1e-12)
+        assert split.l_is_se == want.l_is_se
+        assert np.isnan(split.l_snl_se)
+        if b == -800.0:
+            assert split.l_snl == -np.inf
+        else:
+            assert np.isfinite(split.l_snl) and split.l_snl < -1e280
 
     def test_violation_flag_on_fabricated_report(self):
         good = SplitReport("t", 2, 0.0, 0.0, l_snl=1.0, l_is=1.5, l_snl_se=0.01, l_is_se=0.01)

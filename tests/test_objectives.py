@@ -18,26 +18,16 @@ from snl_ebm.errors import (
     EnergyEvaluationError,
     NonFiniteObjectiveError,
 )
+from snl_ebm.evaluation import evaluate
 from snl_ebm.models import BernoulliModel, GaussianMeanModel, MlpEnergy
 from snl_ebm.objectives import (
     ImportanceBatch,
-    discrete_points,
+    bound_pair,
     estimate_z,
-    exact_snl_gradients,
-    generalized_kl,
-    gradient_relation_check,
-    l_is_objective,
     log_weights,
     logsumexp,
-    maximize_over_b,
-    nce_gradients,
-    nce_objective,
-    snl_gradients,
     snl_objective,
     step_terms,
-    trapezoid_1d,
-    trapezoid_2d,
-    variational_log_bound,
 )
 from snl_ebm.proposals import (
     StandardGaussian,
@@ -47,6 +37,19 @@ from snl_ebm.proposals import (
     sample_and_score,
 )
 from snl_ebm.rng import PortableRng
+from reference import (
+    discrete_points,
+    exact_snl_gradients,
+    generalized_kl,
+    gradient_relation_check,
+    maximize_over_b,
+    nce_gradients,
+    nce_objective,
+    snl_gradients,
+    trapezoid_1d,
+    trapezoid_2d,
+    variational_log_bound,
+)
 
 TWO_POINT_DATA = np.array([[1.0], [3.0]])  # mean 2
 
@@ -240,17 +243,22 @@ class TestSnlGradients:
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+def l_is_and_l_snl(model, b, m, seed=0):
+    """evaluate's bound pair on TWO_POINT_DATA, from the draws of gaussian_batch(m, seed, model)."""
+    report = evaluate(model, b, {"t": TWO_POINT_DATA}, StandardGaussian(1), n_samples=m,
+                      rng=PortableRng(seed).split("proposal"))
+    return report.splits[0].l_is, report.splits[0].l_snl
+
+
 class TestLIs:
     def test_exactly_zero_at_theta_zero(self):
         m = GaussianMeanModel(0.0)
-        est = estimate_z(m, gaussian_batch(1000, model=m))
-        assert l_is_objective(m, TWO_POINT_DATA, est) == 0.0
+        assert l_is_and_l_snl(m, 0.0, 1000)[0] == 0.0
 
     def test_converges_to_likelihood(self):
         model = GaussianMeanModel(1.0)
-        est = estimate_z(model, gaussian_batch(400_000, seed=5, model=model))
         # ell = x_bar - 1/2 = 1.5 for this data
-        assert l_is_objective(model, TWO_POINT_DATA, est) == pytest.approx(1.5, abs=0.01)
+        assert l_is_and_l_snl(model, 0.0, 400_000, seed=5)[0] == pytest.approx(1.5, abs=0.01)
 
     def test_upper_bounds_snl_on_shared_samples(self):
         rng = PortableRng(17)
@@ -260,7 +268,7 @@ class TestLIs:
             model = GaussianMeanModel(theta)
             batch = gaussian_batch(64, seed=k, model=model)
             est = estimate_z(model, batch)
-            upper = l_is_objective(model, TWO_POINT_DATA, est)
+            upper = l_is_and_l_snl(model, b, 64, seed=k)[0]
             lower = snl_objective(model, b, TWO_POINT_DATA, est.log_mean_weight).value
             assert lower <= upper + 1e-12
 
@@ -270,17 +278,20 @@ class TestLIs:
         batch = gaussian_batch(256, seed=9, model=model)
         est = estimate_z(model, batch)
         b = 1.1
-        upper = l_is_objective(model, TWO_POINT_DATA, est)
-        lower = snl_objective(model, b, TWO_POINT_DATA, est.log_mean_weight).value
+        upper, lower = l_is_and_l_snl(model, b, 256, seed=9)
         t = np.exp(est.log_mean_weight - b)
         assert upper - lower == pytest.approx(t - 1.0 - np.log(t), rel=1e-12)
 
     def test_degenerate_estimate_rejected(self):
-        from snl_ebm.objectives import ZEstimate
-
-        dead = ZEstimate(0.0, -np.inf, 0.0, np.array([-np.inf]), 1)
         with pytest.raises(DegenerateProposalError):
-            l_is_objective(GaussianMeanModel(0.0), TWO_POINT_DATA, dead)
+            bound_pair([(0, 1, np.array([[-np.inf]]))], [0.0], 1)
+
+
+class TestBoundPair:
+    def test_degenerate_group_is_named(self):
+        logw = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+        with pytest.raises(DegenerateProposalError, match="group 1"):
+            bound_pair([(0, 2, logw)], [0.0, 0.0], 2)
 
 
 class TestMaximizeOverB:

@@ -23,10 +23,17 @@ from snl_ebm.regression import (
     RegressionTrainConfig,
     _regression_step,
     eval_regression_l_is,
-    snl_regression_objective,
     train_regression,
 )
+from snl_ebm.objectives import SNL_SHIFT_CAP, step_terms
 from snl_ebm.rng import PortableRng
+
+
+def snl_value(energies, b_values, log_z):
+    """mean_i [-E_i - b_i - e^{log_z_i - b_i} + 1] through the step kernel,
+    with each log_z_i given as a single log weight."""
+    e, b, lz = (np.asarray(a, dtype=np.float64) for a in (energies, b_values, log_z))
+    return step_terms(-e[:, None], lz[:, None], b)[0]
 
 
 def mlp_count(widths):
@@ -117,7 +124,7 @@ class TestBilinearOracle:
 
     def test_snl_value_at_matched_b(self):
         # -e - b - e^{log z - b} + 1 = 4 - 2 - 1 + 1 = 2
-        assert snl_regression_objective([-4.0], [2.0], [2.0]) == 2.0
+        assert snl_value([-4.0], [2.0], [2.0]) == 2.0
 
     def test_zero_parameter_likelihood_is_zero(self):
         m = BilinearConditionalModel(theta=0.0)
@@ -153,8 +160,8 @@ class TestBilinearOracle:
         rng = PortableRng(13)
         for _ in range(20):
             b = rng.normal(40) * 2.0
-            assert snl_regression_objective(e, b, lz) <= ll + 1e-12
-        assert snl_regression_objective(e, lz, lz) == pytest.approx(ll, abs=1e-12)
+            assert snl_value(e, b, lz) <= ll + 1e-12
+        assert snl_value(e, lz, lz) == pytest.approx(ll, abs=1e-12)
 
 
 def run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, nu):
@@ -413,6 +420,27 @@ class TestEvalRegression:
         assert np.isfinite(report.l_is) and np.isfinite(report.l_snl)
         assert report.n_samples == 1
 
+    @pytest.mark.parametrize("b", [-650.0, -800.0])
+    def test_overflowing_normalizer_term(self, b):
+        # past SNL_SHIFT_CAP the l_snl error is nan; where e^{log Z_hat - b}
+        # overflows l_snl is -inf; l_is is unaffected and nothing warns
+        m = BilinearConditionalModel(theta=1.0)
+        x = PortableRng(57).normal(8)
+        y = PortableRng(58).normal(8)
+        ref = eval_regression_l_is(m, (x, y), StandardGaussian(1), n_samples=300, rng=PortableRng(59))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = eval_regression_l_is(m, (x, y), StandardGaussian(1), n_samples=300, rng=PortableRng(59),
+                                          normalizer_fn=lambda xs: np.full(xs.shape[0], b))
+        assert -b > SNL_SHIFT_CAP
+        assert report.l_is == pytest.approx(ref.l_is, rel=1e-12)
+        assert report.l_is_se == ref.l_is_se
+        assert np.isnan(report.l_snl_se)
+        if b == -800.0:
+            assert report.l_snl == -np.inf
+        else:
+            assert np.isfinite(report.l_snl) and report.l_snl < -1e280
+
     def test_empty_pairs_rejected(self):
         m = BilinearConditionalModel(theta=0.8)
         with pytest.raises(ValueError, match="pairs are empty"):
@@ -603,5 +631,5 @@ class TestForwardPasses:
         log_q = proposal.log_density(ys.reshape(-1, 1)).reshape(11, 7)
         e_samp = model.energy_pairs(np.repeat(x, 7), ys.ravel()).reshape(11, 7)
         log_z = np.log(np.mean(np.exp(-e_samp - log_q), axis=1))
-        want = snl_regression_objective(model.energy_pairs(x, y), norm.values(model.features(x)), log_z)
+        want = snl_value(model.energy_pairs(x, y), norm.values(model.features(x)), log_z)
         assert got == pytest.approx(want, rel=1e-12)
