@@ -328,14 +328,15 @@ def _train_density(config: dict, out_dir: Path) -> int:
 
 
 def _density_scorer(args):
-    """Score function for ``_cmd_eval``: the bound report of every split."""
+    """Score function for ``_cmd_eval``: the bound report of every split;
+    a ``--data`` file needs one column per model dimension."""
     model, b, standardizer, proposal, config_lines = load_density_checkpoint(args.checkpoint)
 
     def score(splits, seed, dataset):
         report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
         return report.lines(), {s.name: s for s in report.splits}
 
-    return score, standardizer, config_lines
+    return score, standardizer, config_lines, model.dim
 
 
 # -- regression pipeline ------------------------------------------------------
@@ -428,7 +429,7 @@ def _train_regression(config: dict, out_dir: Path) -> int:
 
 def _regression_scorer(args):
     """Score function for ``_cmd_eval``: the bound report of the test split
-    (or of ``--data``), reported as ``test``."""
+    (or of ``--data``, two columns x and y), reported as ``test``."""
     model, normalizer, _, eval_proposal, standardizer, config_lines = load_regression_checkpoint(args.checkpoint)
     normalizer_fn = None
     if normalizer is not None:
@@ -442,7 +443,7 @@ def _regression_scorer(args):
         )
         return ["test." + line for line in report.lines()], {"test": report}
 
-    return score, standardizer, config_lines
+    return score, standardizer, config_lines, 2  # (x, y) pairs
 
 
 # -- commands -----------------------------------------------------------------
@@ -489,12 +490,16 @@ def _cmd_eval(args) -> int:
         print(f"--seeds must name at least one seed, got {args.seeds!r}", file=sys.stderr)
         return 2
     is_regression = _read_checkpoint(args.checkpoint).get("kind") == "regression"
-    score, standardizer, config_lines = (_regression_scorer if is_regression else _density_scorer)(args)
+    score, standardizer, config_lines, columns = (_regression_scorer if is_regression else _density_scorer)(args)
     config = dict(line.split(" = ", 1) for line in config_lines)
 
     dataset_name = config.get("data.name", "")
     if args.data is not None:
         points = datasets.load_delimited(args.data, has_header=args.has_header)
+        if points.shape[1] != columns:
+            kind = "regression" if is_regression else "density"
+            raise ValueError(f"{args.data} has {points.shape[1]} column(s); "
+                             f"the {kind} checkpoint needs {columns}")
         if standardizer is not None:
             points = standardizer.transform(points)
         splits = {"data": points}

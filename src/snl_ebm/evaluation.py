@@ -155,7 +155,9 @@ def density_grid(model, b: float, bounds: np.ndarray, resolution: int = 200) -> 
         raise ValueError("grid export supports 1- and 2-dimensional models only")
     points = grid_points(bounds, resolution)
     energy = model.energy(points)
-    unnorm = model.weight_log_numerator(points)
+    unnorm = -energy  # weight_log_numerator, from the one pass over the lattice
+    if model.base is not None:
+        unnorm = unnorm + model.base.log_density(points)
     return DensityGrid(
         points=points,
         energy=energy,

@@ -30,9 +30,12 @@ The n x M grid of E(x_i, y_m) is never held whole. The model yields it in
 blocks of max(1, GRID_CELLS // M) points against all M draws, and
 ``objectives.bound_pair`` reduces each block as it arrives, one group per
 point; its docstring states the estimator of log Z_hat(x_i) and of both
-standard errors, which density evaluation shares. A block holds its head
-hidden layer, 10 * GRID_CELLS doubles, so the evaluation's working memory is
-set by the draws (the y-branch runs once over all M) and not by n.
+standard errors, which density evaluation shares. The y-branch runs once
+over all M draws, in row tiles of at most ``nets.TILE_ROWS``, and keeps only
+its (M, 10) contribution to the head's hidden layer. A block fills its
+energies one draw tile at a time through a (points, 10, tile) buffer, so the
+evaluation's working memory is a few (M, 10) arrays plus one tile of the
+y-branch, set by the draws and not by n.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingDivergedError
-from .nets import Mlp, Workspace, bind
+from .nets import Mlp, Workspace, bind, row_tiles
 from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, mdn_log_likelihood_and_fit
@@ -56,10 +59,12 @@ HEAD_WIDTHS = [FEATURE_WIDTHS[-1] + Y_WIDTHS[-1], 10, 1]
 NORMALIZER_WIDTHS = [FEATURE_WIDTHS[-1], 10, 1]
 
 # (point, draw) cells per block of an energy grid. A block is
-# max(1, GRID_CELLS // m) points against all m draws and holds its
-# (points, 10, m) head hidden layer, 10 * GRID_CELLS doubles (5 MB); the
-# evaluation reduces each block before the next is made. At m = 20k, blocks of
-# 2 to 4 points ran fastest (2-CPU Xeon, OpenBLAS); larger ones leave the cache.
+# max(1, GRID_CELLS // m) points against all m draws; it holds its (points, m)
+# energies and fills them through a (points, 10, tile) head hidden layer of
+# one draw tile (``nets.row_tiles(m)``): at most 10 * GRID_CELLS doubles
+# (5 MB), and 1 MB at m = 20k (3 points x 10 x 4000 draws). The evaluation
+# reduces each block before the next is made. At m = 20k, blocks of 2 to 4 points ran
+# fastest (2-CPU Xeon, OpenBLAS); larger ones leave the cache.
 GRID_CELLS = 1 << 16
 UNNORMALIZED_GAP = 50.0  # |log Z_hat(x) - b(x)| in nats beyond which the eval flags the model
 
@@ -120,9 +125,10 @@ class ConditionalEnergyModel:
         max(1, GRID_CELLS // m) points per block; the caller owns each block.
 
         The head's first layer splits over the concat, so the y-branch and
-        its head contribution are computed once per call. A block's hidden
-        layer is laid out draw-major, (points, 10, m), so the innermost loops
-        run over the draws, and ``w2 @ z`` contracts the hidden axis.
+        its head contribution are computed once per call, one row tile at a
+        time. A block's hidden layer is laid out draw-major, (points, 10,
+        tile), so the innermost loops run over the draws, and ``w2 @ z``
+        contracts the hidden axis; a block takes its draws in ``row_tiles``.
         """
         ys = np.asarray(ys, dtype=np.float64)
         if h is None:
@@ -132,17 +138,27 @@ class ConditionalEnergyModel:
         k, width = h.shape[1], w1.shape[1]
         n, m = h.shape[0], ys.shape[-1]
         h_part = h @ w1[:k] + b1  # (n, 10)
-        g, _ = self.y_net.forward(ys.reshape(-1, 1), keep_cache=False)
-        g_part = np.ascontiguousarray((g @ w1[k:]).reshape(-1, m, width).transpose(0, 2, 1))  # (1 or n, 10, m)
-        del g
-        step = _block_points(m)
-        z = np.empty((min(step, n), width, m))
+        # the y-branch and its head contribution g @ W1_g, one row tile at a time
+        y_rows = ys.reshape(-1, 1)
+        g_rows = np.empty((y_rows.shape[0], width))
+        workspace = Workspace()
+        for lo, hi in row_tiles(y_rows.shape[0]):
+            g, _ = self.y_net.forward(y_rows[lo:hi], keep_cache=False, workspace=workspace)
+            np.matmul(g, w1[k:], out=g_rows[lo:hi])
+        del workspace, g  # freed before the copy below, and not held while the caller reads blocks
+        g_part = np.ascontiguousarray(g_rows.reshape(-1, m, width).transpose(0, 2, 1))  # (1 or n, 10, m)
+        del g_rows
+        step, tiles = _block_points(m), row_tiles(m)
+        z = np.empty(min(step, n) * width * (tiles[0][1] - tiles[0][0]))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            zb = z[: hi - lo]
-            np.add(h_part[lo:hi, :, None], g_part if g_part.shape[0] == 1 else g_part[lo:hi], out=zb)
-            np.maximum(zb, 0.0, out=zb)
-            e = w2[:, 0] @ zb
+            g_block = g_part if g_part.shape[0] == 1 else g_part[lo:hi]
+            e = np.empty((hi - lo, m))
+            for a, c in tiles:  # draw tiles, through one contiguous (points, 10, tile) buffer
+                zb = z[: (hi - lo) * width * (c - a)].reshape(hi - lo, width, c - a)
+                np.add(h_part[lo:hi, :, None], g_block[:, :, a:c], out=zb)
+                np.maximum(zb, 0.0, out=zb)
+                np.matmul(w2[:, 0], zb, out=e[:, a:c])
             e += b2[0]
             yield lo, hi, e
 

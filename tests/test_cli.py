@@ -262,6 +262,15 @@ class TestDensityPipeline:
         assert field(seed0, "data.n") == 10
         assert np.isfinite(field(seed0, "data.l_is"))
 
+    def test_eval_rejects_data_with_the_wrong_column_count(self, tmp_path, capsys):
+        run(capsys, "train", "--config", density_config(tmp_path))
+        data = tmp_path / "one_column.csv"
+        data.write_text("0.5\n-1.0\n2.0\n")
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "run" / "checkpoint_best.json"),
+                           "--samples", "100", "--data", str(data))
+        assert code == 1
+        assert "one_column.csv has 1 column(s); the density checkpoint needs 2" in err
+
     def test_eval_rejects_other_format_versions(self, tmp_path, capsys):
         run(capsys, "train", "--config", density_config(tmp_path))
         path = tmp_path / "run" / "checkpoint_best.json"
@@ -332,6 +341,15 @@ class TestRegressionPipeline:
         assert field(seed0, "test.n_points") == 24
         agg = section(out, "[aggregate]")
         assert np.isfinite(field(agg, "test.l_is_mean"))
+
+    def test_eval_rejects_one_column_data(self, tmp_path, capsys):
+        run(capsys, "train", "--config", regression_config(tmp_path))
+        data = tmp_path / "one_column.csv"
+        data.write_text("0.5\n-1.0\n2.0\n")
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "reg" / "checkpoint_best.json"),
+                           "--samples", "100", "--data", str(data))
+        assert code == 1
+        assert "one_column.csv has 1 column(s); the regression checkpoint needs 2" in err
 
     def test_without_normalizer_head(self, tmp_path, capsys):
         cfg = regression_config(tmp_path, "reg2", extra=["model.normalizer = false"])

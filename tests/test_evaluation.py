@@ -16,6 +16,7 @@ from snl_ebm.evaluation import (
     grid_points,
 )
 from snl_ebm.models import GaussianMeanModel, MlpEnergy
+from snl_ebm.nets import Mlp
 from snl_ebm.objectives import SNL_SHIFT_CAP, estimate_z, log_weights
 from snl_ebm.proposals import FittedGaussian, StandardGaussian, sample_and_score
 from snl_ebm.rng import PortableRng
@@ -209,6 +210,21 @@ class TestDensityGrid:
         assert grid.points.shape == (16, 2)
         np.testing.assert_array_equal(grid.energy, np.zeros(16))
         np.testing.assert_array_equal(grid.log_density, np.full(16, -1.0))
+
+    def test_runs_the_net_once(self, monkeypatch):
+        model = MlpEnergy(widths=[2, 8, 8, 1], base=StandardGaussian(2), rng=PortableRng(12))
+        want = model.weight_log_numerator(grid_points(np.array([[-3.0, 3.0], [-3.0, 3.0]]), 200))
+        calls = []
+        original = Mlp.forward
+
+        def counted(self, x, *args, **kwargs):
+            calls.append(np.shape(x)[0])
+            return original(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Mlp, "forward", counted)
+        grid = density_grid(model, 0.5, np.array([[-3.0, 3.0], [-3.0, 3.0]]), resolution=200)
+        assert calls == [40000]
+        np.testing.assert_array_equal(grid.unnorm_log_density, want)
 
     def test_rejects_high_dimensional_bounds(self):
         model = GaussianMeanModel(0.0)

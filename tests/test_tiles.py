@@ -1,0 +1,128 @@
+"""Cache-free forward passes and the conditional energy grid run in row tiles
+of at most ``nets.TILE_ROWS``: the same bits as one pass, one counted
+``Mlp.forward`` call per caller pass, and working memory that does not grow
+with the number of draws."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from snl_ebm import nets
+from snl_ebm.evaluation import evaluate
+from snl_ebm.models import DENSITY_WIDTHS, MlpEnergy
+from snl_ebm.nets import TILE_ROWS, Mlp, row_tiles
+from snl_ebm.proposals import StandardGaussian
+from snl_ebm.regression import ConditionalEnergyModel, eval_regression_l_is
+from snl_ebm.rng import PortableRng
+
+
+def one_pass(monkeypatch, fn, n):
+    """``fn()`` with tiles large enough that n rows run in one piece."""
+    monkeypatch.setattr(nets, "TILE_ROWS", n)
+    try:
+        return fn()
+    finally:
+        monkeypatch.setattr(nets, "TILE_ROWS", TILE_ROWS)
+
+
+def density_model():
+    return MlpEnergy(list(DENSITY_WIDTHS), base=StandardGaussian(2), rng=PortableRng(1))
+
+
+def count_forward(monkeypatch):
+    calls = []
+    original = Mlp.forward
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(np.shape(x)[0])
+        return original(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Mlp, "forward", counted)
+    return calls
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("n", [0, 1, TILE_ROWS, TILE_ROWS + 1, 7000, 20000, 20003, 160801])
+    def test_tiles_cover_the_rows_in_near_equal_pieces(self, n):
+        tiles = row_tiles(n)
+        assert len(tiles) == max(1, -(-n // TILE_ROWS))
+        assert tiles[0][0] == 0 and tiles[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+        sizes = [hi - lo for lo, hi in tiles]
+        assert max(sizes) <= TILE_ROWS
+        assert all(size % 8 == 0 for size in sizes[:-1])  # tiles start on 8-row boundaries
+        assert max(sizes) - min(sizes) < 8 * len(tiles)  # no tiny tail tile
+
+    def test_twenty_thousand_rows_make_five_tiles_of_4000(self):
+        assert row_tiles(20000) == [(lo, lo + 4000) for lo in range(0, 20000, 4000)]
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("n", [20000, TILE_ROWS + 1])
+    def test_density_net(self, monkeypatch, n):
+        model = density_model()
+        x = PortableRng(n).normal((n, 2))
+        want = one_pass(monkeypatch, lambda: model.energy(x), n)
+        assert np.array_equal(model.energy(x), want)
+
+    @pytest.mark.parametrize("n", [20000, TILE_ROWS + 1])
+    def test_feature_and_y_nets(self, monkeypatch, n):
+        model = ConditionalEnergyModel(PortableRng(3))
+        x = PortableRng(n).normal(n)
+        for net in (model.feature_net, model.y_net):
+            want = one_pass(monkeypatch, lambda: net.forward(x[:, None], keep_cache=False)[0], n)
+            assert np.array_equal(net.forward(x[:, None], keep_cache=False)[0], want)
+
+    @pytest.mark.parametrize("n, draws", [
+        (3, (20000,)),            # the evaluation's shared draws: 5 draw tiles
+        (286, (286, 16)),         # the validation's per-point draws: 4576 y-branch rows
+        (2, (TILE_ROWS + 1,)),
+    ])
+    def test_energy_grid_shared(self, monkeypatch, n, draws):
+        model = ConditionalEnergyModel(PortableRng(3))
+        x = PortableRng(4).normal(n)
+        ys = PortableRng(5).normal(draws)
+        rows = int(np.prod(draws))
+        want = one_pass(monkeypatch, lambda: model.energy_grid_shared(x, ys), rows)
+        assert np.array_equal(model.energy_grid_shared(x, ys), want)
+
+
+class TestOneCall:
+    def test_energy_at_20000_rows_is_one_forward_call(self, monkeypatch):
+        model = density_model()
+        x = PortableRng(9).normal((20000, 2))
+        calls = count_forward(monkeypatch)
+        model.energy(x)
+        assert calls == [20000]
+
+    def test_y_branch_counts_one_call_per_tile(self, monkeypatch):
+        model = ConditionalEnergyModel(PortableRng(3))
+        calls = count_forward(monkeypatch)
+        model.energy_grid_shared(np.zeros(2), PortableRng(5).normal(20000))
+        assert calls == [2] + [4000] * 5  # the feature net, then the y-branch tiles
+
+
+class TestPeakMemory:
+    def test_density_evaluate_at_20k_draws(self):
+        model = density_model()
+        data = {"test": PortableRng(10).normal((2000, 2))}
+        peak = peak_bytes(lambda: evaluate(model, 0.0, data, StandardGaussian(2), n_samples=20000, seed=0))
+        assert peak < 20 * 2**20  # one untiled pass peaked at 46 MB
+
+    def test_conditional_eval_at_400_points_and_20k_draws(self):
+        model = ConditionalEnergyModel(PortableRng(67))
+        x = PortableRng(68).normal(400)
+        y = PortableRng(69).normal(400)
+        peak = peak_bytes(lambda: eval_regression_l_is(model, (x, y), StandardGaussian(1), n_samples=20000,
+                                                       rng=PortableRng(70)))
+        assert peak < 16 * 2**20  # one untiled y-branch peaked at 30 MB
