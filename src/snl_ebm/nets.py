@@ -26,6 +26,8 @@ whatever the row count; the output alone grows with the rows.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .rng import PortableRng
@@ -76,10 +78,14 @@ class Workspace:
         self._arrays: dict = {}
 
     def array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A C-contiguous array of ``shape`` for ``key``: a view of the start
+        of the key's array, which is replaced only when it is too small or of
+        another dtype, so a shorter last tile or batch allocates nothing."""
+        size = math.prod(shape)
         a = self._arrays.get(key)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[key] = np.empty(shape, dtype)
-        return a
+        if a is None or a.size < size or a.dtype != dtype:
+            a = self._arrays[key] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
 
 
 class Mlp:

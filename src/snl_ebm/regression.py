@@ -9,7 +9,10 @@ b_phi(x) plays the role of b pointwise:
 with Z_hat(x_i) the per-point importance estimate from M proposal draws.
 Training takes joint gradient steps on (theta, phi); when the proposal is a
 mixture density network it is refitted by one interleaved maximum-likelihood
-step per energy step, reading the feature vector h_x as a constant.
+step per energy step, reading the feature vector h_x as a constant. The loop
+is ``training.run_epochs``; this module supplies the conditional step, the
+Adam step and MDN refit of a taken step, the per-epoch shuffle stream
+(``split_index(epoch)``) and the validation with fresh draws per epoch.
 
 Architecture: feature extractor 1 -> 10 -> 10 -> 10 (ReLU throughout)
 producing h_x; y branch 1 -> 16 -> 32 -> 64 -> 128; joint energy head on
@@ -40,18 +43,16 @@ y-branch, set by the draws and not by n.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError
 from .nets import Mlp, Workspace, bind, row_tiles
 from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, step_terms
 from .optim import AdamState, adam_step
-from .proposals import MdnProposal, mdn_log_likelihood_and_fit
+from .proposals import MdnProposal
 from .rng import PortableRng
-from .training import validate_common
+from .training import run_epochs, validate_common
 
 FEATURE_WIDTHS = [1, 10, 10, 10]
 Y_WIDTHS = [1, 16, 32, 64, 128]
@@ -343,7 +344,6 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     config.validate()
     x_tr, y_tr = (np.asarray(a, dtype=np.float64) for a in train_pairs)
     x_val, y_val = (np.asarray(a, dtype=np.float64) for a in val_pairs)
-    n = x_tr.shape[0]
     root = PortableRng(config.seed)
     shuffle_rng = root.split("shuffle")
     proposal_rng = root.split("proposal")
@@ -356,62 +356,40 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     if mdn is not None:
         mdn_params = bind(mdn.nets)
         mdn_opt = AdamState.fresh(mdn_params.size)
-    result = RegressionTrainResult(model=model, normalizer=normalizer)
     workspace = Workspace()
-    best_val = -np.inf
-    bad_streak = 0
-    step_count = 0
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = shuffle_rng.split_index(epoch).permutation(n)
-        values = []
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            x_b, y_b = x_tr[idx], y_tr[idx]
-            h_b, cache_f = model.feature_net.forward(x_b.reshape(-1, 1), workspace=workspace)
-            ys, log_q, heads = _propose(proposal, proposal_rng, h_b, idx.size, config.samples_per_point)
-            if config.objective == "nce":
-                if mdn is not None:
-                    log_q_data = mdn.log_density(h_b, y_b[:, None], heads)[:, 0]
-                else:
-                    log_q_data = proposal.log_density(y_b.reshape(-1, 1))
-            else:
-                log_q_data = None
-            value, grad, diag = _regression_step(
-                model, normalizer, h_b, cache_f, y_b, ys, log_q,
-                log_q_data, config.objective, config.nce_nu, workspace,
-            )
-            step_count += 1
-            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-                bad_streak += 1
-                if bad_streak >= config.divergence_patience:
-                    raise TrainingDivergedError(step_count, diag[0], diag[1])
-                continue
-            bad_streak = 0
-            values.append(value)
-            adam_step(params, grad, opt, config.learning_rate)
-            if mdn is not None:
-                _, mdn_grad = mdn.loglik_gradient(h_b, y_b, heads)
-                adam_step(mdn_params, mdn_grad, mdn_opt, config.mdn_learning_rate)
-        val = validation_snl(
-            model, normalizer, proposal, x_val, y_val,
-            config.samples_per_point, val_rng.split_index(epoch),
-        )
-        result.history.append(RegressionEpochRecord(
-            epoch=epoch + 1,
-            train_objective=float(np.mean(values)) if values else float("nan"),
-            val_snl=float(val),
-            seconds=time.perf_counter() - started,
-        ))
-        if np.isfinite(val) and val > best_val:
-            best_val = float(val)
-            result.best_epoch = epoch + 1
-            result.best_theta = model.theta.copy()
-            result.best_phi = normalizer.phi.copy() if normalizer is not None else None
-    if result.best_theta is None:
-        result.best_theta = model.theta.copy()
-        result.best_phi = normalizer.phi.copy() if normalizer is not None else None
-    return result
+    batch = None  # (features, targets, MDN heads) of the last step, which the MDN refit reads
+
+    def step(rows):
+        nonlocal batch
+        y_b = y_tr[rows]
+        h_b, cache_f = model.feature_net.forward(x_tr[rows].reshape(-1, 1), workspace=workspace)
+        ys, log_q, heads = _propose(proposal, proposal_rng, h_b, rows.size, config.samples_per_point)
+        log_q_data = None
+        if config.objective == "nce":
+            log_q_data = (mdn.log_density(h_b, y_b[:, None], heads)[:, 0] if mdn is not None
+                          else proposal.log_density(y_b.reshape(-1, 1)))
+        batch = (h_b, y_b, heads)
+        return _regression_step(model, normalizer, h_b, cache_f, y_b, ys, log_q,
+                                log_q_data, config.objective, config.nce_nu, workspace)
+
+    def take(grad):
+        adam_step(params, grad, opt, config.learning_rate)
+        if mdn is not None:
+            _, mdn_grad = mdn.loglik_gradient(*batch)
+            adam_step(mdn_params, mdn_grad, mdn_opt, config.mdn_learning_rate)
+
+    def validate(epoch):
+        return validation_snl(model, normalizer, proposal, x_val, y_val,
+                              config.samples_per_point, val_rng.split_index(epoch - 1))
+
+    history, best_epoch, best = run_epochs(
+        config, params, lambda epoch: shuffle_rng.split_index(epoch - 1).permutation(x_tr.shape[0]),
+        step, take, validate, RegressionEpochRecord,
+    )
+    n_theta = model.n_params
+    return RegressionTrainResult(model=model, normalizer=normalizer, history=history, best_epoch=best_epoch,
+                                 best_theta=best[:n_theta],
+                                 best_phi=best[n_theta:] if normalizer is not None else None)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,24 @@
-"""Stochastic ascent on (theta, b) for density models.
+"""Stochastic ascent on (theta, b): the training loop of both model families
+and the density family's part of it.
 
-Each step draws a fresh proposal batch, forms the unbiased SNL gradient (or
-the NCE loss gradient) and takes a joint Adam/SGD step on the concatenated
-parameter vector [theta; b] with a shared learning rate. b is initialized to
-the log mean importance weight at the initial parameters, which keeps the
-exp(log w - b) cotangents moderate from the first step.
+``run_epochs`` is the one loop: epochs and batches, the divergence guard, the
+per-epoch timer, validation, the best-epoch snapshot and the history. Each
+family supplies its row order, batch step, the application of a taken step
+and its validation (``train_density`` here, ``regression.train_regression``).
+
+For density models each step draws a fresh proposal batch, forms the
+unbiased SNL gradient (or the NCE loss gradient) and takes a joint Adam/SGD
+step on the concatenated parameter vector [theta; b] with a shared learning
+rate. b is initialized to the log mean importance weight at the initial
+parameters, which keeps the exp(log w - b) cotangents moderate from the
+first step. The rows are shuffled from one stream across epochs, and
+validation scores one fixed proposal batch.
 
 The per-step objective and gradients are computed in one fused pass (one
 forward per array) around ``objectives.step_terms``, the step math shared
 with regression training; the tests check it against plain reference
-gradients. The loop binds the model's parameters and b into one flat
-buffer, which each optimizer step updates in place.
+gradients. The model's parameters and b live in one flat buffer, which each
+optimizer step updates in place.
 """
 
 from __future__ import annotations
@@ -156,6 +164,54 @@ def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, object
     return value, GradientEstimate(grad_theta, float(d_b[0])), divergence_diagnostics(e_samp, logw)
 
 
+def run_epochs(config, params: np.ndarray, order, step, take, validate, record):
+    """The epoch loop of density and regression training.
+
+    Epochs count from 1. Each one visits the rows ``order(epoch)`` in
+    batches of ``config.batch_size``: ``step(rows)`` returns (objective
+    value, ascent gradient, diagnostics), and ``take(grad)`` applies a step
+    whose value and gradient are finite. A step that is not, or that raises
+    ``SnlError``, is skipped; ``config.divergence_patience`` skipped steps in
+    a row raise ``TrainingDivergedError`` with the diagnostics of the last
+    step that returned. ``validate(epoch)`` then scores the model (nan when
+    it raises ``SnlError``), and ``record(epoch, mean value of the taken
+    steps, validation value, seconds of the steps and validation)`` makes
+    the epoch's history entry. Returns the history, the best epoch (0 when
+    no validation value was finite) and a copy of the flat parameter buffer
+    ``params`` at the end of that epoch (or of this run).
+    """
+    history, best_epoch, best, best_val = [], 0, None, -np.inf
+    bad_streak = step_count = 0
+    diag = (np.nan, np.nan)
+    for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
+        rows = order(epoch)
+        values = []
+        for lo in range(0, rows.size, config.batch_size):
+            step_count += 1
+            try:
+                value, grad, diag = step(rows[lo : lo + config.batch_size])
+            except SnlError:
+                value, grad = np.nan, None
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+                bad_streak += 1
+                if bad_streak >= config.divergence_patience:
+                    raise TrainingDivergedError(step=step_count, max_energy=diag[0], min_weight=diag[1])
+                continue
+            bad_streak = 0
+            take(grad)
+            values.append(value)
+        try:
+            val = float(validate(epoch))
+        except SnlError:
+            val = np.nan
+        history.append(record(epoch, float(np.mean(values)) if values else np.nan, val,
+                              time.perf_counter() - started))
+        if np.isfinite(val) and val > best_val:
+            best_epoch, best, best_val = epoch, params.copy(), val
+    return history, best_epoch, params.copy() if best is None else best
+
+
 def train_density(
     model,
     proposal,
@@ -181,78 +237,35 @@ def train_density(
     m = config.proposal_samples
 
     if b is None:
-        init_batch = sample_and_score(proposal, root.split("init-b"), m, base=model.base)
-        b = init_b(model, init_batch)
-    b = float(b)
-
+        b = init_b(model, sample_and_score(proposal, root.split("init-b"), m, base=model.base))
     val_batch = sample_and_score(proposal, root.split("validation"), m, base=model.base)
 
     opt_state: AdamState | None = None
     workspaces = (Workspace(), Workspace())
     params = np.empty(model.n_params + 1)  # [theta; b], the model views its part
     model.bind(params[:-1])
-    params[-1] = b
+    params[-1] = float(b)
     grad_vec = np.empty_like(params)
-    n = train_data.shape[0]
-    result = TrainResult(state=SnlState(model, b))
-    best_val = -np.inf
-    bad_streak = 0
-    last_diag = (np.nan, np.nan)
-    step_count = 0
 
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        order = shuffle_rng.permutation(n)
-        step_values = []
-        for lo in range(0, n, config.batch_size):
-            step_count += 1
-            batch_x = train_data[order[lo : lo + config.batch_size]]
-            prop = sample_and_score(proposal, proposal_rng, m, base=model.base)
-            try:
-                value, grads, diag = fused_step(
-                    model, b, batch_x, prop, config.objective, proposal=proposal, nu=config.nce_nu,
-                    workspaces=workspaces,
-                )
-            except SnlError:
-                value, grads, diag = np.nan, None, last_diag
-            last_diag = diag
-            if grads is not None:
-                grad_vec[:-1] = grads.grad_theta
-                grad_vec[-1] = grads.grad_b
-            if not np.isfinite(value) or grads is None or not np.all(np.isfinite(grad_vec)):
-                bad_streak += 1
-                if bad_streak >= config.divergence_patience:
-                    raise TrainingDivergedError(
-                        step=step_count, max_energy=last_diag[0], min_weight=last_diag[1]
-                    )
-                continue
-            bad_streak = 0
-            opt_state = optimizer_step(params, grad_vec, config.learning_rate, config.optimizer, opt_state)
-            b = float(params[-1])
-            step_values.append(value)
+    def step(rows):
+        batch = sample_and_score(proposal, proposal_rng, m, base=model.base)
+        value, grads, diag = fused_step(model, float(params[-1]), train_data[rows], batch, config.objective,
+                                        proposal=proposal, nu=config.nce_nu, workspaces=workspaces)
+        grad_vec[:-1] = grads.grad_theta
+        grad_vec[-1] = grads.grad_b
+        return value, grad_vec, diag
 
-        val_snl = np.nan
-        try:
-            est = estimate_z(model, val_batch)
-            val_snl = snl_objective(model, b, val_data, est.log_mean_weight).value
-        except SnlError:
-            pass
-        record = EpochRecord(
-            epoch=epoch,
-            train_snl=float(np.mean(step_values)) if step_values else np.nan,
-            val_snl=float(val_snl),
-            b=b,
-            seconds=time.perf_counter() - started,
-        )
-        result.history.append(record)
-        if np.isfinite(val_snl) and val_snl > best_val:
-            best_val = val_snl
-            result.best_epoch = epoch
-            result.best_theta = model.theta.copy()
-            result.best_b = b
+    def take(grad):
+        nonlocal opt_state
+        opt_state = optimizer_step(params, grad, config.learning_rate, config.optimizer, opt_state)
 
-    result.state = SnlState(model, b)
-    if result.best_theta is None:
-        result.best_theta = model.theta.copy()
-        result.best_b = b
-    return result
+    def validate(epoch):
+        est = estimate_z(model, val_batch)
+        return snl_objective(model, float(params[-1]), val_data, est.log_mean_weight).value
+
+    history, best_epoch, best = run_epochs(
+        config, params, lambda epoch: shuffle_rng.permutation(train_data.shape[0]), step, take, validate,
+        lambda epoch, train, val, seconds: EpochRecord(epoch, train, val, float(params[-1]), seconds),
+    )
+    return TrainResult(state=SnlState(model, float(params[-1])), history=history, best_epoch=best_epoch,
+                       best_theta=best[:-1], best_b=float(best[-1]))

@@ -2,9 +2,10 @@
 
 The training loops keep their parameters in flat buffers and run Adam in
 place on them. These tests rebuild the loops from ``fused_step`` and
-``_regression_step`` with Adam written on fresh arrays, and require the same
-bits; they also pin the optimizer calls per taken step, which the benchmark
-counts to tell taken steps from skipped ones.
+``_regression_step`` with Adam written on fresh arrays (or plain SGD), for
+each objective, optimizer and proposal kind, and require the same bits; they
+also pin the optimizer calls per taken step, which the benchmark counts to
+tell taken steps from skipped ones.
 """
 
 import numpy as np
@@ -14,7 +15,13 @@ from snl_ebm import regression, training
 from snl_ebm.errors import NonFiniteObjectiveError
 from snl_ebm.models import MlpEnergy
 from snl_ebm.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step
-from snl_ebm.proposals import MdnProposal, StandardGaussian, mdn_log_likelihood_and_fit, sample_and_score
+from snl_ebm.proposals import (
+    MdnProposal,
+    StandardGaussian,
+    fit_gaussian,
+    mdn_log_likelihood_and_fit,
+    sample_and_score,
+)
 from snl_ebm.regression import (
     FEATURE_WIDTHS,
     ConditionalEnergyModel,
@@ -81,15 +88,9 @@ def density_setup():
     return data, proposal, model
 
 
-@pytest.mark.parametrize("objective", ["snl", "nce"])
-def test_density_steps_match_reference_loop(objective):
-    data, proposal, make_model = density_setup()
-    config = TrainConfig(objective=objective, epochs=1, learning_rate=1e-2, batch_size=32,
-                         proposal_samples=64, seed=3)
-    got = make_model()
-    result = train_density(got, proposal, data, data[:16], config)
-
-    ref = make_model()
+def reference_density(config, data, proposal, ref):
+    """``train_density`` for one epoch of three steps, rebuilt from ``fused_step``
+    with pure Adam or SGD; returns the final b and the number of steps."""
     root = PortableRng(config.seed)
     shuffle_rng, proposal_rng = root.split("shuffle"), root.split("proposal")
     b = init_b(ref, sample_and_score(proposal, root.split("init-b"), 64, base=ref.base))
@@ -98,12 +99,45 @@ def test_density_steps_match_reference_loop(objective):
     order = shuffle_rng.permutation(96)
     for lo in range(0, 96, 32):  # three steps
         batch = sample_and_score(proposal, proposal_rng, 64, base=ref.base)
-        _, grads, _ = fused_step(ref, b, data[order[lo : lo + 32]], batch, objective, proposal=proposal)
-        m, v, t, step = pure_adam(m, v, t, np.concatenate([grads.grad_theta, [grads.grad_b]]),
-                                  config.learning_rate)
+        _, grads, _ = fused_step(ref, b, data[order[lo : lo + 32]], batch, config.objective, proposal=proposal)
+        grad = np.concatenate([grads.grad_theta, [grads.grad_b]])
+        if config.optimizer == "sgd":
+            step, t = config.learning_rate * grad, t + 1
+        else:
+            m, v, t, step = pure_adam(m, v, t, grad, config.learning_rate)
         params = np.concatenate([ref.theta, [b]]) + step
         ref.theta = params[:-1]
         b = float(params[-1])
+    return b, t
+
+
+def density_config(objective="snl", optimizer="adam"):
+    return TrainConfig(objective=objective, epochs=1, learning_rate=1e-2, batch_size=32,
+                       proposal_samples=64, optimizer=optimizer, seed=3)
+
+
+@pytest.mark.parametrize("objective", ["snl", "nce"])
+def test_density_steps_match_reference_loop(objective):
+    data, proposal, make_model = density_setup()
+    config = density_config(objective)
+    got = make_model()
+    result = train_density(got, proposal, data, data[:16], config)
+
+    ref = make_model()
+    b, t = reference_density(config, data, proposal, ref)
+    assert t == 3
+    assert_same_bits(got.theta, ref.theta)
+    assert_same_bits(result.state.b, b)
+
+
+def test_density_sgd_steps_match_reference_loop():
+    data, proposal, make_model = density_setup()
+    config = density_config(optimizer="sgd")
+    got = make_model()
+    result = train_density(got, proposal, data, data[:16], config)
+
+    ref = make_model()
+    b, t = reference_density(config, data, proposal, ref)
     assert t == 3
     assert_same_bits(got.theta, ref.theta)
     assert_same_bits(result.state.b, b)
@@ -121,37 +155,76 @@ def regression_setup():
             MdnProposal(FEATURE_WIDTHS[-1], 2, rng.split("mdn")))
 
 
-def test_regression_mdn_steps_match_reference_loop():
-    x, y = toy_pairs(84, 48)
-    config = RegressionTrainConfig(epochs=1, learning_rate=2e-3, batch_size=16, samples_per_point=8,
-                                   seed=5, mdn_learning_rate=5e-3)
-    model, norm, mdn = regression_setup()
-    train_regression(model, norm, mdn, (x, y), (x[:8], y[:8]), config)
-
-    ref_model, ref_norm, ref_mdn = regression_setup()
+def reference_regression(config, x, y, model, norm, proposal):
+    """``train_regression`` for one epoch of three steps, rebuilt from
+    ``_regression_step`` with pure Adam (and the MDN refit when ``proposal``
+    is an ``MdnProposal``); returns the number of energy and MDN steps."""
+    mdn = proposal if isinstance(proposal, MdnProposal) else None
     root = PortableRng(config.seed)
     shuffle_rng, proposal_rng = root.split("shuffle"), root.split("proposal")
-    n_theta = ref_model.n_params
-    m = v = np.zeros(n_theta + ref_norm.net.n_params)
-    mdn_m = mdn_v = np.zeros(ref_mdn.theta.size)
+    n_theta = model.n_params
+    m = v = np.zeros(n_theta + (norm.net.n_params if norm is not None else 0))
+    mdn_m = mdn_v = np.zeros(mdn.theta.size if mdn is not None else 0)
     t = mdn_t = 0
     order = shuffle_rng.split_index(0).permutation(48)
     for lo in range(0, 48, 16):  # three steps
         idx = order[lo : lo + 16]
-        h, cache_f = ref_model.feature_net.forward(x[idx].reshape(-1, 1))
-        ys, log_q, heads = regression._propose(ref_mdn, proposal_rng, h, idx.size, 8)
-        _, grad, _ = regression._regression_step(ref_model, ref_norm, h, cache_f, y[idx], ys, log_q,
-                                                 None, "snl", None)
+        h, cache_f = model.feature_net.forward(x[idx].reshape(-1, 1))
+        ys, log_q, heads = regression._propose(proposal, proposal_rng, h, idx.size, config.samples_per_point)
+        log_q_data = None
+        if config.objective == "nce":
+            log_q_data = (mdn.log_density(h, y[idx][:, None], heads)[:, 0] if mdn is not None
+                          else proposal.log_density(y[idx].reshape(-1, 1)))
+        _, grad, _ = regression._regression_step(model, norm, h, cache_f, y[idx], ys, log_q,
+                                                 log_q_data, config.objective, None)
         m, v, t, step = pure_adam(m, v, t, grad, config.learning_rate)
-        params = np.concatenate([ref_model.theta, ref_norm.phi]) + step
-        ref_model.theta, ref_norm.phi = params[:n_theta], params[n_theta:]
-        _, mdn_grad = ref_mdn.loglik_gradient(h, y[idx], heads)
-        mdn_m, mdn_v, mdn_t, mdn_step = pure_adam(mdn_m, mdn_v, mdn_t, mdn_grad, config.mdn_learning_rate)
-        ref_mdn.theta = ref_mdn.theta + mdn_step
-    assert t == mdn_t == 3
+        params = np.concatenate([model.theta] + ([norm.phi] if norm is not None else [])) + step
+        model.theta = params[:n_theta]
+        if norm is not None:
+            norm.phi = params[n_theta:]
+        if mdn is not None:
+            _, mdn_grad = mdn.loglik_gradient(h, y[idx], heads)
+            mdn_m, mdn_v, mdn_t, mdn_step = pure_adam(mdn_m, mdn_v, mdn_t, mdn_grad, config.mdn_learning_rate)
+            mdn.theta = mdn.theta + mdn_step
+    return t, mdn_t
+
+
+def regression_config(objective="snl"):
+    return RegressionTrainConfig(objective=objective, epochs=1, learning_rate=2e-3, batch_size=16,
+                                 samples_per_point=8, seed=5, mdn_learning_rate=5e-3)
+
+
+def check_regression_mdn_steps(objective):
+    x, y = toy_pairs(84, 48)
+    config = regression_config(objective)
+    model, norm, mdn = regression_setup()
+    train_regression(model, norm, mdn, (x, y), (x[:8], y[:8]), config)
+
+    ref_model, ref_norm, ref_mdn = regression_setup()
+    assert reference_regression(config, x, y, ref_model, ref_norm, ref_mdn) == (3, 3)
     assert_same_bits(model.theta, ref_model.theta)
     assert_same_bits(norm.phi, ref_norm.phi)
     assert_same_bits(mdn.theta, ref_mdn.theta)
+
+
+def test_regression_mdn_steps_match_reference_loop():
+    check_regression_mdn_steps("snl")
+
+
+def test_regression_nce_mdn_steps_match_reference_loop():
+    check_regression_mdn_steps("nce")
+
+
+def test_regression_fitted_proposal_steps_without_normalizer_match_reference_loop():
+    x, y = toy_pairs(89, 48)
+    config = regression_config()
+    proposal = fit_gaussian(y.reshape(-1, 1))
+    model = ConditionalEnergyModel(PortableRng(83).split("model"))
+    train_regression(model, None, proposal, (x, y), (x[:8], y[:8]), config)
+
+    ref = ConditionalEnergyModel(PortableRng(83).split("model"))
+    assert reference_regression(config, x, y, ref, None, proposal) == (3, 0)
+    assert_same_bits(model.theta, ref.theta)
 
 
 def test_mdn_fit_drops_the_step_before_a_non_finite_batch():

@@ -231,3 +231,16 @@ def test_workspace_serves_two_nets_at_once():
     np.testing.assert_array_equal(out_1, kept)
     np.testing.assert_array_equal(first.backward(cache_1, np.ones((4, 1)), workspace=ws),
                                   first.backward(first.forward(x)[1], np.ones((4, 1))))
+
+
+def test_workspace_serves_a_shorter_shape_from_its_array_and_grows_once():
+    ws = Workspace()
+    first = ws.array("k", (4, 3))
+    shorter = ws.array("k", (2, 3))
+    assert shorter.shape == (2, 3) and shorter.flags.c_contiguous
+    assert np.shares_memory(shorter, first)
+    assert ws.array("k", (12,)).base is shorter.base  # same size, other shape
+    longer = ws.array("k", (5, 3))
+    assert not np.shares_memory(longer, first)
+    assert np.shares_memory(ws.array("k", (4, 3)), longer)
+    assert ws.array("k", (2, 3), bool).dtype == bool

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from snl_ebm.errors import EnergyEvaluationError, TrainingDivergedError
+from snl_ebm.errors import EnergyEvaluationError, NonFiniteObjectiveError, TrainingDivergedError
 from snl_ebm import regression
 from snl_ebm.nets import Workspace
 from snl_ebm.proposals import MdnProposal, StandardGaussian, fit_gaussian
@@ -331,8 +331,33 @@ class TestTrainRegression:
         x, y = self.toy_pairs(36, 128)
         model = ConditionalEnergyModel(PortableRng(37))
         model.theta = np.full(model.n_params, np.nan)
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError) as err:
             train_regression(model, None, fit_gaussian(y.reshape(-1, 1)), (x, y), (x[:32], y[:32]), self.config(epochs=1, batch_size=16))
+        assert err.value.step == RegressionTrainConfig().divergence_patience
+
+    def test_step_error_counts_as_one_skipped_step(self, monkeypatch):
+        x, y = self.toy_pairs(41, 48)
+        step, adam = regression._regression_step, regression.adam_step
+        calls = {"step": 0, "adam": 0}
+
+        def failing_second(*args, **kwargs):
+            calls["step"] += 1
+            if calls["step"] == 2:
+                raise NonFiniteObjectiveError("data", float("nan"))
+            return step(*args, **kwargs)
+
+        def counted_adam(*args, **kwargs):
+            calls["adam"] += 1
+            return adam(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "_regression_step", failing_second)
+        monkeypatch.setattr(regression, "adam_step", counted_adam)
+        model = ConditionalEnergyModel(PortableRng(42))
+        mdn = MdnProposal(FEATURE_WIDTHS[-1], 2, PortableRng(43))
+        result = train_regression(model, NormalizerNet(PortableRng(44)), mdn, (x, y), (x[:8], y[:8]),
+                                  self.config(epochs=2, batch_size=16))
+        assert calls == {"step": 6, "adam": 2 * 5}  # energy and MDN steps for each of 5 taken steps
+        assert len(result.history) == 2
 
     def test_validate_rejects_bad_configs(self):
         bad = (

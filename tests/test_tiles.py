@@ -112,6 +112,30 @@ class TestOneCall:
         assert calls == [2] + [4000] * 5  # the feature net, then the y-branch tiles
 
 
+class TestShortLastTile:
+    @pytest.mark.parametrize("n", [7000, 20003])
+    def test_reuses_the_longer_tiles_arrays(self, monkeypatch, n):
+        allocations = []
+
+        class CountingWorkspace(nets.Workspace):
+            def array(self, key, shape, dtype=np.float64):
+                before = self._arrays.get(key)
+                out = super().array(key, shape, dtype)
+                if self._arrays[key] is not before:
+                    allocations.append(key)
+                return out
+
+        model = density_model()
+        x = PortableRng(n).normal((n, 2))
+        want = np.concatenate([model.energy(x[lo:hi]) for lo, hi in row_tiles(n)])  # no workspace
+        monkeypatch.setattr(nets, "Workspace", CountingWorkspace)
+        got = model.energy(x)
+        sizes = [hi - lo for lo, hi in row_tiles(n)]
+        assert sizes[-1] < sizes[0]  # the last tile is the shorter one
+        assert len(allocations) == len(DENSITY_WIDTHS) - 1  # one per layer, by the first tile
+        assert np.array_equal(got, want)
+
+
 class TestPeakMemory:
     def test_density_evaluate_at_20k_draws(self):
         model = density_model()
