@@ -96,8 +96,6 @@ _KNOWN_KEYS = {
     "train.seed": (int, 0),
     "train.nce_nu": (_parse_optional_float, None),
     "train.mdn_learning_rate": (float, 1e-3),
-    "eval.samples": (int, 20000),
-    "eval.seed": (int, 0),
     "out.dir": (str, None),
 }
 
@@ -147,6 +145,7 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
                 config[key] = parser(raw[key])
             except ValueError as exc:
                 problems.append(f"{key}: {exc}")
+                config[key] = default  # so the checks below still run
         else:
             config[key] = default
 
@@ -170,6 +169,11 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
             problems.append(f"data.name {config['data.name']!r} does not belong to task {task!r}")
     if config["data.n"] is None:
         config["data.n"] = datasets.DEFAULT_REGRESSION_N if task == "regression" else datasets.DEFAULT_DENSITY_N
+    elif has_name:
+        try:
+            datasets.split_sizes(config["data.n"])
+        except ValueError as exc:
+            problems.append(f"data.n: {exc}")
     if config["data.standardize"] is None:
         config["data.standardize"] = task == "density"
     if config["train.proposal_samples"] is None:
@@ -204,10 +208,7 @@ def _load_split(config: dict):
         split = datasets.load_named(config["data.name"], config["data.n"], config["data.seed"])
     else:
         points = datasets.load_delimited(config["data.path"], has_header=config["data.has_header"])
-        n = points.shape[0]
-        n_train, n_val = (7 * n) // 10, n // 10
-        sizes = (n_train, n_val, n - n_train - n_val)
-        split = datasets.split_dataset(points, sizes, PortableRng(config["data.seed"]).split("split"))
+        split = datasets.split_70_10_20(points, config["data.seed"])
     standardizer = None
     if config["data.standardize"]:
         standardizer = datasets.fit_standardizer(split.train)
@@ -456,6 +457,11 @@ def _cmd_generate(args) -> int:
     n = args.n
     if n is None:
         n = datasets.DEFAULT_REGRESSION_N if args.dataset in datasets.REGRESSION_NAMES else datasets.DEFAULT_DENSITY_N
+    try:
+        datasets.split_sizes(n)
+    except ValueError as exc:
+        print(f"--n: {exc}", file=sys.stderr)
+        return 2
     split = datasets.load_named(args.dataset, n, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

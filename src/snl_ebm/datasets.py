@@ -148,12 +148,30 @@ def split_dataset(points: np.ndarray, sizes: tuple[int, int, int], rng: Portable
     )
 
 
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Train, validation and test rows of the 70/10/20 split of n rows.
+
+    Below 10 rows the validation split would be empty, so that is a
+    ``ValueError`` naming n.
+    """
+    if n < 10:
+        raise ValueError(f"the 70/10/20 split needs at least 10 rows, got n = {n}")
+    n_train, n_val = (7 * n) // 10, n // 10
+    return n_train, n_val, n - n_train - n_val
+
+
+def split_70_10_20(points: np.ndarray, seed: int) -> DatasetSplit:
+    """The 70/10/20 split of ``points``, permuted by the seed's "split" stream."""
+    return split_dataset(points, split_sizes(len(points)), PortableRng(seed).split("split"))
+
+
 def load_named(name: str, n: int, seed: int) -> DatasetSplit:
     """Generate a built-in dataset and split it 70/10/20, all from one seed.
 
     Draw and split use separate rng streams so the same rows land in the
     same splits whether generated here or through the CLI.
     """
+    split_sizes(n)  # a bad n fails here, before any generator sees it
     rng = PortableRng(seed)
     if name in DENSITY_NAMES:
         points = generate_density_2d(name, n, rng.split("draw"))
@@ -161,10 +179,7 @@ def load_named(name: str, n: int, seed: int) -> DatasetSplit:
         points = generate_regression_1d(name, n, rng.split("draw"))
     else:
         raise ValueError(f"unknown dataset {name!r}")
-    n_train = (7 * n) // 10
-    n_val = n // 10
-    sizes = (n_train, n_val, n - n_train - n_val)
-    return split_dataset(points, sizes, rng.split("split"))
+    return split_70_10_20(points, seed)
 
 
 @dataclass(frozen=True)

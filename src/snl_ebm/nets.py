@@ -32,27 +32,35 @@ import numpy as np
 
 from .rng import PortableRng
 
-# Rows per tile of a cache-free forward pass, and draws per tile of the
-# conditional energy grid. At 20k rows on a 2-CPU host (OpenBLAS 0.3.31) the
-# density net took 61 ms in one pass and 50 ms in 4096-row tiles, and a
-# 24-point conditional grid 44 ms and 35 ms; 2048- and 1024-row tiles ran that
-# grid in 41-42 ms.
-TILE_ROWS = 4096
+# Rows per tile of a cache-free forward pass. At 20k rows on a 2-CPU host
+# (OpenBLAS 0.3.31) the density net took 61 ms in one pass and 50 ms in
+# 4096-row tiles. At 2048 rows a tile of its 200-wide layer is 3.3 MB, and a
+# 20k-draw density evaluation peaks at 7 MB of numpy allocations, against
+# 13 MB at 4096, with the same output bits. The conditional energy grid
+# tiles its draws by its own constant, ``regression.DRAW_TILE``.
+TILE_ROWS = 2048
 
 
-def row_tiles(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of ceil(n / TILE_ROWS) near-equal tiles of n rows.
+def row_tiles(n: int, rows: int | None = None) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of ceil(n / rows) near-equal tiles of n rows; ``rows``
+    defaults to ``TILE_ROWS``.
 
     Every tile but the last has a multiple of 8 rows: tiles split elsewhere
     changed the last bit of some outputs (OpenBLAS 0.3.31), and with these a
     tiled pass has the bits of one pass when BLAS runs one thread. With two
     threads a one-pass gemv splits the rows between the threads at places
     that depend on n, so at some n (12289 and 20003 rows) the outputs of a
-    last layer one unit wide differ from one pass in the last bit.
+    last layer one unit wide differ from one pass in the last bit. Tiles of
+    1024 rows are too small: they cut 1025 rows into 520 + 505, and the
+    10-wide products of the conditional model (its head in ``energy_pairs``
+    at 1025 and 1280 rows, the y-branch's head projection at 1025 draws)
+    then differ from one pass in the last bit, at one and at two BLAS
+    threads.
     """
-    if n <= TILE_ROWS:
+    rows = TILE_ROWS if rows is None else rows
+    if n <= rows:
         return [(0, n)]
-    step = -(-n // -(-n // TILE_ROWS))
+    step = -(-n // -(-n // rows))
     step += -step % 8
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 

@@ -36,9 +36,9 @@ point; its docstring states the estimator of log Z_hat(x_i) and of both
 standard errors, which density evaluation shares. The y-branch runs once
 over all M draws, in row tiles of at most ``nets.TILE_ROWS``, and keeps only
 its (M, 10) contribution to the head's hidden layer. A block fills its
-energies one draw tile at a time through a (points, 10, tile) buffer, so the
-evaluation's working memory is a few (M, 10) arrays plus one tile of the
-y-branch, set by the draws and not by n.
+energies one draw tile of at most ``DRAW_TILE`` draws at a time through a
+(points, 10, tile) buffer, so the evaluation's working memory is a few
+(M, 10) arrays plus one tile of the y-branch, set by the draws and not by n.
 """
 
 from __future__ import annotations
@@ -62,11 +62,16 @@ NORMALIZER_WIDTHS = [FEATURE_WIDTHS[-1], 10, 1]
 # (point, draw) cells per block of an energy grid. A block is
 # max(1, GRID_CELLS // m) points against all m draws; it holds its (points, m)
 # energies and fills them through a (points, 10, tile) head hidden layer of
-# one draw tile (``nets.row_tiles(m)``): at most 10 * GRID_CELLS doubles
-# (5 MB), and 1 MB at m = 20k (3 points x 10 x 4000 draws). The evaluation
-# reduces each block before the next is made. At m = 20k, blocks of 2 to 4 points ran
-# fastest (2-CPU Xeon, OpenBLAS); larger ones leave the cache.
+# one draw tile (``nets.row_tiles(m, DRAW_TILE)``): at most 10 * GRID_CELLS
+# doubles (5 MB), and 1 MB at m = 20k (3 points x 10 x 4000 draws). The
+# evaluation reduces each block before the next is made. At m = 20k, blocks of
+# 2 to 4 points ran fastest (2-CPU Xeon, OpenBLAS); larger ones leave the cache.
 GRID_CELLS = 1 << 16
+# Draws per tile of a block's head hidden layer. This is not the network tile
+# ``nets.TILE_ROWS``: a 24-point grid at 20k draws ran in 35 ms with 4096-draw
+# tiles and in 41-42 ms with 2048 or 1024 (2-CPU host, OpenBLAS 0.3.31), and
+# one (3, 10, 4000) tile is only 1 MB.
+DRAW_TILE = 4096
 UNNORMALIZED_GAP = 50.0  # |log Z_hat(x) - b(x)| in nats beyond which the eval flags the model
 
 
@@ -129,7 +134,8 @@ class ConditionalEnergyModel:
         its head contribution are computed once per call, one row tile at a
         time. A block's hidden layer is laid out draw-major, (points, 10,
         tile), so the innermost loops run over the draws, and ``w2 @ z``
-        contracts the hidden axis; a block takes its draws in ``row_tiles``.
+        contracts the hidden axis; a block takes its draws in tiles of at
+        most ``DRAW_TILE``.
         """
         ys = np.asarray(ys, dtype=np.float64)
         if h is None:
@@ -149,7 +155,7 @@ class ConditionalEnergyModel:
         del workspace, g  # freed before the copy below, and not held while the caller reads blocks
         g_part = np.ascontiguousarray(g_rows.reshape(-1, m, width).transpose(0, 2, 1))  # (1 or n, 10, m)
         del g_rows
-        step, tiles = _block_points(m), row_tiles(m)
+        step, tiles = _block_points(m), row_tiles(m, DRAW_TILE)
         z = np.empty(min(step, n) * width * (tiles[0][1] - tiles[0][0]))
         for lo in range(0, n, step):
             hi = min(lo + step, n)

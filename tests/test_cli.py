@@ -103,6 +103,12 @@ class TestGenerate:
         assert code == 2
         assert "spiral" in err
 
+    def test_n_below_ten_names_the_flag(self, tmp_path, capsys):
+        code, _, err = run(capsys, "generate", "--dataset", "funnel", "--n", "0", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "--n" in err and "n = 0" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigErrors:
     def test_problems_are_collected_not_first_only(self, tmp_path, capsys):
@@ -170,6 +176,25 @@ class TestConfigErrors:
         code, _, err = run(capsys, "train", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
         assert "cannot read config file" in err
+
+    # 0 rows used to reach the generator, 5 rows trained on an empty validation split
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_data_n_below_ten(self, tmp_path, capsys, n):
+        code, _, err = run(capsys, "train", "--config", density_config(tmp_path), "--set", f"data.n={n}")
+        assert code == 2
+        assert f"data.n: the 70/10/20 split needs at least 10 rows, got n = {n}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_data_n_is_reported(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--config", density_config(tmp_path), "--set", "data.n=many")
+        assert code == 2
+        assert "data.n: invalid literal" in err
+
+    @pytest.mark.parametrize("key", ["eval.samples", "eval.seed"])
+    def test_eval_keys_are_unknown(self, tmp_path, capsys, key):
+        code, _, err = run(capsys, "train", "--config", density_config(tmp_path), "--set", f"{key}=5")
+        assert code == 2
+        assert f"unknown key {key!r}" in err
 
 
 class TestDensityPipeline:

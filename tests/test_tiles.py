@@ -1,5 +1,6 @@
-"""Cache-free forward passes and the conditional energy grid run in row tiles
-of at most ``nets.TILE_ROWS``: the same bits as one pass, one counted
+"""Cache-free forward passes run in row tiles of at most ``nets.TILE_ROWS``,
+and the conditional energy grid's head in draw tiles of at most
+``regression.DRAW_TILE``: the same bits as one pass, one counted
 ``Mlp.forward`` call per caller pass, and working memory that does not grow
 with the number of draws."""
 
@@ -8,22 +9,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snl_ebm import nets
+from snl_ebm import nets, regression
 from snl_ebm.evaluation import evaluate
 from snl_ebm.models import DENSITY_WIDTHS, MlpEnergy
 from snl_ebm.nets import TILE_ROWS, Mlp, row_tiles
 from snl_ebm.proposals import StandardGaussian
-from snl_ebm.regression import ConditionalEnergyModel, eval_regression_l_is
+from snl_ebm.regression import DRAW_TILE, ConditionalEnergyModel, eval_regression_l_is
 from snl_ebm.rng import PortableRng
 
 
 def one_pass(monkeypatch, fn, n):
-    """``fn()`` with tiles large enough that n rows run in one piece."""
+    """``fn()`` with row and draw tiles large enough that n rows run in one piece."""
     monkeypatch.setattr(nets, "TILE_ROWS", n)
+    monkeypatch.setattr(regression, "DRAW_TILE", n)
     try:
         return fn()
     finally:
         monkeypatch.setattr(nets, "TILE_ROWS", TILE_ROWS)
+        monkeypatch.setattr(regression, "DRAW_TILE", DRAW_TILE)
 
 
 def density_model():
@@ -52,7 +55,8 @@ def peak_bytes(fn):
 
 
 class TestRowTiles:
-    @pytest.mark.parametrize("n", [0, 1, TILE_ROWS, TILE_ROWS + 1, 7000, 20000, 20003, 160801])
+    @pytest.mark.parametrize("n", [0, 1, TILE_ROWS, TILE_ROWS + 1, DRAW_TILE, DRAW_TILE + 1,
+                                   7000, 20000, 20003, 160801])
     def test_tiles_cover_the_rows_in_near_equal_pieces(self, n):
         tiles = row_tiles(n)
         assert len(tiles) == max(1, -(-n // TILE_ROWS))
@@ -64,18 +68,21 @@ class TestRowTiles:
         assert max(sizes) - min(sizes) < 8 * len(tiles)  # no tiny tail tile
 
     def test_twenty_thousand_rows_make_five_tiles_of_4000(self):
-        assert row_tiles(20000) == [(lo, lo + 4000) for lo in range(0, 20000, 4000)]
+        assert row_tiles(20000, DRAW_TILE) == [(lo, lo + 4000) for lo in range(0, 20000, 4000)]
+
+    def test_twenty_thousand_rows_make_ten_net_tiles_of_2000(self):
+        assert row_tiles(20000) == [(lo, lo + 2000) for lo in range(0, 20000, 2000)]
 
 
 class TestSameBits:
-    @pytest.mark.parametrize("n", [20000, TILE_ROWS + 1])
+    @pytest.mark.parametrize("n", [20000, TILE_ROWS + 1, DRAW_TILE + 1])
     def test_density_net(self, monkeypatch, n):
         model = density_model()
         x = PortableRng(n).normal((n, 2))
         want = one_pass(monkeypatch, lambda: model.energy(x), n)
         assert np.array_equal(model.energy(x), want)
 
-    @pytest.mark.parametrize("n", [20000, TILE_ROWS + 1])
+    @pytest.mark.parametrize("n", [20000, TILE_ROWS + 1, DRAW_TILE + 1])
     def test_feature_and_y_nets(self, monkeypatch, n):
         model = ConditionalEnergyModel(PortableRng(3))
         x = PortableRng(n).normal(n)
@@ -87,6 +94,7 @@ class TestSameBits:
         (3, (20000,)),            # the evaluation's shared draws: 5 draw tiles
         (286, (286, 16)),         # the validation's per-point draws: 4576 y-branch rows
         (2, (TILE_ROWS + 1,)),
+        (2, (DRAW_TILE + 1,)),    # one draw past the head's draw tile
     ])
     def test_energy_grid_shared(self, monkeypatch, n, draws):
         model = ConditionalEnergyModel(PortableRng(3))
@@ -95,6 +103,15 @@ class TestSameBits:
         rows = int(np.prod(draws))
         want = one_pass(monkeypatch, lambda: model.energy_grid_shared(x, ys), rows)
         assert np.array_equal(model.energy_grid_shared(x, ys), want)
+
+    # the head's 138 -> 10 -> 1 pass; 1024-row tiles change its last bits here
+    @pytest.mark.parametrize("n", [TILE_ROWS + 1, TILE_ROWS * 5 // 4, 20000])
+    def test_energy_pairs(self, monkeypatch, n):
+        model = ConditionalEnergyModel(PortableRng(3))
+        x = PortableRng(n).normal(n)
+        y = PortableRng(n + 1).normal(n)
+        want = one_pass(monkeypatch, lambda: model.energy_pairs(x, y), n)
+        assert np.array_equal(model.energy_pairs(x, y), want)
 
 
 class TestOneCall:
@@ -109,7 +126,7 @@ class TestOneCall:
         model = ConditionalEnergyModel(PortableRng(3))
         calls = count_forward(monkeypatch)
         model.energy_grid_shared(np.zeros(2), PortableRng(5).normal(20000))
-        assert calls == [2] + [4000] * 5  # the feature net, then the y-branch tiles
+        assert calls == [2] + [2000] * 10  # the feature net, then the y-branch tiles
 
 
 class TestShortLastTile:
@@ -141,7 +158,7 @@ class TestPeakMemory:
         model = density_model()
         data = {"test": PortableRng(10).normal((2000, 2))}
         peak = peak_bytes(lambda: evaluate(model, 0.0, data, StandardGaussian(2), n_samples=20000, seed=0))
-        assert peak < 20 * 2**20  # one untiled pass peaked at 46 MB
+        assert peak < 10 * 2**20  # 13 MB in 4096-row tiles, 46 MB in one pass
 
     def test_conditional_eval_at_400_points_and_20k_draws(self):
         model = ConditionalEnergyModel(PortableRng(67))
@@ -149,4 +166,4 @@ class TestPeakMemory:
         y = PortableRng(69).normal(400)
         peak = peak_bytes(lambda: eval_regression_l_is(model, (x, y), StandardGaussian(1), n_samples=20000,
                                                        rng=PortableRng(70)))
-        assert peak < 16 * 2**20  # one untiled y-branch peaked at 30 MB
+        assert peak < 7.5 * 2**20  # 9.5 MB in 4096-row tiles, 30 MB in one pass
