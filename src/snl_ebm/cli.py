@@ -51,6 +51,8 @@ def _parse_widths(text: str) -> list[int]:
     out = [int(p) for p in text.split(",") if p.strip()]
     if len(out) < 2:
         raise ValueError("widths need at least input and output sizes")
+    if min(out) < 1:
+        raise ValueError(f"widths must be positive, got {text.strip()!r}")
     return out
 
 
@@ -98,6 +100,27 @@ _KNOWN_KEYS = {
     "train.mdn_learning_rate": (float, 1e-3),
     "out.dir": (str, None),
 }
+
+
+# training-config fields whose key is not "train." + the field name
+_TRAIN_FIELD_KEYS = {"samples_per_point": "train.proposal_samples"}
+
+
+def _train_config(config: dict):
+    """The task's ``TrainConfig`` or ``RegressionTrainConfig`` from the resolved keys."""
+    common = dict(
+        objective=config["train.objective"],
+        epochs=config["train.epochs"],
+        learning_rate=config["train.learning_rate"],
+        batch_size=config["train.batch_size"],
+        seed=config["train.seed"],
+        nce_nu=config["train.nce_nu"],
+    )
+    if config["task"] == "regression":
+        return regression.RegressionTrainConfig(samples_per_point=config["train.proposal_samples"],
+                                                mdn_learning_rate=config["train.mdn_learning_rate"], **common)
+    return training.TrainConfig(proposal_samples=config["train.proposal_samples"],
+                                optimizer=config["train.optimizer"], **common)
 
 
 def read_config(path: str | None, overrides: list[str]) -> dict:
@@ -182,6 +205,14 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
         problems.append("proposal.kind mdn is only available for the regression task")
     if config.get("proposal.components", 1) < 1:
         problems.append(f"proposal.components must be at least 1, got {config['proposal.components']}")
+    if task == "density":
+        widths = config["model.widths"]
+        if widths[-1] != 1:
+            problems.append(f"model.widths: a density energy has one output, got a last width of {widths[-1]}")
+        if has_name and widths[0] != 2:  # every named density dataset is 2-D
+            problems.append(f"model.widths: {config['data.name']} is 2-D, got a first width of {widths[0]}")
+    for name, message in _train_config(config).problems():
+        problems.append(f"{_TRAIN_FIELD_KEYS.get(name, 'train.' + name)}: {message}")
 
     if problems:
         raise ConfigError(problems)
@@ -296,17 +327,7 @@ def _train_density(config: dict, out_dir: Path) -> int:
     base = StandardGaussian(config["model.widths"][0]) if config["model.base"] == "gaussian" else None
     model = MlpEnergy(config["model.widths"], base=base, rng=PortableRng(config["model.seed"]).split("model"))
     proposal = _build_density_proposal(config["proposal.kind"], split.train)
-    train_config = training.TrainConfig(
-        objective=config["train.objective"],
-        epochs=config["train.epochs"],
-        learning_rate=config["train.learning_rate"],
-        batch_size=config["train.batch_size"],
-        proposal_samples=config["train.proposal_samples"],
-        optimizer=config["train.optimizer"],
-        seed=config["train.seed"],
-        nce_nu=config["train.nce_nu"],
-    )
-    result = training.train_density(model, proposal, split.train, split.val, train_config)
+    result = training.train_density(model, proposal, split.train, split.val, _train_config(config))
 
     with open(out_dir / "metrics.csv", "w") as fh:
         fh.write("epoch,train_snl,val_snl,b,seconds\n")
@@ -399,17 +420,8 @@ def _train_regression(config: dict, out_dir: Path) -> int:
     normalizer = regression.NormalizerNet(rng.split("normalizer")) if config["model.normalizer"] else None
     proposal = _build_regression_proposal(config, y_tr, rng.split("proposal-init"))
     eval_proposal = fit_gaussian(y_tr.reshape(-1, 1))
-    train_config = regression.RegressionTrainConfig(
-        objective=config["train.objective"],
-        epochs=config["train.epochs"],
-        learning_rate=config["train.learning_rate"],
-        batch_size=config["train.batch_size"],
-        samples_per_point=config["train.proposal_samples"],
-        seed=config["train.seed"],
-        nce_nu=config["train.nce_nu"],
-        mdn_learning_rate=config["train.mdn_learning_rate"],
-    )
-    result = regression.train_regression(model, normalizer, proposal, (x_tr, y_tr), (x_val, y_val), train_config)
+    result = regression.train_regression(model, normalizer, proposal, (x_tr, y_tr), (x_val, y_val),
+                                         _train_config(config))
 
     with open(out_dir / "metrics.csv", "w") as fh:
         fh.write("epoch,train_objective,val_snl,seconds\n")
@@ -491,7 +503,11 @@ def _cmd_eval(args) -> int:
     if args.samples < 1:
         print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
-    seeds = [int(p) for p in str(args.seeds).split(",") if p.strip() != ""]
+    try:
+        seeds = [int(p) for p in str(args.seeds).split(",") if p.strip() != ""]
+    except ValueError:
+        print(f"--seeds must be comma-separated integers, got {args.seeds!r}", file=sys.stderr)
+        return 2
     if not seeds:
         print(f"--seeds must name at least one seed, got {args.seeds!r}", file=sys.stderr)
         return 2
@@ -544,14 +560,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    if args.resolution < 1:
+        print(f"--resolution must be at least 1, got {args.resolution}", file=sys.stderr)
+        return 2
     model, b, standardizer, proposal, _ = load_density_checkpoint(args.checkpoint)
     dim = model.net.widths[0]
     if args.bounds is not None:
-        flat = [float(v) for v in args.bounds.split(",")]
+        try:
+            flat = [float(v) for v in args.bounds.split(",")]
+        except ValueError:
+            flat = []
         if len(flat) != 2 * dim:
-            print(f"--bounds needs {2 * dim} comma-separated numbers", file=sys.stderr)
+            print(f"--bounds needs {2 * dim} comma-separated numbers, got {args.bounds!r}", file=sys.stderr)
             return 2
         bounds = np.array(flat).reshape(dim, 2)
+        if not np.all(bounds[:, 0] < bounds[:, 1]):
+            print(f"--bounds needs each low below its high, got {args.bounds!r}", file=sys.stderr)
+            return 2
     else:
         bounds = np.tile([-4.0, 4.0], (dim, 1))
     grid = evaluation.density_grid(model, b, bounds, resolution=args.resolution)

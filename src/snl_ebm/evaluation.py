@@ -155,7 +155,7 @@ def density_grid(model, b: float, bounds: np.ndarray, resolution: int = 200) -> 
         raise ValueError("grid export supports 1- and 2-dimensional models only")
     points = grid_points(bounds, resolution)
     energy = model.energy(points)
-    unnorm = -energy  # weight_log_numerator, from the one pass over the lattice
+    unnorm = -energy  # -E + log d, the weights' numerator, from the one pass over the lattice
     if model.base is not None:
         unnorm = unnorm + model.base.log_density(points)
     return DensityGrid(

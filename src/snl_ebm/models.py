@@ -12,9 +12,9 @@ reference measure. Two conventions coexist and are made explicit per model:
   values are relative to Lebesgue measure; the data term is -E + log d.
   MLP energies with a Gaussian base follow this convention.
 
-Either way ``weight_log_numerator`` (-E + log d, or -E without a base) is
-what importance weights compare against the proposal density, and
-``unnorm_log_density`` is what enters data terms and reports.
+Either way importance weights compare -E + log d (-E without a base) against
+the proposal density (``objectives.log_weights``), and ``unnorm_log_density``
+is what enters data terms and reports.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ class EnergyModel:
     def energy(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        """sum_i cotangent_i * dE(x_i)/dtheta as a flat vector."""
+    def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
+        """(energies, vjp): vjp(cotangent) is sum_i cotangent_i * dE(x_i)/dtheta
+        as a flat vector. MLP energies share one forward pass between the two,
+        made in ``workspace`` (a ``nets.Workspace``) when one is given."""
         raise NotImplementedError
 
-    def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
-        """(energies, cotangent -> flat grad); MLP energies share one forward
-        pass, made in ``workspace`` (a ``nets.Workspace``) when one is given."""
-        return self.energy(x), lambda cotangent: self.energy_vjp(x, cotangent)
+    def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        return self.energy_vjp_prepared(x)[1](cotangent)
 
     @property
     def theta(self) -> np.ndarray:
@@ -65,20 +65,9 @@ class EnergyModel:
     def n_params(self) -> int:
         return self.theta.shape[0]
 
-    def param_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of E at a single point (convenience wrapper over the vjp)."""
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        return self.energy_vjp(x, np.ones(1))
-
     def unnorm_log_density(self, x: np.ndarray) -> np.ndarray:
         u = -self.energy(x)
         if self.base is not None and not self.base_is_carrier:
-            u = u + self.base.log_density(x)
-        return u
-
-    def weight_log_numerator(self, x: np.ndarray) -> np.ndarray:
-        u = -self.energy(x)
-        if self.base is not None:
             u = u + self.base.log_density(x)
         return u
 
@@ -118,9 +107,9 @@ class LinearOracle(EnergyModel):
         x = np.asarray(x, dtype=np.float64)
         return -self._theta[0] * x[:, 0]
 
-    def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+    def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
         x = np.asarray(x, dtype=np.float64)
-        return np.array([-float(np.dot(cotangent, x[:, 0]))])
+        return self.energy(x), lambda cotangent: np.array([-float(np.dot(cotangent, x[:, 0]))])
 
 
 class GaussianMeanModel(LinearOracle):
@@ -203,10 +192,6 @@ class MlpEnergy(EnergyModel):
     def energy(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.net.forward(np.asarray(x, dtype=np.float64), keep_cache=False)
         return out[:, 0]
-
-    def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        _, cache = self.net.forward(np.asarray(x, dtype=np.float64))
-        return self.net.backward(cache, np.asarray(cotangent, dtype=np.float64).reshape(-1, 1))
 
     def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
         """One forward pass shared between the energy values and later vjp

@@ -72,21 +72,6 @@ class ImportanceBatch:
 
 
 @dataclass(frozen=True)
-class ZEstimate:
-    """Importance-sampling estimate of Z.
-
-    ``mean_weight`` is exp(log_mean_weight) and may overflow for badly scaled
-    problems; stable consumers work with ``log_mean_weight`` directly.
-    ``standard_error`` is the sample standard error of the weight mean.
-    """
-
-    mean_weight: float
-    log_mean_weight: float
-    standard_error: float
-    count: int
-
-
-@dataclass(frozen=True)
 class SnlValue:
     value: float
     data_term: float
@@ -152,28 +137,15 @@ def log_weights(model, batch: ImportanceBatch) -> np.ndarray:
     return logw
 
 
-def estimate_z(model, batch: ImportanceBatch) -> ZEstimate:
-    """Unbiased importance estimate of Z for the model's reference measure."""
+def estimate_z(model, batch: ImportanceBatch) -> float:
+    """log Z_hat, the log of the unbiased importance estimate of Z (the mean
+    weight) for the model's reference measure, formed in log space."""
     if batch.m == 0:
         raise ValueError("empty importance batch")
     logw = log_weights(model, batch)
     if np.all(np.isneginf(logw)):
         raise DegenerateProposalError("all importance weights underflowed to zero")
-    m = batch.m
-    log_mean = float(logsumexp(logw) - np.log(m))
-    top = float(np.max(logw))
-    scaled = np.exp(logw - top)
-    scaled_mean = float(scaled.mean())
-    if m > 1:
-        sd = float(np.sqrt(np.sum((scaled - scaled_mean) ** 2) / (m - 1)))
-    else:
-        sd = 0.0
-    return ZEstimate(
-        mean_weight=float(np.exp(log_mean)),
-        log_mean_weight=log_mean,
-        standard_error=float(np.exp(top) * sd / np.sqrt(m)),
-        count=m,
-    )
+    return float(logsumexp(logw) - np.log(batch.m))
 
 
 def snl_objective(model, b: float, data: np.ndarray, log_z: float) -> SnlValue:

@@ -3,7 +3,8 @@
 Unconditional distributions expose log_density/sample and serialize to plain
 descriptors. The mixture-density proposal is conditional: its parameter heads
 map a fixed feature vector per data point to mixture weights, means, and
-scales, and it is fitted by maximum likelihood on observed pairs.
+scales, and regression training refits it by one maximum-likelihood step
+(``loglik_gradient``) per energy step.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from . import serialize
 from .errors import DegenerateProposalError
-from .nets import Mlp, bind
+from .nets import Mlp
 from .objectives import ImportanceBatch, logsumexp
-from .optim import AdamState, adam_step
 from .rng import PortableRng
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -49,6 +48,10 @@ class FittedGaussian:
         self.dim = self.mean.shape[0]
         if self.cov.shape != (self.dim, self.dim):
             raise ValueError("covariance shape does not match mean")
+        # imported here, so that ``import snl_ebm`` does not load scipy.linalg:
+        # 44-59 ms of a ~0.6 s package import (2-CPU host) that runs without it
+        from scipy.linalg import cholesky, solve_triangular
+
         self._chol = cholesky(self.cov, lower=True)
         # scipy's LAPACK is a second OpenBLAS with its own thread pool; a
         # per-call triangular solve left it spinning against numpy's BLAS
@@ -267,9 +270,6 @@ class MdnProposal:
         z = rng.normal((n, m))
         return heads.mu[rows, k] + heads.sigma[rows, k] * z
 
-    def log_likelihood(self, features: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.log_density(features, np.asarray(y).ravel())))
-
     def loglik_gradient(self, features: np.ndarray, y: np.ndarray, heads: MdnHeads | None = None):
         """(mean log-likelihood, flat ascent gradient) treating features as constant."""
         if heads is None:
@@ -303,50 +303,6 @@ class MdnProposal:
             "mu": serialize.fmt_vector(self.mu_net.theta),
             "scale": serialize.fmt_vector(self.scale_net.theta),
         }
-
-
-def mdn_log_likelihood_and_fit(
-    mdn: MdnProposal,
-    features: np.ndarray,
-    targets: np.ndarray,
-    epochs: int = 200,
-    learning_rate: float = 1e-2,
-    batch_size: int | None = None,
-    rng: PortableRng | None = None,
-) -> list[float]:
-    """Fit the MDN by maximum likelihood; returns per-epoch mean log-likelihood.
-
-    Full-batch Adam unless a batch size is given (then minibatches are drawn
-    by seeded permutation each epoch). A non-finite loss or gradient stops
-    the fit, keeping the last finite parameters.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64).ravel()
-    n = features.shape[0]
-    params = bind(mdn.nets)
-    state = AdamState.fresh(params.size)
-    history = []
-    before_last_step = params.copy()
-    shuffler = rng.split("mdn-shuffle") if rng is not None else None
-    for _ in range(epochs):
-        if batch_size is None or batch_size >= n:
-            batches = [np.arange(n)]
-        else:
-            order = shuffler.permutation(n) if shuffler is not None else np.arange(n)
-            batches = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
-        epoch_ll = []
-        for idx in batches:
-            value, grad = mdn.loglik_gradient(features[idx], targets[idx])
-            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-                params[...] = before_last_step  # drop the step that went non-finite
-                if epoch_ll:
-                    history.append(float(np.mean(epoch_ll)))
-                return history
-            before_last_step[...] = params
-            adam_step(params, grad, state, learning_rate)
-            epoch_ll.append(value)
-        history.append(float(np.mean(epoch_ll)))
-    return history
 
 
 def from_descriptor(desc: dict):

@@ -52,7 +52,7 @@ from .objectives import bound_pair, check_finite_energies, divergence_diagnostic
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal
 from .rng import PortableRng
-from .training import run_epochs, validate_common
+from .training import config_problems, raise_problems, run_epochs
 
 FEATURE_WIDTHS = [1, 10, 10, 10]
 Y_WIDTHS = [1, 16, 32, 64, 128]
@@ -235,15 +235,11 @@ class RegressionTrainConfig:
     mdn_learning_rate: float = 1e-3
     divergence_patience: int = 5
 
+    def problems(self) -> list[tuple[str, str]]:
+        return config_problems(self, ("learning_rate", "batch_size", "samples_per_point", "mdn_learning_rate"))
+
     def validate(self) -> None:
-        if self.objective not in ("snl", "nce"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.epochs < 0:  # zero epochs legal: returns the initial parameters
-            raise ValueError("epochs must be nonnegative")
-        for name in ("batch_size", "samples_per_point", "learning_rate", "mdn_learning_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        validate_common(self)
+        raise_problems(self.problems())
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,28 @@ from .proposals import sample_and_score
 from .rng import PortableRng
 
 
-def validate_common(config) -> None:
-    """Checks shared by the density and regression training configs."""
+def config_problems(config, positive: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(field, message) for every bad field of a density or regression
+    training config; the fields named in ``positive`` must be above 0."""
+    out = []
+    if config.objective not in ("snl", "nce"):
+        out.append(("objective", f"unknown objective {config.objective!r}"))
+    if config.epochs < 0:  # zero epochs legal: returns the initial state
+        out.append(("epochs", f"epochs must be nonnegative, got {config.epochs}"))
+    for name in positive:
+        if not getattr(config, name) > 0:
+            out.append((name, f"{name} must be positive, got {getattr(config, name)!r}"))
     if config.divergence_patience < 1:
-        raise ValueError("divergence_patience must be at least 1")
+        out.append(("divergence_patience", f"divergence_patience must be at least 1, got {config.divergence_patience}"))
     if config.nce_nu is not None and not config.nce_nu > 0:
-        raise ValueError(f"nce_nu must be positive, got {config.nce_nu!r}")
+        out.append(("nce_nu", f"nce_nu must be positive, got {config.nce_nu!r}"))
+    return out
+
+
+def raise_problems(problems: list[tuple[str, str]]) -> None:
+    """One ValueError that lists every message of ``config_problems``."""
+    if problems:
+        raise ValueError("; ".join(message for _, message in problems))
 
 
 @dataclass
@@ -63,19 +79,14 @@ class TrainConfig:
     nce_nu: float | None = None  # None -> proposal_samples / batch_size
     divergence_patience: int = 5
 
-    def validate(self) -> None:
-        if self.objective not in ("snl", "nce"):
-            raise ValueError(f"unknown objective {self.objective!r}")
+    def problems(self) -> list[tuple[str, str]]:
+        out = config_problems(self, ("learning_rate", "batch_size", "proposal_samples"))
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.epochs < 0:  # zero epochs legal: returns the initial state
-            raise ValueError("epochs must be nonnegative")
-        for name in ("batch_size", "proposal_samples"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        validate_common(self)
+            out.append(("optimizer", f"unknown optimizer {self.optimizer!r}"))
+        return out
+
+    def validate(self) -> None:
+        raise_problems(self.problems())
 
 
 @dataclass
@@ -112,7 +123,7 @@ class TrainResult:
 
 def init_b(model, batch: ImportanceBatch) -> float:
     """Log mean importance weight at the current parameters (the running log Z)."""
-    return estimate_z(model, batch).log_mean_weight
+    return estimate_z(model, batch)
 
 
 def optimizer_step(
@@ -260,8 +271,7 @@ def train_density(
         opt_state = optimizer_step(params, grad, config.learning_rate, config.optimizer, opt_state)
 
     def validate(epoch):
-        est = estimate_z(model, val_batch)
-        return snl_objective(model, float(params[-1]), val_data, est.log_mean_weight).value
+        return snl_objective(model, float(params[-1]), val_data, estimate_z(model, val_batch)).value
 
     history, best_epoch, best = run_epochs(
         config, params, lambda epoch: shuffle_rng.permutation(train_data.shape[0]), step, take, validate,

@@ -2,9 +2,11 @@
 
 These are the textbook forms of the SNL and NCE gradients, the closed-form
 gradients of models with an exact normalizer, a 1-D maximization over b,
-and quadrature with the generalized KL divergence. The package trains and
-evaluates through ``objectives.step_terms`` and ``objectives.bound_pair``;
-nothing in it imports this module.
+quadrature with the generalized KL divergence, single-point energy
+gradients and weight numerators, the importance-weight mean with its
+standard error, and a maximum-likelihood fit of the MDN proposal. The
+package trains and evaluates through ``objectives.step_terms`` and
+``objectives.bound_pair``; nothing in it imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,62 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, log_expit
 
-from snl_ebm.objectives import GradientEstimate, ImportanceBatch, log_weights, logsumexp
+from snl_ebm.nets import bind
+from snl_ebm.objectives import GradientEstimate, ImportanceBatch, estimate_z, log_weights, logsumexp
+from snl_ebm.optim import AdamState, adam_step
+from snl_ebm.rng import PortableRng
+
+
+def param_gradient(model, x: np.ndarray) -> np.ndarray:
+    """Gradient of E at a single point, through the model's vjp."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return model.energy_vjp(x, np.ones(1))
+
+
+def weight_log_numerator(model, x: np.ndarray) -> np.ndarray:
+    """-E(x) + log d(x), or -E(x) without a base: what an importance weight
+    compares against the proposal density, whether the base is a carrier or
+    a tilt."""
+    u = -model.energy(x)
+    if model.base is not None:
+        u = u + model.base.log_density(x)
+    return u
+
+
+@dataclass(frozen=True)
+class ZEstimate:
+    """Importance-sampling estimate of Z.
+
+    ``mean_weight`` is exp(log_mean_weight) and may overflow for badly scaled
+    problems. ``standard_error`` is the sample standard error of the weight
+    mean.
+    """
+
+    mean_weight: float
+    log_mean_weight: float
+    standard_error: float
+    count: int
+
+
+def z_estimate(model, batch: ImportanceBatch) -> ZEstimate:
+    """``objectives.estimate_z`` with the weight mean, its standard error and
+    the draw count; the spread is taken on weights scaled by the largest one."""
+    log_mean = estimate_z(model, batch)
+    logw = log_weights(model, batch)
+    m = batch.m
+    top = float(np.max(logw))
+    scaled = np.exp(logw - top)
+    scaled_mean = float(scaled.mean())
+    if m > 1:
+        sd = float(np.sqrt(np.sum((scaled - scaled_mean) ** 2) / (m - 1)))
+    else:
+        sd = 0.0
+    return ZEstimate(
+        mean_weight=float(np.exp(log_mean)),
+        log_mean_weight=log_mean,
+        standard_error=float(np.exp(top) * sd / np.sqrt(m)),
+        count=m,
+    )
 
 
 def variational_log_bound(z: float, lam: float) -> float:
@@ -84,7 +141,7 @@ def maximize_over_b(data_term: float, log_z: float) -> tuple[float, float]:
 
 def nce_scores(model, b: float, x: np.ndarray, proposal) -> np.ndarray:
     """Classifier logit G(x) = [-E(x) + log d(x) - b] - log q(x)."""
-    g = model.weight_log_numerator(x) - b - proposal.log_density(x)
+    g = weight_log_numerator(model, x) - b - proposal.log_density(x)
     return g
 
 
@@ -183,3 +240,55 @@ def generalized_kl(f1, f2, quadrature: Quadrature) -> float:
     log_ratio = np.zeros_like(v1)
     log_ratio[support] = np.log(v1[support]) - np.log(v2[support])
     return float(np.sum(w[support] * v1[support] * log_ratio[support]) + mass2 - mass1)
+
+
+# -- mixture density proposal ------------------------------------------------
+
+
+def mdn_log_likelihood(mdn, features: np.ndarray, y: np.ndarray) -> float:
+    """Mean conditional log q(y | features) of an ``MdnProposal``."""
+    return float(np.mean(mdn.log_density(features, np.asarray(y).ravel())))
+
+
+def mdn_log_likelihood_and_fit(
+    mdn,
+    features: np.ndarray,
+    targets: np.ndarray,
+    epochs: int = 200,
+    learning_rate: float = 1e-2,
+    batch_size: int | None = None,
+    rng: PortableRng | None = None,
+) -> list[float]:
+    """Fit the MDN by maximum likelihood; returns per-epoch mean log-likelihood.
+
+    Full-batch Adam unless a batch size is given (then minibatches are drawn
+    by seeded permutation each epoch). A non-finite loss or gradient stops
+    the fit, keeping the last finite parameters.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64).ravel()
+    n = features.shape[0]
+    params = bind(mdn.nets)
+    state = AdamState.fresh(params.size)
+    history = []
+    before_last_step = params.copy()
+    shuffler = rng.split("mdn-shuffle") if rng is not None else None
+    for _ in range(epochs):
+        if batch_size is None or batch_size >= n:
+            batches = [np.arange(n)]
+        else:
+            order = shuffler.permutation(n) if shuffler is not None else np.arange(n)
+            batches = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
+        epoch_ll = []
+        for idx in batches:
+            value, grad = mdn.loglik_gradient(features[idx], targets[idx])
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+                params[...] = before_last_step  # drop the step that went non-finite
+                if epoch_ll:
+                    history.append(float(np.mean(epoch_ll)))
+                return history
+            before_last_step[...] = params
+            adam_step(params, grad, state, learning_rate)
+            epoch_ll.append(value)
+        history.append(float(np.mean(epoch_ll)))
+    return history

@@ -196,6 +196,33 @@ class TestConfigErrors:
         assert code == 2
         assert f"unknown key {key!r}" in err
 
+    @pytest.mark.parametrize("task, setting", [
+        ("density", "train.epochs=-2"),
+        ("density", "train.batch_size=0"),
+        ("density", "train.learning_rate=0"),
+        ("density", "train.proposal_samples=0"),
+        ("density", "train.nce_nu=-1"),
+        ("density", "model.widths=2,5,3"),  # a density energy has one output
+        ("density", "model.widths=3,8,1"),  # checkerboard is 2-D
+        ("density", "model.widths=2,0,1"),
+        ("regression", "train.proposal_samples=0"),
+        ("regression", "train.mdn_learning_rate=0"),
+    ], ids=str)
+    def test_bad_training_value_is_a_config_problem(self, tmp_path, capsys, task, setting):
+        config, run_dir = {"density": (density_config, "run"), "regression": (regression_config, "reg")}[task]
+        code, _, err = run(capsys, "train", "--config", config(tmp_path), "--set", setting)
+        assert code == 2
+        assert f"{setting.split('=')[0]}: " in err
+        assert not (tmp_path / run_dir).exists()
+
+    def test_bad_training_values_are_collected(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--config", density_config(tmp_path),
+                           "--set", "train.epochs=-2", "--set", "train.batch_size=0")
+        assert code == 2
+        assert "train.epochs: epochs must be nonnegative, got -2" in err
+        assert "train.batch_size: batch_size must be positive, got 0" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestDensityPipeline:
     def test_train_writes_everything(self, tmp_path, capsys):
@@ -331,6 +358,16 @@ class TestDensityPipeline:
         assert code == 2
         assert "--bounds needs 4" in err
 
+    @pytest.mark.parametrize("flag", ["--resolution=0", "--resolution=-3", "--bounds=a,b,c,d", "--bounds=1,0,0,1"])
+    def test_grid_rejects_malformed_flags(self, tmp_path, capsys, flag):
+        run(capsys, "train", "--config", density_config(tmp_path))
+        ckpt = str(tmp_path / "run" / "checkpoint_best.json")
+        code, out, err = run(capsys, "grid", "--checkpoint", ckpt, "--out", str(tmp_path / "g.csv"), flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(flag.split("=")[0] + " ")
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestRegressionPipeline:
     def test_train_eval_roundtrip(self, tmp_path, capsys):
@@ -424,3 +461,15 @@ class TestSetOnlyConfig:
         assert code == 0
         assert "trained 0 epochs" in out
         assert (tmp_path / "ovr" / "checkpoint_final.json").exists()
+
+
+@pytest.mark.parametrize("config, run_dir", [(density_config, "run"), (regression_config, "reg")])
+def test_eval_rejects_malformed_seeds(tmp_path, capsys, config, run_dir):
+    assert run(capsys, "train", "--config", config(tmp_path))[0] == 0
+    ckpt = str(tmp_path / run_dir / "checkpoint_final.json")
+    out_file = tmp_path / "report.txt"
+    code, out, err = run(capsys, "eval", "--checkpoint", ckpt, "--seeds", "a,b", "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("--seeds must be comma-separated integers")
+    assert not out_file.exists()

@@ -19,7 +19,6 @@ from snl_ebm.proposals import (
     MdnProposal,
     StandardGaussian,
     fit_gaussian,
-    mdn_log_likelihood_and_fit,
     sample_and_score,
 )
 from snl_ebm.regression import (
@@ -31,6 +30,7 @@ from snl_ebm.regression import (
 )
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import TrainConfig, fused_step, init_b, train_density
+from reference import mdn_log_likelihood_and_fit
 
 
 def pure_adam(m, v, t, grad, lr):

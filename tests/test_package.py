@@ -10,12 +10,22 @@ import snl_ebm
 from snl_ebm import evaluation, objectives, regression, training
 
 
-def test_import_does_not_load_scipy_optimize():
+def fresh_import_loads(module: str) -> bool:
+    """Whether ``import snl_ebm`` in a new interpreter loads ``module``."""
     src = str(Path(snl_ebm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, snl_ebm; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, snl_ebm; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_optimize():
+    assert not fresh_import_loads("scipy.optimize")
+
+
+def test_import_does_not_load_scipy_linalg():
+    # only FittedGaussian needs it, and it imports it when one is built
+    assert not fresh_import_loads("scipy.linalg")
 
 
 def test_benchmark_hook_points_exist():
