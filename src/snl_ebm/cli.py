@@ -8,15 +8,18 @@ Subcommands:
     grid       tabulate energy and log-density on a lattice
 
 Training is configured by a flat key = value file ('#' starts a comment)
-plus repeatable --set key=value overrides; unknown keys, bad values, and
-missing required keys are all collected and reported together with exit
-code 2. Runtime failures exit 1. Checkpoints store every float as a %.17g
-string so a reload reproduces the exact parameter vector.
+plus repeatable --set key=value overrides. Unknown keys, bad values, missing
+required keys and keys set that the run does not read (``_KNOWN_KEYS``) are
+collected and reported together with exit code 2, as is a data.path file with
+the wrong column count or fewer than 10 rows; either way nothing is written.
+Runtime failures exit 1. Checkpoints store every float as a %.17g string so a
+reload reproduces the exact parameter vector.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -74,31 +77,41 @@ def _parse_optional_float(text: str):
 
 _ALL_NAMES = datasets.DENSITY_NAMES + datasets.REGRESSION_NAMES
 
-# key -> (parser, default); None default means unset.
+# when a run reads a key: condition -> (the runs that read it, test on the resolved config)
+_READ_WHEN = {
+    "density": ("density runs", lambda c: c["task"] == "density"),
+    "regression": ("regression runs", lambda c: c["task"] == "regression"),
+    "mdn": ("regression runs with proposal.kind = mdn", lambda c: c["task"] == "regression" and c["proposal.kind"] == "mdn"),
+    "nce": ("runs with train.objective = nce", lambda c: c["train.objective"] == "nce"),
+    "path": ("runs from data.path", lambda c: c["data.path"] is not None),
+    "name": ("runs on a data.name dataset", lambda c: c["data.name"] is not None),
+}
+
+# key -> (parser, default, read when); None default means unset, None condition means every run.
 _KNOWN_KEYS = {
-    "task": (_parse_choice("density", "regression"), None),  # inferred from data.name when unset
-    "data.name": (_parse_choice(*_ALL_NAMES), None),
-    "data.path": (str, None),
-    "data.has_header": (_parse_bool, False),
-    "data.n": (int, None),  # defaults per task below
-    "data.seed": (int, 0),
-    "data.standardize": (_parse_auto_bool, None),  # auto: density yes, regression no
-    "model.widths": (_parse_widths, list(DENSITY_WIDTHS)),
-    "model.base": (_parse_choice("none", "gaussian"), "none"),
-    "model.normalizer": (_parse_bool, True),
-    "model.seed": (int, 0),
-    "proposal.kind": (_parse_choice("standard", "fitted", "uniform", "mdn"), "fitted"),
-    "proposal.components": (int, 2),
-    "train.objective": (_parse_choice("snl", "nce"), "snl"),
-    "train.epochs": (int, 25),
-    "train.learning_rate": (float, 1e-3),
-    "train.batch_size": (int, 128),
-    "train.proposal_samples": (int, None),  # density 1024, regression 16 per point
-    "train.optimizer": (_parse_choice("adam", "sgd"), "adam"),
-    "train.seed": (int, 0),
-    "train.nce_nu": (_parse_optional_float, None),
-    "train.mdn_learning_rate": (float, 1e-3),
-    "out.dir": (str, None),
+    "task": (_parse_choice("density", "regression"), None, None),  # inferred from data.name when unset
+    "data.name": (_parse_choice(*_ALL_NAMES), None, None),
+    "data.path": (str, None, None),
+    "data.has_header": (_parse_bool, False, "path"),
+    "data.n": (int, None, "name"),  # defaults per task below
+    "data.seed": (int, 0, None),
+    "data.standardize": (_parse_auto_bool, None, None),  # auto: density yes, regression no
+    "model.widths": (_parse_widths, list(DENSITY_WIDTHS), "density"),
+    "model.base": (_parse_choice("none", "gaussian"), "none", "density"),
+    "model.normalizer": (_parse_bool, True, "regression"),
+    "model.seed": (int, 0, None),
+    "proposal.kind": (_parse_choice("standard", "fitted", "uniform", "mdn"), "fitted", None),
+    "proposal.components": (int, 2, "mdn"),
+    "train.objective": (_parse_choice("snl", "nce"), "snl", None),
+    "train.epochs": (int, 25, None),
+    "train.learning_rate": (float, 1e-3, None),
+    "train.batch_size": (int, 128, None),
+    "train.proposal_samples": (int, None, None),  # density 1024, regression 16 per point
+    "train.optimizer": (_parse_choice("adam", "sgd"), "adam", "density"),
+    "train.seed": (int, 0, None),
+    "train.nce_nu": (_parse_optional_float, None, "nce"),
+    "train.mdn_learning_rate": (float, 1e-3, "mdn"),
+    "out.dir": (str, None, None),
 }
 
 
@@ -108,19 +121,9 @@ _TRAIN_FIELD_KEYS = {"samples_per_point": "train.proposal_samples"}
 
 def _train_config(config: dict):
     """The task's ``TrainConfig`` or ``RegressionTrainConfig`` from the resolved keys."""
-    common = dict(
-        objective=config["train.objective"],
-        epochs=config["train.epochs"],
-        learning_rate=config["train.learning_rate"],
-        batch_size=config["train.batch_size"],
-        seed=config["train.seed"],
-        nce_nu=config["train.nce_nu"],
-    )
-    if config["task"] == "regression":
-        return regression.RegressionTrainConfig(samples_per_point=config["train.proposal_samples"],
-                                                mdn_learning_rate=config["train.mdn_learning_rate"], **common)
-    return training.TrainConfig(proposal_samples=config["train.proposal_samples"],
-                                optimizer=config["train.optimizer"], **common)
+    cls = regression.RegressionTrainConfig if config["task"] == "regression" else training.TrainConfig
+    keys = {f.name: _TRAIN_FIELD_KEYS.get(f.name, "train." + f.name) for f in dataclasses.fields(cls)}
+    return cls(**{name: config[key] for name, key in keys.items() if key in config})
 
 
 def read_config(path: str | None, overrides: list[str]) -> dict:
@@ -161,13 +164,14 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
         take(key, value, f"--set {key.strip()}", set_keys)
     raw.update(set_keys)
 
-    config = {}
-    for key, (parser, default) in _KNOWN_KEYS.items():
+    config, unparsed = {}, set()
+    for key, (parser, default, _) in _KNOWN_KEYS.items():
         if key in raw:
             try:
                 config[key] = parser(raw[key])
             except ValueError as exc:
                 problems.append(f"{key}: {exc}")
+                unparsed.add(key)
                 config[key] = default  # so the checks below still run
         else:
             config[key] = default
@@ -180,16 +184,12 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
         problems.append("exactly one of data.name and data.path is required")
 
     # resolve the task and per-task defaults
+    named_task = ("regression" if config["data.name"] in datasets.REGRESSION_NAMES else "density") if has_name else None
     if config["task"] is None:
-        if has_name:
-            config["task"] = "regression" if config["data.name"] in datasets.REGRESSION_NAMES else "density"
-        else:
-            config["task"] = "density"
+        config["task"] = named_task or "density"
     task = config["task"]
-    if has_name:
-        is_regression_name = config["data.name"] in datasets.REGRESSION_NAMES
-        if is_regression_name != (task == "regression"):
-            problems.append(f"data.name {config['data.name']!r} does not belong to task {task!r}")
+    if named_task not in (None, task):
+        problems.append(f"data.name {config['data.name']!r} does not belong to task {task!r}")
     if config["data.n"] is None:
         config["data.n"] = datasets.DEFAULT_REGRESSION_N if task == "regression" else datasets.DEFAULT_DENSITY_N
     elif has_name:
@@ -213,6 +213,10 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
             problems.append(f"model.widths: {config['data.name']} is 2-D, got a first width of {widths[0]}")
     for name, message in _train_config(config).problems():
         problems.append(f"{_TRAIN_FIELD_KEYS.get(name, 'train.' + name)}: {message}")
+    if not unparsed & {"task", "data.name", "proposal.kind", "train.objective"}:  # the keys the conditions read
+        for key, (_, _, when) in _KNOWN_KEYS.items():
+            if key in raw and when is not None and not _READ_WHEN[when][1](config):
+                problems.append(f"{key}: set, but only {_READ_WHEN[when][0]} read it")
 
     if problems:
         raise ConfigError(problems)
@@ -234,11 +238,24 @@ def _resolved_lines(config: dict) -> list[str]:
 
 
 def _load_split(config: dict):
-    """Dataset split plus the standardizer actually applied (or None)."""
+    """Dataset split plus the standardizer actually applied (or None). A
+    ``data.path`` file with a column count the task cannot use, or too few
+    rows for the 70/10/20 split, is a ``ConfigError``."""
     if config["data.name"] is not None:
         split = datasets.load_named(config["data.name"], config["data.n"], config["data.seed"])
     else:
-        points = datasets.load_delimited(config["data.path"], has_header=config["data.has_header"])
+        path = config["data.path"]
+        points = datasets.load_delimited(path, has_header=config["data.has_header"])
+        columns = 2 if config["task"] == "regression" else config["model.widths"][0]
+        problems = []
+        if points.shape[1] != columns:
+            problems.append(f"data.path: {path} has {points.shape[1]} column(s); the {config['task']} model needs {columns}")
+        try:
+            datasets.split_sizes(len(points))
+        except ValueError as exc:
+            problems.append(f"data.path: {path}: {exc}")
+        if problems:
+            raise ConfigError(problems)
         split = datasets.split_70_10_20(points, config["data.seed"])
     standardizer = None
     if config["data.standardize"]:
@@ -265,54 +282,52 @@ def _standardizer_from_payload(payload):
     )
 
 
-def _write_checkpoint(path: Path, payload: dict) -> None:
-    payload = {"format": CHECKPOINT_FORMAT, **payload}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def _read_checkpoint(path: str) -> dict:
+def _read_checkpoint(path: str, *kinds: str) -> dict:
+    """The payload of a checkpoint file of this format and one of ``kinds``."""
     with open(path) as fh:
         payload = json.load(fh)
     version = payload.get("format")
     if version != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {version!r} not supported (expected {CHECKPOINT_FORMAT})")
+    if payload.get("kind") not in kinds:
+        raise ValueError(f"expected a {' or '.join(kinds)} checkpoint, found kind {payload.get('kind')!r}")
     return payload
+
+
+def _build_proposal(config: dict, points: np.ndarray, rng: PortableRng | None):
+    """The training proposal over ``points``: density data or regression responses (one column)."""
+    kind = config["proposal.kind"]
+    if kind == "mdn":
+        return MdnProposal(regression.FEATURE_WIDTHS[-1], config["proposal.components"], rng)
+    if kind == "standard":
+        return StandardGaussian(points.shape[1])
+    if kind == "uniform":
+        bounds = evaluation.data_bounds(points, margin=0.1)
+        return UniformBox(bounds[:, 0], bounds[:, 1])
+    return fit_gaussian(points)
 
 
 # -- density pipeline ---------------------------------------------------------
 
 
-def _build_density_proposal(kind: str, train_data: np.ndarray):
-    if kind == "standard":
-        return StandardGaussian(train_data.shape[1])
-    if kind == "uniform":
-        bounds = evaluation.data_bounds(train_data, margin=0.1)
-        return UniformBox(bounds[:, 0], bounds[:, 1])
-    return fit_gaussian(train_data)
+def _fit_density(config: dict, split):
+    """Train a density model; returns the result and the final and best checkpoint fields."""
+    base = StandardGaussian(config["model.widths"][0]) if config["model.base"] == "gaussian" else None
+    model = MlpEnergy(config["model.widths"], base=base, rng=PortableRng(config["model.seed"]).split("model"))
+    proposal = _build_proposal(config, split.train, None)
+    result = training.train_density(model, proposal, split.train, split.val, _train_config(config))
+
+    def fields(b):
+        return {"widths": list(model.net.widths), "theta": [serialize.fmt(v) for v in model.theta],
+                "b": serialize.fmt(b), "base": model.base.descriptor() if model.base is not None else None,
+                "proposal": proposal.descriptor()}
+
+    final = fields(result.state.b)
+    model.theta = result.best_theta
+    return result, final, fields(result.best_b)
 
 
-def _density_payload(model, b, standardizer, proposal, config, result) -> dict:
-    return {
-        "kind": "density",
-        "widths": list(model.net.widths),
-        "theta": [serialize.fmt(v) for v in model.theta],
-        "b": serialize.fmt(b),
-        "base": model.base.descriptor() if model.base is not None else None,
-        "proposal": proposal.descriptor(),
-        "standardizer": _standardizer_payload(standardizer),
-        "best_epoch": int(result.best_epoch),
-        "epochs_trained": len(result.history),
-        "config": _resolved_lines(config),
-    }
-
-
-def load_density_checkpoint(path: str):
-    """(model, b, standardizer, proposal, config lines) from a density run."""
-    payload = _read_checkpoint(path)
-    if payload.get("kind") != "density":
-        raise ValueError(f"expected a density checkpoint, found kind {payload.get('kind')!r}")
+def _density_parts(payload: dict):
     base = proposals.from_descriptor(payload["base"]) if payload["base"] else None
     model = MlpEnergy(list(payload["widths"]), base=base)
     model.theta = serialize.parse_vector(payload["theta"])
@@ -322,37 +337,15 @@ def load_density_checkpoint(path: str):
     return model, b, standardizer, proposal, payload.get("config", [])
 
 
-def _train_density(config: dict, out_dir: Path) -> int:
-    split, standardizer = _load_split(config)
-    base = StandardGaussian(config["model.widths"][0]) if config["model.base"] == "gaussian" else None
-    model = MlpEnergy(config["model.widths"], base=base, rng=PortableRng(config["model.seed"]).split("model"))
-    proposal = _build_density_proposal(config["proposal.kind"], split.train)
-    result = training.train_density(model, proposal, split.train, split.val, _train_config(config))
-
-    with open(out_dir / "metrics.csv", "w") as fh:
-        fh.write("epoch,train_snl,val_snl,b,seconds\n")
-        for rec in result.history:
-            fh.write(f"{rec.epoch},{rec.train_snl:.12g},{rec.val_snl:.12g},{rec.b:.12g},{rec.seconds:.3f}\n")
-
-    final_b = result.state.b
-    _write_checkpoint(out_dir / "checkpoint_final.json",
-                      _density_payload(model, final_b, standardizer, proposal, config, result))
-    model.theta = result.best_theta
-    _write_checkpoint(out_dir / "checkpoint_best.json",
-                      _density_payload(model, result.best_b, standardizer, proposal, config, result))
-    if result.history:
-        best = result.history[result.best_epoch - 1] if result.best_epoch else result.history[-1]
-        print(f"trained {len(result.history)} epochs; best val {best.val_snl:.6f} at epoch {result.best_epoch}")
-    else:
-        print("trained 0 epochs; wrote the initial state")
-    print(f"checkpoints: {out_dir / 'checkpoint_best.json'}, {out_dir / 'checkpoint_final.json'}")
-    return 0
+def load_density_checkpoint(path: str):
+    """(model, b, standardizer, proposal, config lines) from a density run."""
+    return _density_parts(_read_checkpoint(path, "density"))
 
 
-def _density_scorer(args):
+def _density_scorer(args, payload: dict):
     """Score function for ``_cmd_eval``: the bound report of every split;
     a ``--data`` file needs one column per model dimension."""
-    model, b, standardizer, proposal, config_lines = load_density_checkpoint(args.checkpoint)
+    model, b, standardizer, proposal, config_lines = _density_parts(payload)
 
     def score(splits, seed, dataset):
         report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
@@ -364,39 +357,32 @@ def _density_scorer(args):
 # -- regression pipeline ------------------------------------------------------
 
 
-def _build_regression_proposal(config: dict, y_train: np.ndarray, rng: PortableRng):
-    kind = config["proposal.kind"]
-    if kind == "mdn":
-        return MdnProposal(regression.FEATURE_WIDTHS[-1], config["proposal.components"], rng)
-    if kind == "standard":
-        return StandardGaussian(1)
-    if kind == "uniform":
-        lo, hi = float(y_train.min()), float(y_train.max())
-        pad = 0.1 * max(hi - lo, 1e-12)
-        return UniformBox([lo - pad], [hi + pad])
-    return fit_gaussian(y_train.reshape(-1, 1))
+def _fit_regression(config: dict, split):
+    """Train a conditional model on (x, y) rows; returns the result and the final and best checkpoint fields."""
+    x_tr, y_tr = split.train[:, 0], split.train[:, 1]
+    rng = PortableRng(config["model.seed"])
+    model = regression.ConditionalEnergyModel(rng.split("model"))
+    normalizer = regression.NormalizerNet(rng.split("normalizer")) if config["model.normalizer"] else None
+    proposal = _build_proposal(config, y_tr.reshape(-1, 1), rng.split("proposal-init"))
+    eval_proposal = fit_gaussian(y_tr.reshape(-1, 1))
+    result = regression.train_regression(model, normalizer, proposal, (x_tr, y_tr),
+                                         (split.val[:, 0], split.val[:, 1]), _train_config(config))
+
+    def fields():
+        return {"feature_theta": serialize.fmt_vector(model.feature_net.theta),
+                "y_theta": serialize.fmt_vector(model.y_net.theta),
+                "head_theta": serialize.fmt_vector(model.head.theta),
+                "normalizer_phi": serialize.fmt_vector(normalizer.phi) if normalizer is not None else None,
+                "proposal": proposal.descriptor(), "eval_proposal": eval_proposal.descriptor()}
+
+    final = fields()
+    model.theta = result.best_theta
+    if normalizer is not None:
+        normalizer.phi = result.best_phi
+    return result, final, fields()
 
 
-def _regression_payload(model, normalizer, proposal, eval_proposal, standardizer, config, result) -> dict:
-    return {
-        "kind": "regression",
-        "feature_theta": serialize.fmt_vector(model.feature_net.theta),
-        "y_theta": serialize.fmt_vector(model.y_net.theta),
-        "head_theta": serialize.fmt_vector(model.head.theta),
-        "normalizer_phi": serialize.fmt_vector(normalizer.phi) if normalizer is not None else None,
-        "proposal": proposal.descriptor(),
-        "eval_proposal": eval_proposal.descriptor(),
-        "standardizer": _standardizer_payload(standardizer),
-        "best_epoch": int(result.best_epoch),
-        "epochs_trained": len(result.history),
-        "config": _resolved_lines(config),
-    }
-
-
-def load_regression_checkpoint(path: str):
-    payload = _read_checkpoint(path)
-    if payload.get("kind") != "regression":
-        raise ValueError(f"expected a regression checkpoint, found kind {payload.get('kind')!r}")
+def _regression_parts(payload: dict):
     model = regression.ConditionalEnergyModel()
     model.feature_net.theta = serialize.parse_vector(payload["feature_theta"])
     model.y_net.theta = serialize.parse_vector(payload["y_theta"])
@@ -411,39 +397,16 @@ def load_regression_checkpoint(path: str):
     return model, normalizer, proposal, eval_proposal, standardizer, payload.get("config", [])
 
 
-def _train_regression(config: dict, out_dir: Path) -> int:
-    split, standardizer = _load_split(config)
-    x_tr, y_tr = split.train[:, 0], split.train[:, 1]
-    x_val, y_val = split.val[:, 0], split.val[:, 1]
-    rng = PortableRng(config["model.seed"])
-    model = regression.ConditionalEnergyModel(rng.split("model"))
-    normalizer = regression.NormalizerNet(rng.split("normalizer")) if config["model.normalizer"] else None
-    proposal = _build_regression_proposal(config, y_tr, rng.split("proposal-init"))
-    eval_proposal = fit_gaussian(y_tr.reshape(-1, 1))
-    result = regression.train_regression(model, normalizer, proposal, (x_tr, y_tr), (x_val, y_val),
-                                         _train_config(config))
-
-    with open(out_dir / "metrics.csv", "w") as fh:
-        fh.write("epoch,train_objective,val_snl,seconds\n")
-        for rec in result.history:
-            fh.write(f"{rec.epoch},{rec.train_objective:.12g},{rec.val_snl:.12g},{rec.seconds:.3f}\n")
-
-    _write_checkpoint(out_dir / "checkpoint_final.json",
-                      _regression_payload(model, normalizer, proposal, eval_proposal, standardizer, config, result))
-    model.theta = result.best_theta
-    if normalizer is not None and result.best_phi is not None:
-        normalizer.phi = result.best_phi
-    _write_checkpoint(out_dir / "checkpoint_best.json",
-                      _regression_payload(model, normalizer, proposal, eval_proposal, standardizer, config, result))
-    print(f"trained {len(result.history)} epochs; best epoch {result.best_epoch}")
-    print(f"checkpoints: {out_dir / 'checkpoint_best.json'}, {out_dir / 'checkpoint_final.json'}")
-    return 0
+def load_regression_checkpoint(path: str):
+    """(model, normalizer, proposal, eval proposal, standardizer, config lines)
+    from a regression run."""
+    return _regression_parts(_read_checkpoint(path, "regression"))
 
 
-def _regression_scorer(args):
+def _regression_scorer(args, payload: dict):
     """Score function for ``_cmd_eval``: the bound report of the test split
     (or of ``--data``, two columns x and y), reported as ``test``."""
-    model, normalizer, _, eval_proposal, standardizer, config_lines = load_regression_checkpoint(args.checkpoint)
+    model, normalizer, _, eval_proposal, standardizer, config_lines = _regression_parts(payload)
     normalizer_fn = None
     if normalizer is not None:
         normalizer_fn = lambda xs: normalizer.values(model.features(xs))
@@ -457,6 +420,14 @@ def _regression_scorer(args):
         return ["test." + line for line in report.lines()], {"test": report}
 
     return score, standardizer, config_lines, 2  # (x, y) pairs
+
+
+# task -> (fit function, per-epoch record type whose fields are the metrics.csv columns)
+_FITS = {
+    "density": (_fit_density, training.EpochRecord),
+    "regression": (_fit_regression, regression.RegressionEpochRecord),
+}
+_SCORERS = {"density": _density_scorer, "regression": _regression_scorer}
 
 
 # -- commands -----------------------------------------------------------------
@@ -489,12 +460,31 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = read_config(args.config, args.set or [])
+    split, standardizer = _load_split(config)
     out_dir = Path(config["out.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text("\n".join(_resolved_lines(config)) + "\n")
-    if config["task"] == "regression":
-        return _train_regression(config, out_dir)
-    return _train_density(config, out_dir)
+    fit, record = _FITS[config["task"]]
+    result, final, best = fit(config, split)
+
+    columns = [f.name for f in dataclasses.fields(record)]
+    with open(out_dir / "metrics.csv", "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for rec in result.history:
+            fh.write(",".join(format(getattr(rec, c), ".3f" if c == "seconds" else ".12g") for c in columns) + "\n")
+    common = {"standardizer": _standardizer_payload(standardizer), "best_epoch": int(result.best_epoch),
+              "epochs_trained": len(result.history), "config": _resolved_lines(config)}
+    for name, fields in (("final", final), ("best", best)):
+        with open(out_dir / f"checkpoint_{name}.json", "w") as fh:
+            json.dump({"format": CHECKPOINT_FORMAT, "kind": config["task"], **fields, **common}, fh, indent=1)
+            fh.write("\n")
+    if result.history:
+        best_rec = result.history[result.best_epoch - 1] if result.best_epoch else result.history[-1]
+        print(f"trained {len(result.history)} epochs; best val {best_rec.val_snl:.6f} at epoch {result.best_epoch}")
+    else:
+        print("trained 0 epochs; wrote the initial state")
+    print(f"checkpoints: {out_dir / 'checkpoint_best.json'}, {out_dir / 'checkpoint_final.json'}")
+    return 0
 
 
 def _cmd_eval(args) -> int:
@@ -511,15 +501,15 @@ def _cmd_eval(args) -> int:
     if not seeds:
         print(f"--seeds must name at least one seed, got {args.seeds!r}", file=sys.stderr)
         return 2
-    is_regression = _read_checkpoint(args.checkpoint).get("kind") == "regression"
-    score, standardizer, config_lines, columns = (_regression_scorer if is_regression else _density_scorer)(args)
+    payload = _read_checkpoint(args.checkpoint, *_SCORERS)
+    kind = payload["kind"]
+    score, standardizer, config_lines, columns = _SCORERS[kind](args, payload)
     config = dict(line.split(" = ", 1) for line in config_lines)
 
     dataset_name = config.get("data.name", "")
     if args.data is not None:
         points = datasets.load_delimited(args.data, has_header=args.has_header)
         if points.shape[1] != columns:
-            kind = "regression" if is_regression else "density"
             raise ValueError(f"{args.data} has {points.shape[1]} column(s); "
                              f"the {kind} checkpoint needs {columns}")
         if standardizer is not None:
@@ -527,7 +517,7 @@ def _cmd_eval(args) -> int:
         splits = {"data": points}
         dataset_name = args.data
     elif dataset_name:
-        default_n = datasets.DEFAULT_REGRESSION_N if is_regression else datasets.DEFAULT_DENSITY_N
+        default_n = datasets.DEFAULT_REGRESSION_N if kind == "regression" else datasets.DEFAULT_DENSITY_N
         split = datasets.load_named(dataset_name, int(config.get("data.n", default_n)),
                                     int(config.get("data.seed", 0)))
         if standardizer is not None:

@@ -6,8 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from snl_ebm import datasets, serialize
 from snl_ebm.cli import load_density_checkpoint, load_regression_checkpoint, main
 from snl_ebm.models import MlpEnergy
+from snl_ebm.proposals import fit_gaussian
+from snl_ebm.regression import ConditionalEnergyModel, NormalizerNet, RegressionTrainConfig, train_regression
+from snl_ebm.rng import PortableRng
+from snl_ebm.training import TrainConfig, train_density
 
 
 def run(capsys, *argv):
@@ -333,6 +338,16 @@ class TestDensityPipeline:
         assert code == 1
         assert "format" in err
 
+    def test_eval_names_an_unknown_kind(self, tmp_path, capsys):
+        run(capsys, "train", "--config", density_config(tmp_path))
+        path = tmp_path / "run" / "checkpoint_best.json"
+        payload = json.loads(path.read_text())
+        payload["kind"] = "mystery"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(path), "--samples", "100")
+        assert code == 1
+        assert "expected a density or regression checkpoint, found kind 'mystery'" in err
+
     def test_grid_export(self, tmp_path, capsys):
         run(capsys, "train", "--config", density_config(tmp_path))
         ckpt = str(tmp_path / "run" / "checkpoint_best.json")
@@ -473,3 +488,159 @@ def test_eval_rejects_malformed_seeds(tmp_path, capsys, config, run_dir):
     assert out == ""
     assert err.startswith("--seeds must be comma-separated integers")
     assert not out_file.exists()
+
+
+def write_points(path, n_rows, n_cols):
+    rows = PortableRng(7).normal((n_rows, n_cols))
+    path.write_text("".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in rows))
+    return str(path)
+
+
+def path_config(tmp_path, data, out_name="file", extra=()):
+    return write_config(tmp_path / "file.cfg", [
+        f"data.path = {data}",
+        "train.epochs = 1",
+        "train.batch_size = 32",
+        "train.proposal_samples = 16",
+        f"out.dir = {tmp_path / out_name}",
+        *extra,
+    ])
+
+
+class TestUnreadKeys:
+    """A key set explicitly that the run does not read is a config problem,
+    reported before anything is written; an unset key stays silent."""
+
+    @pytest.mark.parametrize("task, setting", [
+        ("regression", "model.widths=5,1"),           # density only
+        ("regression", "model.base=gaussian"),        # density only
+        ("regression", "train.optimizer=sgd"),        # density only
+        ("density", "model.normalizer=false"),        # regression only
+        ("regression", "proposal.components=3"),      # regression with proposal.kind = mdn
+        ("density", "proposal.components=3"),         # regression with proposal.kind = mdn
+        ("regression", "train.mdn_learning_rate=0.01"),  # regression with proposal.kind = mdn
+        ("density", "train.nce_nu=2"),                # train.objective = nce
+        ("regression", "train.nce_nu=2"),             # train.objective = nce
+        ("density", "data.has_header=true"),          # data.path set
+        ("file", "data.n=100"),                       # data.name set
+    ], ids=str)
+    def test_set_key_the_run_does_not_read(self, tmp_path, capsys, task, setting):
+        config, run_dir = {
+            "density": (density_config, "run"),
+            "regression": (regression_config, "reg"),
+            "file": (lambda p: path_config(p, write_points(p / "points.csv", 40, 2),
+                                           extra=["model.widths = 2,8,1"]), "file"),
+        }[task]
+        code, _, err = run(capsys, "train", "--config", config(tmp_path), "--set", setting)
+        assert code == 2
+        assert f"  - {setting.split('=')[0]}: set, but only " in err
+        assert not (tmp_path / run_dir).exists()
+
+    def test_bad_value_of_a_deciding_key_skips_the_check(self, tmp_path, capsys):
+        # with data.name unparsed, "data.n is not read" would be a false report
+        code, _, err = run(capsys, "train", "--set", "data.name=regresion1", "--set", "data.n=100",
+                           "--set", f"out.dir={tmp_path / 'run'}")
+        assert code == 2
+        assert "data.name: expected one of" in err
+        assert "data.n:" not in err
+
+    def test_keys_read_when_their_condition_holds(self, tmp_path, capsys):
+        cfg = regression_config(tmp_path, extra=[
+            "proposal.kind = mdn", "proposal.components = 3", "train.mdn_learning_rate = 0.01",
+            "train.objective = nce", "train.nce_nu = 2",
+        ])
+        assert run(capsys, "train", "--config", cfg)[0] == 0
+        data = write_points(tmp_path / "points.csv", 40, 2)
+        cfg = path_config(tmp_path, data, extra=["model.widths = 2,8,1", "data.has_header = true"])
+        assert run(capsys, "train", "--config", cfg)[0] == 0
+
+    def test_unset_keys_stay_silent_and_resolved(self, tmp_path, capsys):
+        assert run(capsys, "train", "--config", regression_config(tmp_path))[0] == 0
+        resolved = (tmp_path / "reg" / "config.resolved").read_text().splitlines()
+        for line in ("model.base = none", "model.widths = 2,200,100,50,50,1", "train.optimizer = adam",
+                     "data.has_header = false", "proposal.components = 2"):
+            assert line in resolved
+
+
+class TestDataFileChecks:
+    """A data.path file the task cannot use is a config problem (exit 2) that
+    names data.path, the file and both counts, before anything is written."""
+
+    @pytest.mark.parametrize("task, rows, cols, extra, message", [
+        ("density", 40, 2, ["model.widths = 3,8,1"], "has 2 column(s); the density model needs 3"),
+        ("regression", 40, 1, ["task = regression"], "has 1 column(s); the regression model needs 2"),
+        ("regression", 40, 3, ["task = regression"], "has 3 column(s); the regression model needs 2"),
+        ("density", 5, 2, ["model.widths = 2,8,1"], "the 70/10/20 split needs at least 10 rows, got n = 5"),
+    ], ids=["density-columns", "regression-1-column", "regression-3-columns", "5-rows"])
+    def test_unusable_file(self, tmp_path, capsys, task, rows, cols, extra, message):
+        data = write_points(tmp_path / "points.csv", rows, cols)
+        code, _, err = run(capsys, "train", "--config", path_config(tmp_path, data, extra=extra))
+        assert code == 2
+        assert f"data.path: {data}" in err and message in err
+        assert not (tmp_path / "file").exists()
+
+
+def checkpoint(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+class TestCheckpointParameters:
+    """checkpoint_final.json holds the parameters after the last epoch and
+    checkpoint_best.json those of the best epoch, as the library returns them."""
+
+    def test_density(self, tmp_path, capsys):
+        cfg = density_config(tmp_path, extra=["train.learning_rate = 0.01", "train.seed = 2"])
+        assert run(capsys, "train", "--config", cfg, "--set", "train.epochs=3")[0] == 0
+
+        split = datasets.load_named("checkerboard", 200, 0)
+        split = datasets.fit_standardizer(split.train).transform_split(split)
+        model = MlpEnergy([2, 16, 8, 1], rng=PortableRng(0).split("model"))
+        result = train_density(model, fit_gaussian(split.train), split.train, split.val,
+                               TrainConfig(epochs=3, learning_rate=0.01, batch_size=64, proposal_samples=128, seed=2))
+        assert result.best_epoch < 3  # so the two checkpoints differ
+
+        final, best = (checkpoint(tmp_path / "run" / f"checkpoint_{name}.json") for name in ("final", "best"))
+        assert final["theta"] == [serialize.fmt(v) for v in model.theta]
+        assert final["b"] == serialize.fmt(result.state.b)
+        assert best["theta"] == [serialize.fmt(v) for v in result.best_theta]
+        assert best["b"] == serialize.fmt(result.best_b)
+        assert final["theta"] != best["theta"]
+        keys = ["format", "kind", "widths", "theta", "b", "base", "proposal", "standardizer",
+                "best_epoch", "epochs_trained", "config"]
+        assert list(final) == keys and list(best) == keys
+
+    def test_regression(self, tmp_path, capsys):
+        cfg = regression_config(tmp_path, extra=["train.learning_rate = 0.01", "train.seed = 1"])
+        code, out, _ = run(capsys, "train", "--config", cfg, "--set", "train.epochs=3")
+        assert code == 0
+
+        split = datasets.load_named("regression1", 120, 0)
+        rng = PortableRng(0)
+        model = ConditionalEnergyModel(rng.split("model"))
+        normalizer = NormalizerNet(rng.split("normalizer"))
+        y_tr = split.train[:, 1]
+        result = train_regression(model, normalizer, fit_gaussian(y_tr.reshape(-1, 1)), (split.train[:, 0], y_tr),
+                                  (split.val[:, 0], split.val[:, 1]),
+                                  RegressionTrainConfig(epochs=3, learning_rate=0.01, batch_size=32,
+                                                        samples_per_point=4, seed=1))
+        assert result.best_epoch < 3  # so the two checkpoints differ
+        best_val = result.history[result.best_epoch - 1].val_snl
+        assert out.splitlines()[0] == f"trained 3 epochs; best val {best_val:.6f} at epoch {result.best_epoch}"
+
+        def fields(theta, phi):
+            model.theta, normalizer.phi = theta, phi
+            return {"feature_theta": serialize.fmt_vector(model.feature_net.theta),
+                    "y_theta": serialize.fmt_vector(model.y_net.theta),
+                    "head_theta": serialize.fmt_vector(model.head.theta),
+                    "normalizer_phi": serialize.fmt_vector(normalizer.phi)}
+
+        want_final = fields(model.theta.copy(), normalizer.phi.copy())
+        want_best = fields(result.best_theta, result.best_phi)
+        final, best = (checkpoint(tmp_path / "reg" / f"checkpoint_{name}.json") for name in ("final", "best"))
+        assert {k: final[k] for k in want_final} == want_final
+        assert {k: best[k] for k in want_best} == want_best
+        assert final["head_theta"] != best["head_theta"]
+        keys = ["format", "kind", "feature_theta", "y_theta", "head_theta", "normalizer_phi", "proposal",
+                "eval_proposal", "standardizer", "best_epoch", "epochs_trained", "config"]
+        assert list(final) == keys and list(best) == keys
