@@ -211,12 +211,11 @@ def fit_standardizer(points: np.ndarray) -> Standardizer:
     return Standardizer(mean=mean, scale=scale)
 
 
-def load_delimited(path: str, has_header: bool = False, standardize: bool = False) -> np.ndarray:
+def load_delimited(path: str, has_header: bool = False) -> np.ndarray:
     """Load numeric rows from comma- or whitespace-delimited text.
 
     Ragged rows and non-numeric cells raise ValueError naming the 1-based row
-    and column. With ``standardize`` the loaded rows are standardized by their
-    own population statistics (callers pass the training file).
+    and column.
     """
     rows: list[list[float]] = []
     width = None
@@ -240,7 +239,4 @@ def load_delimited(path: str, has_header: bool = False, standardize: bool = Fals
         rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    data = np.array(rows, dtype=np.float64)
-    if standardize:
-        data = fit_standardizer(data).transform(data)
-    return data
+    return np.array(rows, dtype=np.float64)

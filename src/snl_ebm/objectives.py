@@ -21,8 +21,9 @@ upper bound substitutes the estimate inside the log:
 
     ell_IS = mean_i u_theta(x_i) - log mean_m w_m  >=  ell_SNL   (same samples).
 
-``step_terms`` is the SNL/NCE step of both training loops and
-``bound_pair`` the reduction of both evaluations. All log-weight arithmetic
+``step_terms`` is the one place that computes ell_SNL: it is the SNL/NCE
+step of both training loops and the value of both validations.
+``bound_pair`` is the reduction of both evaluations. All log-weight arithmetic
 happens in log space; the mean weight is only exponentiated after
 subtracting the running maximum.
 """
@@ -35,11 +36,7 @@ import numpy as np
 from scipy.special import expit, log_expit
 from scipy.special import logsumexp as scipy_logsumexp
 
-from .errors import (
-    DegenerateProposalError,
-    EnergyEvaluationError,
-    NonFiniteObjectiveError,
-)
+from .errors import DegenerateProposalError, EnergyEvaluationError
 
 SNL_SHIFT_CAP = 600.0  # log w - b beyond which e^{log w - b} is too close to overflow for the l_snl error
 
@@ -69,19 +66,6 @@ class ImportanceBatch:
     @property
     def m(self) -> int:
         return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class SnlValue:
-    value: float
-    data_term: float
-    normalizer_term: float
-
-
-@dataclass(frozen=True)
-class GradientEstimate:
-    grad_theta: np.ndarray
-    grad_b: float
 
 
 def logsumexp(a, axis=None, keepdims: bool = False):
@@ -146,22 +130,6 @@ def estimate_z(model, batch: ImportanceBatch) -> float:
     if np.all(np.isneginf(logw)):
         raise DegenerateProposalError("all importance weights underflowed to zero")
     return float(logsumexp(logw) - np.log(batch.m))
-
-
-def snl_objective(model, b: float, data: np.ndarray, log_z: float) -> SnlValue:
-    """ell_SNL at (theta, b) given log Z (exact or a log mean weight).
-
-    The normalizer term -b - e^{log_z - b} + 1 is evaluated in this shifted
-    form so a well-matched b keeps the exponential moderate.
-    """
-    data_term = float(np.mean(model.unnorm_log_density(data)))
-    if not np.isfinite(data_term):
-        raise NonFiniteObjectiveError("data", data_term)
-    with np.errstate(over="ignore"):  # overflow -> inf -> explicit error below
-        normalizer_term = float(-b - np.exp(log_z - b) + 1.0)
-    if not np.isfinite(normalizer_term):
-        raise NonFiniteObjectiveError("normalizer", normalizer_term)
-    return SnlValue(value=data_term + normalizer_term, data_term=data_term, normalizer_term=normalizer_term)
 
 
 def bound_pair(blocks, b, m: int):

@@ -427,7 +427,8 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     the per-point estimates therefore share randomness and the standard
     errors are computed over draws. ``objectives.bound_pair`` reduces the
     grid block by block as the model yields it, so no (n, m) array is held.
-    Non-finite data or grid energies raise ``EnergyEvaluationError``.
+    Non-finite data or grid energies raise ``EnergyEvaluationError``, and a
+    ``normalizer_fn`` result of another shape than (n,) raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -444,7 +445,9 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
 
     e_data = model.energy_pairs(x, y)
     check_finite_energies(e_data, "data point")
-    b_vals = normalizer_fn(x) if normalizer_fn is not None else np.zeros(n)
+    b_vals = np.asarray(normalizer_fn(x), dtype=np.float64) if normalizer_fn is not None else np.zeros(n)
+    if b_vals.shape != (n,):
+        raise ValueError(f"normalizer_fn must return shape ({n},), one b per point, got {b_vals.shape}")
 
     def log_weight_blocks():
         for lo, hi, e in model.energy_grid_blocks(x, ys):

@@ -12,11 +12,12 @@ step on the concatenated parameter vector [theta; b] with a shared learning
 rate. b is initialized to the log mean importance weight at the initial
 parameters, which keeps the exp(log w - b) cotangents moderate from the
 first step. The rows are shuffled from one stream across epochs, and
-validation scores one fixed proposal batch.
+validation scores the SNL value on one fixed proposal batch.
 
-The per-step objective and gradients are computed in one fused pass (one
-forward per array) around ``objectives.step_terms``, the step math shared
-with regression training; the tests check it against plain reference
+Both the step and the validation value go through ``objectives.step_terms``,
+the SNL/NCE math shared with regression training. The step is one fused
+pass (one forward and one backward per array) that returns the flat
+[theta; b] ascent vector; the tests check it against plain reference
 gradients. The model's parameters and b live in one flat buffer, which each
 optimizer step updates in place.
 """
@@ -30,14 +31,7 @@ import numpy as np
 
 from .errors import SnlError, TrainingDivergedError
 from .nets import Workspace
-from .objectives import (
-    GradientEstimate,
-    ImportanceBatch,
-    divergence_diagnostics,
-    estimate_z,
-    snl_objective,
-    step_terms,
-)
+from .objectives import ImportanceBatch, divergence_diagnostics, estimate_z, log_weights, step_terms
 from .optim import AdamState, adam_step, sgd_step
 from .proposals import sample_and_score
 from .rng import PortableRng
@@ -76,7 +70,7 @@ class TrainConfig:
     proposal_samples: int = 1024  # fresh proposal draws per step
     optimizer: str = "adam"  # "adam" | "sgd"
     seed: int = 0
-    nce_nu: float | None = None  # None -> proposal_samples / batch_size
+    nce_nu: float | None = None  # None -> proposal_samples / (data rows in the batch), larger on a short last batch
     divergence_patience: int = 5
 
     def problems(self) -> list[tuple[str, str]]:
@@ -152,7 +146,8 @@ def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, object
 
     One forward pass per array; ``objectives.step_terms`` turns the energies
     into the value and cotangents (for NCE the value is the negated loss),
-    and one backward pass per array turns those into the gradient.
+    and one backward pass per array turns those into the gradient, returned
+    as one flat [theta; b] vector.
     ``workspaces`` is a pair of ``nets.Workspace`` (data, samples) that the
     training loop reuses from step to step.
     """
@@ -171,8 +166,10 @@ def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, object
     else:  # a carrier base weights the samples but is not part of the data term
         num_data, log_q_data = -e_data + (0.0 if model.base_is_carrier else log_d_data), None
     value, d_data, d_samp, d_b = step_terms(num_data[None], logw[None], np.array([b]), objective, nu, log_q_data)
-    grad_theta = vjp_data(d_data[0]) + vjp_samp(d_samp[0])
-    return value, GradientEstimate(grad_theta, float(d_b[0])), divergence_diagnostics(e_samp, logw)
+    grad = np.empty(model.n_params + 1)
+    np.add(vjp_data(d_data[0]), vjp_samp(d_samp[0]), out=grad[:-1])
+    grad[-1] = d_b[0]
+    return value, grad, divergence_diagnostics(e_samp, logw)
 
 
 def run_epochs(config, params: np.ndarray, order, step, take, validate, record):
@@ -184,12 +181,13 @@ def run_epochs(config, params: np.ndarray, order, step, take, validate, record):
     whose value and gradient are finite. A step that is not, or that raises
     ``SnlError``, is skipped; ``config.divergence_patience`` skipped steps in
     a row raise ``TrainingDivergedError`` with the diagnostics of the last
-    step that returned. ``validate(epoch)`` then scores the model (nan when
-    it raises ``SnlError``), and ``record(epoch, mean value of the taken
-    steps, validation value, seconds of the steps and validation)`` makes
-    the epoch's history entry. Returns the history, the best epoch (0 when
-    no validation value was finite) and a copy of the flat parameter buffer
-    ``params`` at the end of that epoch (or of this run).
+    step that returned. ``validate(epoch)`` then scores the model, recorded
+    as nan when it raises ``SnlError`` or is not finite, and
+    ``record(epoch, mean value of the taken steps, validation value, seconds
+    of the steps and validation)`` makes the epoch's history entry. Returns
+    the history, the best epoch (0 when no validation value was finite) and
+    a copy of the flat parameter buffer ``params`` at the end of that epoch
+    (or of this run).
     """
     history, best_epoch, best, best_val = [], 0, None, -np.inf
     bad_streak = step_count = 0
@@ -213,12 +211,14 @@ def run_epochs(config, params: np.ndarray, order, step, take, validate, record):
             take(grad)
             values.append(value)
         try:
-            val = float(validate(epoch))
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is recorded as nan
+                val = float(validate(epoch))
         except SnlError:
             val = np.nan
+        val = val if np.isfinite(val) else np.nan
         history.append(record(epoch, float(np.mean(values)) if values else np.nan, val,
                               time.perf_counter() - started))
-        if np.isfinite(val) and val > best_val:
+        if val > best_val:
             best_epoch, best, best_val = epoch, params.copy(), val
     return history, best_epoch, params.copy() if best is None else best
 
@@ -256,22 +256,19 @@ def train_density(
     params = np.empty(model.n_params + 1)  # [theta; b], the model views its part
     model.bind(params[:-1])
     params[-1] = float(b)
-    grad_vec = np.empty_like(params)
 
     def step(rows):
         batch = sample_and_score(proposal, proposal_rng, m, base=model.base)
-        value, grads, diag = fused_step(model, float(params[-1]), train_data[rows], batch, config.objective,
-                                        proposal=proposal, nu=config.nce_nu, workspaces=workspaces)
-        grad_vec[:-1] = grads.grad_theta
-        grad_vec[-1] = grads.grad_b
-        return value, grad_vec, diag
+        return fused_step(model, float(params[-1]), train_data[rows], batch, config.objective,
+                          proposal=proposal, nu=config.nce_nu, workspaces=workspaces)
 
     def take(grad):
         nonlocal opt_state
         opt_state = optimizer_step(params, grad, config.learning_rate, config.optimizer, opt_state)
 
     def validate(epoch):
-        return snl_objective(model, float(params[-1]), val_data, estimate_z(model, val_batch)).value
+        return step_terms(model.unnorm_log_density(val_data)[None], log_weights(model, val_batch)[None],
+                          params[-1:])[0]
 
     history, best_epoch, best = run_epochs(
         config, params, lambda epoch: shuffle_rng.permutation(train_data.shape[0]), step, take, validate,

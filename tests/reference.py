@@ -1,12 +1,13 @@
 """Reference math the tests check the package against.
 
-These are the textbook forms of the SNL and NCE gradients, the closed-form
-gradients of models with an exact normalizer, a 1-D maximization over b,
-quadrature with the generalized KL divergence, single-point energy
-gradients and weight numerators, the importance-weight mean with its
-standard error, and a maximum-likelihood fit of the MDN proposal. The
-package trains and evaluates through ``objectives.step_terms`` and
-``objectives.bound_pair``; nothing in it imports this module.
+These are the textbook forms of the SNL value and of the SNL and NCE
+gradients, the closed-form gradients of models with an exact normalizer, a
+1-D maximization over b, quadrature with the generalized KL divergence,
+single-point energy gradients and weight numerators, the importance-weight
+mean with its standard error, and a maximum-likelihood fit of the MDN
+proposal. The package trains and validates through
+``objectives.step_terms`` and evaluates through ``objectives.bound_pair``;
+nothing in it imports this module.
 """
 
 from __future__ import annotations
@@ -17,10 +18,40 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, log_expit
 
+from snl_ebm.errors import NonFiniteObjectiveError
 from snl_ebm.nets import bind
-from snl_ebm.objectives import GradientEstimate, ImportanceBatch, estimate_z, log_weights, logsumexp
+from snl_ebm.objectives import ImportanceBatch, estimate_z, log_weights, logsumexp
 from snl_ebm.optim import AdamState, adam_step
 from snl_ebm.rng import PortableRng
+
+
+@dataclass(frozen=True)
+class SnlValue:
+    value: float
+    data_term: float
+    normalizer_term: float
+
+
+@dataclass(frozen=True)
+class GradientEstimate:
+    grad_theta: np.ndarray
+    grad_b: float
+
+
+def snl_objective(model, b: float, data: np.ndarray, log_z: float) -> SnlValue:
+    """ell_SNL at (theta, b) given log Z (exact or a log mean weight).
+
+    The normalizer term -b - e^{log_z - b} + 1 is evaluated in this shifted
+    form so a well-matched b keeps the exponential moderate.
+    """
+    data_term = float(np.mean(model.unnorm_log_density(data)))
+    if not np.isfinite(data_term):
+        raise NonFiniteObjectiveError("data", data_term)
+    with np.errstate(over="ignore"):  # overflow -> inf -> explicit error below
+        normalizer_term = float(-b - np.exp(log_z - b) + 1.0)
+    if not np.isfinite(normalizer_term):
+        raise NonFiniteObjectiveError("normalizer", normalizer_term)
+    return SnlValue(value=data_term + normalizer_term, data_term=data_term, normalizer_term=normalizer_term)
 
 
 def param_gradient(model, x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from scipy import stats
 from snl_ebm.datasets import fit_standardizer, load_named
 from snl_ebm.evaluation import evaluate
 from snl_ebm.models import DENSITY_WIDTHS, BernoulliModel, GaussianMeanModel, MlpEnergy
-from snl_ebm.objectives import estimate_z, snl_objective
+from snl_ebm.objectives import estimate_z
 from snl_ebm.proposals import (
     FittedGaussian,
     StandardGaussian,
@@ -46,7 +46,7 @@ from snl_ebm.regression import (
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import TrainConfig, train_density
 from snl_ebm.proposals import MdnProposal
-from reference import generalized_kl, maximize_over_b, snl_gradients, trapezoid_1d, z_estimate
+from reference import generalized_kl, maximize_over_b, snl_gradients, snl_objective, trapezoid_1d, z_estimate
 
 
 # -- closed-form training oracles ---------------------------------------------

@@ -267,9 +267,3 @@ class TestLoadDelimited:
         p.write_text("\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_delimited(str(p))
-
-    def test_standardize_flag(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("0.0\n2.0\n")
-        out = load_delimited(str(p), standardize=True)
-        np.testing.assert_array_equal(out[:, 0], [-1.0, 1.0])

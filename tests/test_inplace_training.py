@@ -99,8 +99,7 @@ def reference_density(config, data, proposal, ref):
     order = shuffle_rng.permutation(96)
     for lo in range(0, 96, 32):  # three steps
         batch = sample_and_score(proposal, proposal_rng, 64, base=ref.base)
-        _, grads, _ = fused_step(ref, b, data[order[lo : lo + 32]], batch, config.objective, proposal=proposal)
-        grad = np.concatenate([grads.grad_theta, [grads.grad_b]])
+        _, grad, _ = fused_step(ref, b, data[order[lo : lo + 32]], batch, config.objective, proposal=proposal)
         if config.optimizer == "sgd":
             step, t = config.learning_rate * grad, t + 1
         else:

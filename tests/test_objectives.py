@@ -26,7 +26,6 @@ from snl_ebm.objectives import (
     estimate_z,
     log_weights,
     logsumexp,
-    snl_objective,
     step_terms,
 )
 from snl_ebm.proposals import (
@@ -46,6 +45,7 @@ from reference import (
     nce_gradients,
     nce_objective,
     snl_gradients,
+    snl_objective,
     trapezoid_1d,
     trapezoid_2d,
     variational_log_bound,

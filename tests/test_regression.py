@@ -1,6 +1,7 @@
 """Conditional models: the bilinear oracle, the shared-grid energies,
 pointwise normalizer behavior, training, and the evaluation report."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -471,6 +472,15 @@ class TestEvalRegression:
         with pytest.raises(ValueError, match="pairs are empty"):
             eval_regression_l_is(m, (np.empty(0), np.empty(0)), StandardGaussian(1), n_samples=10,
                                  rng=PortableRng(56))
+
+    @pytest.mark.parametrize("shape", [(5, 1), (4,), ()])
+    def test_misshapen_normalizer_result_rejected(self, shape):
+        m = BilinearConditionalModel(theta=0.8)
+        x = PortableRng(61).normal(5)
+        y = PortableRng(62).normal(5)
+        with pytest.raises(ValueError, match=re.escape(f"must return shape (5,), one b per point, got {shape}")):
+            eval_regression_l_is(m, (x, y), StandardGaussian(1), n_samples=10, rng=PortableRng(63),
+                                 normalizer_fn=lambda xs: np.zeros(shape))
 
     def test_report_lines_contain_all_fields(self):
         m = BilinearConditionalModel(theta=0.0)

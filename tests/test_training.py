@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from snl_ebm import regression, training
 from snl_ebm.errors import TrainingDivergedError
 from snl_ebm.models import BernoulliModel, GaussianMeanModel, MlpEnergy
 from snl_ebm.nets import Workspace
-from snl_ebm.objectives import estimate_z, snl_objective
+from snl_ebm.objectives import estimate_z
 from snl_ebm.optim import AdamState, adam_step, check_finite_gradient, sgd_step
-from snl_ebm.proposals import StandardGaussian, TwoPointExhaustive, sample_and_score
+from snl_ebm.proposals import StandardGaussian, TwoPointExhaustive, fit_gaussian, sample_and_score
+from snl_ebm.regression import ConditionalEnergyModel, NormalizerNet, RegressionTrainConfig, train_regression
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import (
     SnlState,
@@ -18,7 +20,7 @@ from snl_ebm.training import (
     optimizer_step,
     train_density,
 )
-from reference import nce_gradients, nce_objective, snl_gradients
+from reference import nce_gradients, nce_objective, snl_gradients, snl_objective
 
 
 class TestOptim:
@@ -104,15 +106,24 @@ class TestFusedStep:
         b = -0.3
         _, grads, _ = fused_step(self.model, b, self.data, self.batch, "snl")
         want = snl_gradients(self.model, b, self.data, self.batch)
-        np.testing.assert_allclose(grads.grad_theta, want.grad_theta, rtol=1e-10, atol=1e-12)
-        assert grads.grad_b == pytest.approx(want.grad_b, rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(grads[:-1], want.grad_theta, rtol=1e-10, atol=1e-12)
+        assert grads[-1] == pytest.approx(want.grad_b, rel=1e-12, abs=1e-14)
 
     def test_nce_gradients_are_negated_loss_gradients(self):
         b = 0.1
         _, grads, _ = fused_step(self.model, b, self.data, self.batch, "nce", proposal=self.proposal, nu=2.0)
         want = nce_gradients(self.model, b, self.data, self.proposal, self.batch, nu=2.0)
-        np.testing.assert_allclose(grads.grad_theta, -want.grad_theta, rtol=1e-10, atol=1e-12)
-        assert grads.grad_b == pytest.approx(-want.grad_b, rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(grads[:-1], -want.grad_theta, rtol=1e-10, atol=1e-12)
+        assert grads[-1] == pytest.approx(-want.grad_b, rel=1e-12, abs=1e-14)
+
+    def test_nce_default_nu_is_samples_per_row_of_this_batch(self):
+        # a short batch (5 rows, not the configured batch size) gets nu = m / 5
+        data = self.data[:5]
+        value, grads, _ = fused_step(self.model, 0.1, data, self.batch, "nce", proposal=self.proposal)
+        want_value, want_grads, _ = fused_step(self.model, 0.1, data, self.batch, "nce", proposal=self.proposal,
+                                               nu=self.batch.m / 5)
+        assert value == want_value
+        np.testing.assert_array_equal(grads, want_grads)
 
     def test_nce_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
@@ -128,8 +139,8 @@ class TestFusedStep:
         batch = sample_and_score(StandardGaussian(1), PortableRng(11), 50, base=model.base)
         _, grads, _ = fused_step(model, 0.1, data, batch, "snl")
         want = snl_gradients(model, 0.1, data, batch)
-        np.testing.assert_allclose(grads.grad_theta, want.grad_theta, rtol=1e-12)
-        assert grads.grad_b == pytest.approx(want.grad_b, rel=1e-12)
+        np.testing.assert_allclose(grads[:-1], want.grad_theta, rtol=1e-12)
+        assert grads[-1] == pytest.approx(want.grad_b, rel=1e-12)
 
     def test_nce_value_is_negated_loss(self):
         value, _, _ = fused_step(self.model, 0.1, self.data, self.batch, "nce", proposal=self.proposal, nu=2.0)
@@ -145,8 +156,8 @@ class TestFusedStep:
             value, grads, diag = fused_step(self.model, b, self.data, batch, objective, proposal=self.proposal)
             value_ws, grads_ws, diag_ws = fused_step(self.model, b, self.data, batch, objective,
                                                      proposal=self.proposal, workspaces=workspaces)
-            assert value_ws == value and diag_ws == diag and grads_ws.grad_b == grads.grad_b
-            np.testing.assert_array_equal(grads_ws.grad_theta, grads.grad_theta)
+            assert value_ws == value and diag_ws == diag
+            np.testing.assert_array_equal(grads_ws, grads)
 
     def test_tilted_model_uses_cached_base(self):
         base = StandardGaussian(2)
@@ -154,7 +165,7 @@ class TestFusedStep:
         batch = sample_and_score(StandardGaussian(2), PortableRng(7), 40, base=base)
         _, grads, _ = fused_step(model, 0.0, self.data, batch, "snl")
         want = snl_gradients(model, 0.0, self.data, batch)
-        np.testing.assert_allclose(grads.grad_theta, want.grad_theta, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(grads[:-1], want.grad_theta, rtol=1e-10, atol=1e-12)
 
 
 class TestTrainDensity:
@@ -289,3 +300,66 @@ class TestTrainDensity:
         result = train_density(model, StandardGaussian(1), data, data[:32], self.config(epochs=1))
         assert isinstance(result.state, SnlState)
         assert result.state.model is model
+
+
+class TestValidation:
+    """Both families score validation through ``objectives.step_terms``, and
+    the loop records a non-finite validation value as nan."""
+
+    @pytest.mark.parametrize("kind", ["plain", "tilted", "carrier"])
+    def test_density_val_snl_matches_reference_objective(self, kind):
+        dim = 1 if kind == "carrier" else 2
+        if kind == "carrier":
+            model = GaussianMeanModel(0.3)
+        else:
+            model = MlpEnergy([2, 16, 8, 1], base=StandardGaussian(2) if kind == "tilted" else None,
+                              rng=PortableRng(13))
+        data = PortableRng(12).normal((160, dim))
+        proposal = StandardGaussian(dim)
+        config = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=32, proposal_samples=128, seed=4)
+        result = train_density(model, proposal, data, data[:40], config)
+        val_batch = sample_and_score(proposal, PortableRng(config.seed).split("validation"), 128, base=model.base)
+        want = snl_objective(model, result.state.b, data[:40], estimate_z(model, val_batch)).value
+        assert result.history[-1].val_snl == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_density_validation_with_all_weights_zero_is_the_z_hat_zero_value(self, monkeypatch):
+        # as in both training steps: Z_hat = 0 leaves mean u - b + 1, not nan
+        model = MlpEnergy([2, 8, 1], rng=PortableRng(17))
+        data = PortableRng(18).normal((64, 2))
+        monkeypatch.setattr(training, "log_weights", lambda model, batch: np.full(batch.m, -np.inf))
+        config = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=32, proposal_samples=64, seed=7)
+        result = train_density(model, StandardGaussian(2), data, data[:16], config)
+        want = float(np.mean(model.unnorm_log_density(data[:16]))) - result.state.b + 1.0
+        assert result.history[0].val_snl == pytest.approx(want, rel=1e-12)
+        assert result.best_epoch == 1
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("family", ["density", "regression"])
+    def test_non_finite_validation_is_nan_and_never_best(self, family, bad, monkeypatch):
+        calls = []
+
+        def second_is_bad(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(None)
+                out = fn(*args, **kwargs)
+                return np.full_like(out, bad) if len(calls) == 2 else out
+            return wrapped
+
+        if family == "density":
+            model = MlpEnergy([2, 8, 1], rng=PortableRng(14))
+            model.unnorm_log_density = second_is_bad(model.unnorm_log_density)  # validation's data term
+            data = PortableRng(15).normal((96, 2))
+            config = TrainConfig(epochs=3, learning_rate=1e-2, batch_size=32, proposal_samples=64, seed=5)
+            result = train_density(model, StandardGaussian(2), data, data[:32], config)
+        else:
+            monkeypatch.setattr(regression, "validation_snl", second_is_bad(regression.validation_snl))
+            rng = PortableRng(16)
+            x = rng.uniform(64, -2.0, 2.0)
+            y = np.sin(x) + 0.3 * rng.normal(64)
+            config = RegressionTrainConfig(epochs=3, batch_size=32, samples_per_point=4, seed=6)
+            result = train_regression(ConditionalEnergyModel(rng.split("model")), NormalizerNet(rng.split("norm")),
+                                      fit_gaussian(y.reshape(-1, 1)), (x, y), (x[:16], y[:16]), config)
+        vals = [r.val_snl for r in result.history]
+        assert len(calls) == 3
+        assert np.isnan(vals[1]) and np.isfinite(vals[0]) and np.isfinite(vals[2])
+        assert result.best_epoch == (1 if vals[0] > vals[2] else 3)
