@@ -364,7 +364,6 @@ def _fit_regression(config: dict, split):
     model = regression.ConditionalEnergyModel(rng.split("model"))
     normalizer = regression.NormalizerNet(rng.split("normalizer")) if config["model.normalizer"] else None
     proposal = _build_proposal(config, y_tr.reshape(-1, 1), rng.split("proposal-init"))
-    eval_proposal = fit_gaussian(y_tr.reshape(-1, 1))
     result = regression.train_regression(model, normalizer, proposal, (x_tr, y_tr),
                                          (split.val[:, 0], split.val[:, 1]), _train_config(config))
 
@@ -373,7 +372,7 @@ def _fit_regression(config: dict, split):
                 "y_theta": serialize.fmt_vector(model.y_net.theta),
                 "head_theta": serialize.fmt_vector(model.head.theta),
                 "normalizer_phi": serialize.fmt_vector(normalizer.phi) if normalizer is not None else None,
-                "proposal": proposal.descriptor(), "eval_proposal": eval_proposal.descriptor()}
+                "proposal": proposal.descriptor(), "eval_proposal": model.carrier.descriptor()}
 
     final = fields()
     model.theta = result.best_theta
@@ -392,7 +391,7 @@ def _regression_parts(payload: dict):
         normalizer = regression.NormalizerNet()
         normalizer.phi = serialize.parse_vector(payload["normalizer_phi"])
     proposal = proposals.from_descriptor(payload["proposal"])
-    eval_proposal = proposals.from_descriptor(payload["eval_proposal"])
+    model.carrier = eval_proposal = proposals.from_descriptor(payload["eval_proposal"])
     standardizer = _standardizer_from_payload(payload.get("standardizer"))
     return model, normalizer, proposal, eval_proposal, standardizer, payload.get("config", [])
 

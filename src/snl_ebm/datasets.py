@@ -36,7 +36,6 @@ from .rng import PortableRng
 
 DENSITY_NAMES = ("checkerboard", "funnel", "pinwheel", "four_circles")
 REGRESSION_NAMES = ("regression1", "regression2")
-DENSITY_SPLIT_SIZES = (7000, 1000, 2000)
 DEFAULT_DENSITY_N = 10000  # 70/10/20 split gives exactly 7000/1000/2000
 DEFAULT_REGRESSION_N = 2858  # 70/10/20 split gives the stated 2000 training pairs
 

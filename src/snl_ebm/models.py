@@ -14,7 +14,8 @@ reference measure. Two conventions coexist and are made explicit per model:
 
 Either way importance weights compare -E + log d (-E without a base) against
 the proposal density (``objectives.log_weights``), and ``unnorm_log_density``
-is what enters data terms and reports.
+is what enters data terms and reports. Conditional models (``regression``)
+follow the carrier convention, with a carrier c(y) over the response.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Conditional energy models p(y|x) and their SNL training/evaluation.
 
-The conditional density is p(y|x) = e^{-E(x,y)} / Z_theta(x) with a per-input
-normalizer Z_theta(x) = integral e^{-E(x,y)} dy. A normalizer network
+The conditional density is p(y|x) = e^{-E(x,y)} / Z_theta(x) relative to a
+carrier c(y), Z_theta(x) = integral e^{-E(x,y)} c(y) dy. A normalizer network
 b_phi(x) plays the role of b pointwise:
 
     mean_i [ -E(x_i, y_i) - b_phi(x_i) - e^{-b_phi(x_i)} Z_hat(x_i) + 1 ],
@@ -18,16 +18,21 @@ Architecture: feature extractor 1 -> 10 -> 10 -> 10 (ReLU throughout)
 producing h_x; y branch 1 -> 16 -> 32 -> 64 -> 128; joint energy head on
 concat(h_x, y-features), 138 -> 10 -> 1; normalizer net 10 -> 10 -> 1 on h_x.
 
+Conditional models follow the carrier convention of ``models``: values are
+relative to the model's carrier c(y), data terms are -E alone, and every
+log-weight is -E plus ``measure_term``, log c(y) - log q(y) (-log q(y) with
+no carrier: Lebesgue measure). The bilinear oracle's carrier is N(0, 1);
+``train_regression`` sets the Gaussian fitted to the training responses.
+
 Evaluation reports the importance-sampled conditional log-likelihood
 
-    mean_i [ -E(x_i,y_i) - b_i - log (1/M) sum_m e^{-E(x_i,y_m) - b_i} ]
+    mean_i [ -E(x_i,y_i) - b_i - log (1/M) sum_m e^{-E(x_i,y_m) + log c(y_m) - log q(y_m) - b_i} ]
 
-on one shared set of M draws from an unconditional proposal fitted to the
-training targets; the weights are deliberately not divided by the proposal
-density, so values are relative to the proposal measure. b_i cancels in the
-limit and exactly in the display above; it is kept so the companion linear
-bound mean_i [ -E_i - b_i - e^{-b_i} Z_hat_i + 1 ] (same samples, hence never
-above the log form pointwise) and the normalization check can be reported.
+on one shared set of M draws from a 1-D unconditional proposal q; with q the
+carrier the measure term is exactly 0. b_i cancels in the limit and exactly
+in the display above; it is kept so the companion linear bound
+mean_i [ -E_i - b_i - e^{-b_i} Z_hat_i + 1 ] (same samples, hence never above
+the log form pointwise) and the normalization check can be reported.
 
 The n x M grid of E(x_i, y_m) is never held whole. The model yields it in
 blocks of max(1, GRID_CELLS // M) points against all M draws, and
@@ -50,7 +55,7 @@ import numpy as np
 from .nets import Mlp, Workspace, bind, row_tiles
 from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, step_terms
 from .optim import AdamState, adam_step
-from .proposals import MdnProposal
+from .proposals import MdnProposal, StandardGaussian, fit_gaussian
 from .rng import PortableRng
 from .training import config_problems, raise_problems, run_epochs
 
@@ -88,6 +93,8 @@ def _collect(blocks, n: int, m: int) -> np.ndarray:
 
 class ConditionalEnergyModel:
     """E(x, y) = head(concat(feature(x), ybranch(y)))."""
+
+    carrier = None  # Lebesgue measure until ``train_regression`` sets one
 
     def __init__(self, rng: PortableRng | None = None):
         self.feature_net = Mlp(FEATURE_WIDTHS, rng.split("feature") if rng else None, relu_output=True)
@@ -199,6 +206,7 @@ class BilinearConditionalModel:
 
     def __init__(self, theta: float = 1.0):
         self.theta = float(theta)
+        self.carrier = StandardGaussian(1)
 
     def energy_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return -self.theta * np.asarray(x, dtype=np.float64) * np.asarray(y, dtype=np.float64)
@@ -260,6 +268,14 @@ class RegressionTrainResult:
     best_phi: np.ndarray | None = None
 
 
+def measure_term(model, ys: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """log c(y) - log q(y) for the model's carrier c, or -log q(y) when it has
+    none: what each draw's log-weight adds to -E. ``log_q`` is shaped like ``ys``."""
+    if model.carrier is None:
+        return -log_q
+    return model.carrier.log_density(ys.reshape(-1, 1)).reshape(ys.shape) - log_q
+
+
 def _propose(proposal, rng: PortableRng, h: np.ndarray, n: int, m: int):
     """Per-point samples (n, m) with their conditional/unconditional log q,
     and the MDN's heads at h (None for an unconditional proposal), which
@@ -304,9 +320,9 @@ def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, ob
     else:
         b_vals, cache_n = np.zeros(n), None
 
-    logw = -e_samp - log_q
-    if log_q_data is not None:
-        log_q_data = log_q_data[:, None]
+    logw = measure_term(model, ys, log_q) - e_samp
+    if log_q_data is not None:  # the NCE data logit -E - b + log c - log q
+        log_q_data = -measure_term(model, y, log_q_data)[:, None]
     value, d_e_data, d_e_samp, d_b = step_terms(-e_data[:, None], logw, b_vals, objective, nu, log_q_data)
 
     cot = np.concatenate([d_e_data.ravel(), d_e_samp.ravel()]).reshape(-1, 1)
@@ -332,7 +348,7 @@ def validation_snl(model, normalizer, proposal, x, y, m, rng):
     e_data = model.energy_pairs(x, y, h)
     e_samp = model.energy_grid_shared(x, ys, h)
     b_vals = normalizer.values(h) if normalizer is not None else np.zeros(x.shape[0])
-    return step_terms(-e_data[:, None], -e_samp - log_q, b_vals)[0]
+    return step_terms(-e_data[:, None], measure_term(model, ys, log_q) - e_samp, b_vals)[0]
 
 
 def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config):
@@ -341,11 +357,13 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     train_pairs/val_pairs are (x, y) tuples of 1-d arrays. The proposal is
     either an MdnProposal on the feature vector (refit by one likelihood step
     after every energy step, against the current features) or any fixed
-    unconditional distribution with sample/log_density.
+    unconditional distribution with sample/log_density. The model's carrier
+    becomes the Gaussian fitted to the training responses.
     """
     config.validate()
     x_tr, y_tr = (np.asarray(a, dtype=np.float64) for a in train_pairs)
     x_val, y_val = (np.asarray(a, dtype=np.float64) for a in val_pairs)
+    model.carrier = fit_gaussian(y_tr.reshape(-1, 1))
     root = PortableRng(config.seed)
     shuffle_rng = root.split("shuffle")
     proposal_rng = root.split("proposal")
@@ -427,8 +445,8 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     the per-point estimates therefore share randomness and the standard
     errors are computed over draws. ``objectives.bound_pair`` reduces the
     grid block by block as the model yields it, so no (n, m) array is held.
-    Non-finite data or grid energies raise ``EnergyEvaluationError``, and a
-    ``normalizer_fn`` result of another shape than (n,) raises ValueError.
+    Non-finite energies raise ``EnergyEvaluationError``; draws not of shape
+    (n_samples, 1) or ``normalizer_fn`` values not of shape (n,), ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -440,8 +458,11 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     n = x.shape[0]
     if n == 0:
         raise ValueError("pairs are empty: the evaluation needs at least one (x, y) pair")
-    ys = np.asarray(proposal.sample(rng, n_samples), dtype=np.float64).reshape(-1)
-    m = ys.shape[0]
+    draws = np.asarray(proposal.sample(rng, n_samples), dtype=np.float64)
+    if draws.shape != (n_samples, 1):
+        raise ValueError(f"the proposal drew shape {draws.shape}; the evaluation needs ({n_samples}, 1)")
+    ys, m = draws[:, 0], n_samples
+    term = measure_term(model, ys, proposal.log_density(draws))
 
     e_data = model.energy_pairs(x, y)
     check_finite_energies(e_data, "data point")
@@ -452,7 +473,7 @@ def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
     def log_weight_blocks():
         for lo, hi, e in model.energy_grid_blocks(x, ys):
             check_finite_energies(e, "grid cell", offset=lo * m)
-            yield lo, hi, np.negative(e, out=e)  # values relative to the proposal measure
+            yield lo, hi, np.subtract(term, e, out=e)
 
     log_z, l_is_se, l_snl_se = bound_pair(log_weight_blocks(), b_vals, m)
     gap = log_z - b_vals

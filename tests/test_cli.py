@@ -611,7 +611,7 @@ class TestCheckpointParameters:
         assert list(final) == keys and list(best) == keys
 
     def test_regression(self, tmp_path, capsys):
-        cfg = regression_config(tmp_path, extra=["train.learning_rate = 0.01", "train.seed = 1"])
+        cfg = regression_config(tmp_path, extra=["train.learning_rate = 0.1", "train.seed = 0"])
         code, out, _ = run(capsys, "train", "--config", cfg, "--set", "train.epochs=3")
         assert code == 0
 
@@ -622,8 +622,8 @@ class TestCheckpointParameters:
         y_tr = split.train[:, 1]
         result = train_regression(model, normalizer, fit_gaussian(y_tr.reshape(-1, 1)), (split.train[:, 0], y_tr),
                                   (split.val[:, 0], split.val[:, 1]),
-                                  RegressionTrainConfig(epochs=3, learning_rate=0.01, batch_size=32,
-                                                        samples_per_point=4, seed=1))
+                                  RegressionTrainConfig(epochs=3, learning_rate=0.1, batch_size=32,
+                                                        samples_per_point=4, seed=0))
         assert result.best_epoch < 3  # so the two checkpoints differ
         best_val = result.history[result.best_epoch - 1].val_snl
         assert out.splitlines()[0] == f"trained 3 epochs; best val {best_val:.6f} at epoch {result.best_epoch}"
@@ -644,3 +644,17 @@ class TestCheckpointParameters:
         keys = ["format", "kind", "feature_theta", "y_theta", "head_theta", "normalizer_phi", "proposal",
                 "eval_proposal", "standardizer", "best_epoch", "epochs_trained", "config"]
         assert list(final) == keys and list(best) == keys
+
+    def test_regression_eval_proposal_is_the_model_carrier(self, tmp_path, capsys):
+        assert run(capsys, "train", "--config", regression_config(tmp_path))[0] == 0
+        split = datasets.load_named("regression1", 120, 0)
+        model = ConditionalEnergyModel(PortableRng(0).split("model"))
+        y_tr = split.train[:, 1]
+        train_regression(model, None, fit_gaussian(y_tr.reshape(-1, 1)), (split.train[:, 0], y_tr),
+                         (split.val[:, 0], split.val[:, 1]), RegressionTrainConfig(epochs=0))
+        for name in ("final", "best"):
+            path = tmp_path / "reg" / f"checkpoint_{name}.json"
+            assert checkpoint(path)["eval_proposal"] == model.carrier.descriptor()
+            loaded, _, _, eval_proposal, _, _ = load_regression_checkpoint(str(path))
+            assert loaded.carrier is eval_proposal
+            assert loaded.carrier.descriptor() == model.carrier.descriptor()

@@ -157,7 +157,9 @@ def regression_setup():
 def reference_regression(config, x, y, model, norm, proposal):
     """``train_regression`` for one epoch of three steps, rebuilt from
     ``_regression_step`` with pure Adam (and the MDN refit when ``proposal``
-    is an ``MdnProposal``); returns the number of energy and MDN steps."""
+    is an ``MdnProposal``) on the carrier fitted to ``y``; returns the number
+    of energy and MDN steps."""
+    model.carrier = fit_gaussian(y.reshape(-1, 1))
     mdn = proposal if isinstance(proposal, MdnProposal) else None
     root = PortableRng(config.seed)
     shuffle_rng, proposal_rng = root.split("shuffle"), root.split("proposal")

@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from snl_ebm.errors import EnergyEvaluationError, NonFiniteObjectiveError, TrainingDivergedError
+from snl_ebm.datasets import load_named
+from snl_ebm.errors import (
+    DegenerateProposalError,
+    EnergyEvaluationError,
+    NonFiniteObjectiveError,
+    TrainingDivergedError,
+)
 from snl_ebm import regression
 from snl_ebm.nets import Workspace
-from snl_ebm.proposals import MdnProposal, StandardGaussian, fit_gaussian
+from snl_ebm.proposals import FittedGaussian, MdnProposal, StandardGaussian, fit_gaussian
 from snl_ebm.regression import (
     FEATURE_WIDTHS,
     HEAD_WIDTHS,
@@ -247,10 +253,12 @@ class TestStepGradients:
         y = PortableRng(20).normal(4)
         ys = PortableRng(21).normal((4, 3))
         log_q = StandardGaussian(1).log_density(ys.reshape(-1, 1)).reshape(4, 3)
+        model.carrier = FittedGaussian([0.3], [[2.25]])
+        log_c = model.carrier.log_density(ys.reshape(-1, 1)).reshape(4, 3)
         _, _, (max_energy, min_weight) = run_step(model, None, x, y, ys, log_q, None, "snl", None)
         e_samp = model.energy_grid_shared(x, ys)
         assert max_energy == pytest.approx(float(np.max(e_samp)), rel=1e-12)
-        assert min_weight == pytest.approx(float(np.exp(np.min(-e_samp - log_q))), rel=1e-12)
+        assert min_weight == pytest.approx(float(np.exp(np.min(-e_samp + log_c - log_q))), rel=1e-12)
 
 
 class TestTrainRegression:
@@ -328,6 +336,32 @@ class TestTrainRegression:
         )
         assert all(np.isfinite(r.train_objective) for r in result.history)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trained_bounds_meet_in_the_carrier_measure(self, seed):
+        # b_phi learns log Z(x) in the measure the evaluation reports, so at
+        # the SNL optimum the two bounds meet
+        split = load_named("regression1", 600, seed)
+        x_tr, y_tr = split.train[:, 0], split.train[:, 1]
+        rng = PortableRng(seed)
+        model, norm = ConditionalEnergyModel(rng.split("model")), NormalizerNet(rng.split("normalizer"))
+        mdn = MdnProposal(FEATURE_WIDTHS[-1], 2, rng.split("proposal-init"))
+        train_regression(model, norm, mdn, (x_tr, y_tr), (split.val[:, 0], split.val[:, 1]),
+                         RegressionTrainConfig(epochs=20, seed=seed))
+        report = eval_regression_l_is(model, (split.test[:, 0], split.test[:, 1]), fit_gaussian(y_tr.reshape(-1, 1)),
+                                      n_samples=5000, rng=PortableRng(seed).split("evaluate"),
+                                      normalizer_fn=lambda xs: norm.values(model.features(xs)))
+        assert report.l_is - report.l_snl < 0.02
+
+    def test_carrier_is_the_gaussian_fitted_to_the_responses(self):
+        x, y = self.toy_pairs(34, 64)
+        model = ConditionalEnergyModel(PortableRng(35))
+        assert model.carrier is None
+        train_regression(model, None, StandardGaussian(1), (x, y), (x[:16], y[:16]), self.config(epochs=0))
+        assert model.carrier.descriptor() == fit_gaussian(y.reshape(-1, 1)).descriptor()
+        with pytest.raises(DegenerateProposalError):
+            train_regression(model, None, StandardGaussian(1), (x, np.full(64, 0.5)), (x[:16], y[:16]),
+                             self.config(epochs=0))
+
     def test_divergence_guard(self):
         x, y = self.toy_pairs(36, 128)
         model = ConditionalEnergyModel(PortableRng(37))
@@ -389,8 +423,7 @@ class TestEvalRegression:
         assert not report.unnormalized
 
     def test_recovers_bilinear_likelihood_with_carrier_proposal(self):
-        # q equal to the carrier makes the proposal-relative value coincide
-        # with the carrier-relative conditional log-likelihood
+        # q equal to the carrier: every draw's measure term is exactly 0
         m = BilinearConditionalModel(theta=1.0)
         rng = PortableRng(41)
         x = rng.uniform(50, -1.5, 1.5)
@@ -399,6 +432,23 @@ class TestEvalRegression:
         want = m.exact_conditional_log_likelihood(x, y)
         assert report.l_is == pytest.approx(want, abs=0.01)
         assert report.l_snl <= report.l_is
+
+    def test_measure_belongs_to_the_model(self):
+        # a proposal that is not the carrier: the weights divide it out
+        # again, so the value stays relative to the N(0, 1) carrier
+        m = BilinearConditionalModel(theta=1.0)
+        rng = PortableRng(41)
+        x = rng.uniform(50, -1.5, 1.5)
+        y = rng.normal(50) * 1.0 + 0.5 * x
+        report = eval_regression_l_is(m, (x, y), FittedGaussian([0.3], [[2.25]]), n_samples=200_000,
+                                      rng=PortableRng(42))
+        want = m.exact_conditional_log_likelihood(x, y)
+        assert abs(report.l_is - want) < 5.0 * report.l_is_se
+
+    def test_rejects_a_proposal_that_is_not_one_dimensional(self):
+        with pytest.raises(ValueError, match=re.escape("drew shape (100, 2); the evaluation needs (100, 1)")):
+            eval_regression_l_is(BilinearConditionalModel(0.5), (np.zeros(3), np.zeros(3)), StandardGaussian(2),
+                                 n_samples=100, rng=PortableRng(0))
 
     def test_sandwich_and_errors_finite(self):
         m = BilinearConditionalModel(theta=1.3)
@@ -498,13 +548,17 @@ class FixedDraws:
     def sample(self, rng, n):
         return self.ys[:n].reshape(-1, 1)
 
+    def log_density(self, ys):
+        return np.zeros(len(ys))
 
-def dense_reference(model, x, y, ys, b_vals):
+
+def dense_reference(model, x, y, ys, b_vals, log_measure=0.0):
     """(l_is, l_is_se, l_snl, l_snl_se) by the full-grid formulas: the (n, m)
-    grid from energy_pairs on the expanded pairs and scipy's logsumexp."""
+    grid from energy_pairs on the expanded pairs, plus ``log_measure`` per
+    draw, and scipy's logsumexp."""
     n, m = x.size, ys.size
     e_data = model.energy_pairs(x, y)
-    logw = -model.energy_pairs(np.repeat(x, m), np.tile(ys, n)).reshape(n, m)
+    logw = log_measure - model.energy_pairs(np.repeat(x, m), np.tile(ys, n)).reshape(n, m)
     log_zq = logsumexp(logw, axis=1) - np.log(m)
     gap = log_zq - b_vals
     l_is = float(np.mean(-e_data - b_vals - gap))
@@ -552,9 +606,12 @@ class TestStreamedEval:
         yield "bilinear", BilinearConditionalModel(theta=1.3), x, y, lambda xs: 0.3 * xs
 
     def test_matches_dense_reference(self):
+        ys = self.draws()
         for name, model, x, y, normalizer_fn in self.cases():
             b_vals = normalizer_fn(x) if normalizer_fn is not None else np.zeros(x.size)
-            want = dense_reference(model, x, y, self.draws(), b_vals)
+            # the untrained conditional model has no carrier: Lebesgue weights e^{-E} / q
+            log_measure = -StandardGaussian(1).log_density(ys[:, None]) if model.carrier is None else 0.0
+            want = dense_reference(model, x, y, ys, b_vals, log_measure)
             got = report_values(self.evaluate(model, x, y, normalizer_fn))
             assert abs(want[0]) > 0.05 and abs(want[2]) > 0.05, name  # far from the trivial zero
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
