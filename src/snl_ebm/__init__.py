@@ -19,14 +19,14 @@ from .errors import (
     UnsupportedExactFormError,
 )
 from .evaluation import evaluate
-from .models import BernoulliModel, GaussianMeanModel, MlpEnergy
+from .models import BinaryCubeModel, GaussianMeanModel, MlpEnergy
 from .proposals import (
+    ExhaustiveCube,
     FittedGaussian,
     MdnProposal,
     StandardGaussian,
-    TwoPointExhaustive,
-    TwoPointUniform,
     UniformBox,
+    UniformCube,
     fit_gaussian,
 )
 from .regression import (
@@ -43,12 +43,13 @@ from .training import TrainConfig, train_density
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliModel",
     "BilinearConditionalModel",
+    "BinaryCubeModel",
     "ConditionalEnergyModel",
     "ConfigError",
     "DegenerateProposalError",
     "EnergyEvaluationError",
+    "ExhaustiveCube",
     "FittedGaussian",
     "GaussianMeanModel",
     "MdnProposal",
@@ -61,9 +62,8 @@ __all__ = [
     "StandardGaussian",
     "TrainConfig",
     "TrainingDivergedError",
-    "TwoPointExhaustive",
-    "TwoPointUniform",
     "UniformBox",
+    "UniformCube",
     "UnsupportedExactFormError",
     "eval_regression_l_is",
     "evaluate",

@@ -1,5 +1,8 @@
 """Energy models: closed-form exponential-family oracles and MLP energies.
 
+The oracles, ``GaussianMeanModel`` and ``BinaryCubeModel``, are exponential
+families E(x) = -theta . T(x) whose log Z and its gradient are exact.
+
 A model is E_theta(x) plus an optional base density d(x) and a declared
 reference measure. Two conventions coexist and are made explicit per model:
 
@@ -7,7 +10,7 @@ reference measure. Two conventions coexist and are made explicit per model:
   reference measure. It scales importance weights (w = e^{-E} d / q) and the
   normalizer Z = integral e^{-E} d dx, but reported log-densities and
   log-likelihoods are relative to d(x) dx, so the data term is -E alone.
-  The closed-form oracles follow this convention.
+  ``GaussianMeanModel`` follows this convention.
 * tilt (``base_is_carrier = False``): the base is part of the density and
   values are relative to Lebesgue measure; the data term is -E + log d.
   MLP energies with a Gaussian base follow this convention.
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import UnsupportedExactFormError
 from .nets import Mlp, bind
-from .proposals import StandardGaussian
+from .proposals import StandardGaussian, cube_states
 from .rng import PortableRng
 
 DENSITY_WIDTHS = [2, 200, 100, 50, 50, 1]
@@ -38,7 +41,7 @@ class EnergyModel:
     base_is_carrier = False
 
     def energy(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.energy_vjp_prepared(x)[0]
 
     def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
         """(energies, vjp): vjp(cotangent) is sum_i cotangent_i * dE(x_i)/dtheta
@@ -85,12 +88,11 @@ class EnergyModel:
 
 
 class LinearOracle(EnergyModel):
-    """E(x) = -theta x on one coordinate, the shared form of the oracles."""
+    """E(x) = -theta . T(x), the shared form of the oracles, with the
+    sufficient statistic T(x) = ``statistic(x)`` of shape (n, n_params)."""
 
-    dim = 1
-
-    def __init__(self, theta: float = 0.0):
-        self._theta = np.array([float(theta)])
+    def __init__(self, theta):
+        self._theta = np.array(theta, dtype=np.float64).ravel()
 
     @property
     def theta(self) -> np.ndarray:
@@ -98,34 +100,34 @@ class LinearOracle(EnergyModel):
 
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
-        self._theta[...] = np.asarray(value, dtype=np.float64).reshape(1)
+        self._theta[...] = np.asarray(value, dtype=np.float64).reshape(self._theta.shape)
 
     def bind(self, buffer: np.ndarray) -> None:
         buffer[...] = self._theta
         self._theta = buffer
 
-    def energy(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return -self._theta[0] * x[:, 0]
-
     def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
-        x = np.asarray(x, dtype=np.float64)
-        return self.energy(x), lambda cotangent: np.array([-float(np.dot(cotangent, x[:, 0]))])
+        t = self.statistic(x)
+        return -(t @ self._theta), lambda cotangent: -(cotangent @ t)
 
 
 class GaussianMeanModel(LinearOracle):
-    """E(x) = -theta x against a standard-Gaussian carrier.
+    """E(x) = -theta x against a standard-Gaussian carrier, with T(x) = x.
 
     Z = integral e^{theta x} phi(x) dx = e^{theta^2 / 2} (the Gaussian mgf),
     so the model is N(theta, 1) and the likelihood optimum is theta = x_bar
     with b = x_bar^2 / 2.
     """
 
+    dim = 1
     base_is_carrier = True
 
     def __init__(self, theta: float = 0.0):
-        super().__init__(theta)
+        super().__init__(float(theta))
         self.base = StandardGaussian(1)
+
+    def statistic(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64)
 
     def exact_log_z(self) -> float:
         return 0.5 * float(self._theta[0] ** 2)
@@ -134,25 +136,28 @@ class GaussianMeanModel(LinearOracle):
         return self._theta.copy()
 
 
-class BernoulliModel(LinearOracle):
-    """E(x) = -theta x on support {0, 1} under counting measure.
+class BinaryCubeModel(LinearOracle):
+    """Fully visible Boltzmann machine on {0, 1}^dim under counting measure:
+    T(x) = (x_i for each i; x_i x_j for i < j, row-major), dim(dim+1)/2
+    parameters (``theta`` may be one value for all), Z summed over the 2^dim
+    states. dim = 1 is the Bernoulli family, Z = 1 + e^theta."""
 
-    Z = 1 + e^theta; the likelihood optimum is theta = logit(x_bar).
-    """
+    def __init__(self, dim: int, theta=0.0):
+        self.dim = int(dim)
+        super().__init__(np.broadcast_to(np.asarray(theta, dtype=np.float64), (self.dim * (self.dim + 1) // 2,)))
 
-    base = None
-    base_is_carrier = False
+    def statistic(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        i, j = np.triu_indices(self.dim, 1)
+        return np.concatenate([x, x[:, i] * x[:, j]], axis=1)
 
     def exact_log_z(self) -> float:
-        return float(np.logaddexp(0.0, self._theta[0]))
+        return float(np.logaddexp.reduce(self.statistic(cube_states(self.dim)) @ self._theta))
 
     def exact_log_z_grad(self) -> np.ndarray:
-        # d/dtheta log(1 + e^theta) = sigmoid(theta), the model mean.
-        return np.array([float(1.0 / (1.0 + np.exp(-self._theta[0])))])
-
-    @staticmethod
-    def support() -> np.ndarray:
-        return np.array([[0.0], [1.0]])
+        t = self.statistic(cube_states(self.dim))
+        u = t @ self._theta
+        return np.exp(u - np.logaddexp.reduce(u)) @ t
 
 
 class MlpEnergy(EnergyModel):

@@ -1,9 +1,10 @@
 """Proposal and base distributions, and proposal fitting.
 
 Unconditional distributions expose log_density/sample and serialize to plain
-descriptors. The mixture-density proposal is conditional: its parameter heads
-map a fixed feature vector per data point to mixture weights, means, and
-scales, and regression training refits it by one maximum-likelihood step
+descriptors; ``ExhaustiveCube.sample`` returns all of {0, 1}^d, not draws.
+The mixture-density proposal is conditional: its parameter heads map a fixed
+feature vector per data point to mixture weights, means, and scales, and
+regression training refits it by one maximum-likelihood step
 (``loglik_gradient``) per energy step.
 """
 
@@ -132,50 +133,43 @@ class UniformBox:
         }
 
 
-class TwoPointUniform:
-    """Uniform on the two-point support {0, 1} (probability 1/2 each)."""
+def cube_states(dim: int) -> np.ndarray:
+    """The 2^dim points of {0, 1}^dim, one per row, in binary counting order."""
+    return ((np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1).astype(np.float64)
 
-    kind = "two_point_uniform"
-    dim = 1
+
+class UniformCube:
+    """Uniform on the 2^dim points of {0, 1}^dim (probability 2^-dim each)."""
+
+    kind = "uniform_cube"
+
+    def __init__(self, dim: int):
+        self.dim = int(dim)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        out = np.full(x.shape[0], -np.inf)
-        out[(x == 0.0) | (x == 1.0)] = -np.log(2.0)
-        return out
+        on_cube = np.all(np.isin(x, (0.0, 1.0)), axis=1)
+        return np.where(on_cube, -self.dim * np.log(2.0), -np.inf)
 
     def sample(self, rng: PortableRng, n: int) -> np.ndarray:
-        return rng.integers(n, 2).astype(np.float64).reshape(-1, 1)
+        return rng.integers(n * self.dim, 2).astype(np.float64).reshape(n, self.dim)
 
     def descriptor(self) -> dict:
-        return {"kind": self.kind}
+        return {"kind": self.kind, "dim": self.dim}
 
 
-class TwoPointExhaustive(TwoPointUniform):
-    """Enumerates {0, 1} instead of sampling.
+class ExhaustiveCube(UniformCube):
+    """Enumerates {0, 1}^dim instead of sampling: ``sample`` returns each state
+    once and reads no stream, so the weight mean sum_x e^{-E(x)} is Z exactly."""
 
-    With q = 1/2 on both points the weight mean (1/2) sum_x 2 e^{-E(x)} equals
-    Z exactly, so the normalizer estimate is deterministic.
-    """
+    kind = "exhaustive_cube"
 
-    kind = "two_point_exhaustive"
-
-    def enumeration(self) -> np.ndarray:
-        return np.array([[0.0], [1.0]])
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind}
+    def sample(self, rng: PortableRng, n: int) -> np.ndarray:
+        return cube_states(self.dim)
 
 
 def sample_and_score(proposal, rng: PortableRng, m: int, base=None) -> ImportanceBatch:
-    """Draw M points from the proposal and score q (and d, when given) once.
-
-    An exhaustive proposal contributes its full support instead of M draws.
-    """
-    if isinstance(proposal, TwoPointExhaustive):
-        samples = proposal.enumeration()
-    else:
-        samples = proposal.sample(rng, m)
+    """Draw M points (an enumerating proposal: its support) and score q (and d, when given) once."""
+    samples = proposal.sample(rng, m)
     log_q = proposal.log_density(samples)
     base_ld = base.log_density(samples) if base is not None else None
     return ImportanceBatch(samples=samples, proposal_log_densities=log_q, base_log_densities=base_ld)
@@ -314,10 +308,10 @@ def from_descriptor(desc: dict):
         return FittedGaussian(serialize.parse_vector(desc["mean"]), serialize.parse_matrix(desc["cov"]))
     if kind == "uniform_box":
         return UniformBox(serialize.parse_vector(desc["lo"]), serialize.parse_vector(desc["hi"]))
-    if kind == "two_point_uniform":
-        return TwoPointUniform()
-    if kind == "two_point_exhaustive":
-        return TwoPointExhaustive()
+    if kind in ("uniform_cube", "two_point_uniform"):  # two_point_*: the d = 1 cube's earlier kinds
+        return UniformCube(int(desc.get("dim", 1)))
+    if kind in ("exhaustive_cube", "two_point_exhaustive"):
+        return ExhaustiveCube(int(desc.get("dim", 1)))
     if kind == "mdn":
         mdn = MdnProposal(int(desc["input_dim"]), int(desc["components"]))
         mdn.pi_net.theta = serialize.parse_vector(desc["pi"])

@@ -1,16 +1,20 @@
 """Closed-form oracles and the MLP energy.
 
-The two scalar oracles have everything in closed form (normalizer, its
-gradient, the likelihood optimum), so the values asserted here were derived
-by hand and frozen; they anchor every later estimator test.
+The scalar oracles (the Gaussian mean and the d = 1 cube, the Bernoulli)
+have everything in closed form (normalizer, its gradient, the likelihood
+optimum), so the values asserted here were derived by hand and frozen; they
+anchor every later estimator test. The d-cube is checked against a sum over
+its states written out here and against finite differences.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from snl_ebm.errors import UnsupportedExactFormError
-from snl_ebm.models import DENSITY_WIDTHS, BernoulliModel, GaussianMeanModel, MlpEnergy
-from snl_ebm.proposals import StandardGaussian
+from snl_ebm.models import DENSITY_WIDTHS, BinaryCubeModel, GaussianMeanModel, MlpEnergy
+from snl_ebm.proposals import StandardGaussian, cube_states
 from snl_ebm.rng import PortableRng
 from reference import param_gradient, weight_log_numerator
 
@@ -72,33 +76,81 @@ class TestGaussianMeanModel:
 
 
 class TestBernoulliModel:
+    """The d = 1 cube."""
+
     def test_log_z_closed_form(self):
-        assert BernoulliModel(0.0).exact_log_z() == pytest.approx(np.log(2.0), abs=0)
-        assert BernoulliModel(1.0).exact_log_z() == pytest.approx(np.log(1 + np.e), rel=1e-15)
+        assert BinaryCubeModel(1, 0.0).exact_log_z() == pytest.approx(np.log(2.0), abs=0)
+        assert BinaryCubeModel(1, 1.0).exact_log_z() == pytest.approx(np.log(1 + np.e), rel=1e-15)
 
     def test_log_z_grad_is_sigmoid(self):
-        np.testing.assert_allclose(BernoulliModel(0.0).exact_log_z_grad(), [0.5], atol=0)
+        np.testing.assert_allclose(BinaryCubeModel(1, 0.0).exact_log_z_grad(), [0.5], atol=0)
 
     def test_exact_log_likelihood_fair_coin(self):
         data = np.array([[0.0], [1.0], [1.0], [0.0]])
-        assert BernoulliModel(0.0).exact_log_likelihood(data) == pytest.approx(-np.log(2.0), abs=0)
+        assert BinaryCubeModel(1, 0.0).exact_log_likelihood(data) == pytest.approx(-np.log(2.0), abs=0)
 
     def test_support_enumeration(self):
-        np.testing.assert_array_equal(BernoulliModel.support(), [[0.0], [1.0]])
+        np.testing.assert_array_equal(cube_states(1), [[0.0], [1.0]])
 
     def test_optimum_is_logit_of_mean(self):
         # d/dtheta [theta x_bar - log(1 + e^theta)] = 0 at theta = logit(x_bar)
         x_bar = 0.75
         theta = np.log(x_bar / (1 - x_bar))
-        m = BernoulliModel(theta)
+        m = BinaryCubeModel(1, theta)
         assert m.exact_log_z_grad()[0] == pytest.approx(x_bar, rel=1e-14)
 
     def test_counting_measure_has_no_base(self):
-        m = BernoulliModel(2.0)
+        m = BinaryCubeModel(1, 2.0)
         assert m.base is None
         x = np.array([[1.0]])
         assert m.unnorm_log_density(x)[0] == 2.0
         assert weight_log_numerator(m, x)[0] == 2.0
+
+
+class TestBinaryCubeModel:
+    def test_statistic_is_units_then_pairs(self):
+        m = BinaryCubeModel(3)
+        assert m.n_params == 6
+        # x = (1, 0, 1): x0, x1, x2, then x0 x1, x0 x2, x1 x2
+        np.testing.assert_array_equal(m.statistic(np.array([[1.0, 0.0, 1.0]])), [[1, 0, 1, 0, 1, 0]])
+
+    def test_scalar_theta_fills_every_parameter(self):
+        np.testing.assert_array_equal(BinaryCubeModel(3, 0.5).theta, np.full(6, 0.5))
+        with pytest.raises(ValueError):
+            BinaryCubeModel(3, np.zeros(5))
+
+    def test_log_z_matches_sum_over_states(self):
+        theta = PortableRng(10).uniform(6, -1.5, 1.5)
+        m = BinaryCubeModel(3, theta)
+        total = 0.0
+        for a, b, c in itertools.product((0.0, 1.0), repeat=3):
+            t = [a, b, c, a * b, a * c, b * c]
+            total += np.exp(np.dot(theta, t))
+        assert m.exact_log_z() == pytest.approx(np.log(total), rel=1e-14)
+        assert cube_states(3).shape == (8, 3)
+
+    def test_log_z_grad_matches_finite_difference(self):
+        theta = PortableRng(11).uniform(6, -1.0, 1.0)
+        m = BinaryCubeModel(3, theta)
+        grad = m.exact_log_z_grad()
+        step = 1e-6
+        for j in range(6):
+            e = np.zeros(6)
+            e[j] = step
+            m.theta = theta + e
+            up = m.exact_log_z()
+            m.theta = theta - e
+            down = m.exact_log_z()
+            assert abs((up - down) / (2 * step) - grad[j]) < 1e-8
+
+    def test_vjp_matches_sum_of_pointwise(self):
+        m = BinaryCubeModel(3, PortableRng(12).uniform(6, -1.0, 1.0))
+        x = cube_states(3)[[1, 4, 7, 6]]
+        cot = np.array([0.2, -1.0, 0.5, 2.0])
+        whole = m.energy_vjp(x, cot)
+        summed = sum(c * param_gradient(m, xi) for c, xi in zip(cot, x))
+        np.testing.assert_allclose(whole, summed, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(param_gradient(m, x[2]), -m.statistic(x[2:3])[0])
 
 
 class TestMlpEnergy:

@@ -19,7 +19,7 @@ from snl_ebm.errors import (
     NonFiniteObjectiveError,
 )
 from snl_ebm.evaluation import evaluate
-from snl_ebm.models import BernoulliModel, GaussianMeanModel, MlpEnergy
+from snl_ebm.models import BinaryCubeModel, GaussianMeanModel, MlpEnergy
 from snl_ebm.objectives import (
     ImportanceBatch,
     bound_pair,
@@ -29,10 +29,11 @@ from snl_ebm.objectives import (
     step_terms,
 )
 from snl_ebm.proposals import (
+    ExhaustiveCube,
     StandardGaussian,
-    TwoPointExhaustive,
-    TwoPointUniform,
     UniformBox,
+    UniformCube,
+    cube_states,
     sample_and_score,
 )
 from snl_ebm.rng import PortableRng
@@ -100,8 +101,8 @@ class TestEstimateZ:
 
     def test_bernoulli_exhaustive_is_exact(self):
         # enumerated domain, q = 1/2: (e^0/0.5 + e^theta/0.5)/2 = 1 + e^theta
-        m = BernoulliModel(np.log(3.0))
-        batch = sample_and_score(TwoPointExhaustive(), PortableRng(0), 999)
+        m = BinaryCubeModel(1, np.log(3.0))
+        batch = sample_and_score(ExhaustiveCube(1), PortableRng(0), 999)
         est = z_estimate(m, batch)
         assert est.mean_weight == pytest.approx(4.0, rel=1e-15)
         assert est.count == 2
@@ -164,7 +165,7 @@ class TestSnlObjective:
 
     def test_fair_coin_value(self):
         data = np.array([[0.0], [1.0]])
-        out = snl_objective(BernoulliModel(0.0), np.log(2.0), data, log_z=np.log(2.0))
+        out = snl_objective(BinaryCubeModel(1, 0.0), np.log(2.0), data, log_z=np.log(2.0))
         assert out.value == pytest.approx(-np.log(2.0), abs=1e-15)
 
     def test_lower_bounds_likelihood_for_all_b(self):
@@ -237,10 +238,15 @@ class TestSnlGradients:
         rng = PortableRng(21)
         thetas = rng.uniform(50, -2.0, 2.0)
         bs = rng.uniform(50, -3.0, 3.0)
+        cube_data = (rng.uniform((20, 3)) < 0.6).astype(np.float64)
         for theta, b in zip(thetas, bs):
-            for model in (GaussianMeanModel(float(theta)), BernoulliModel(float(theta))):
+            for model in (GaussianMeanModel(float(theta)), BinaryCubeModel(1, float(theta))):
                 lhs, rhs = gradient_relation_check(model, float(b), TWO_POINT_DATA % 2)
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+            # the d = 3 cube, with its six parameters spread around theta
+            cube = BinaryCubeModel(3, theta + rng.uniform(6, -1.0, 1.0))
+            lhs, rhs = gradient_relation_check(cube, float(b), cube_data)
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def l_is_and_l_snl(model, b, m, seed=0):
@@ -321,8 +327,8 @@ class TestNce:
 
     def test_two_point_hand_value(self):
         # data {1}, noise {0}, q = 1/2: loss = -[log(0.6) + log(2/3)] = -log 0.4
-        model = BernoulliModel(np.log(3.0))
-        q = TwoPointUniform()
+        model = BinaryCubeModel(1, np.log(3.0))
+        q = UniformCube(1)
         batch = ImportanceBatch(np.array([[0.0]]), q.log_density(np.array([[0.0]])))
         loss = nce_objective(model, np.log(4.0), np.array([[1.0]]), q, batch, nu=1.0)
         assert loss == pytest.approx(-np.log(0.4), rel=1e-12)
@@ -533,7 +539,7 @@ class TestGeneralizedKl:
 
     def test_counting_measure_bernoulli(self):
         # KL between Bernoulli(2/3) and Bernoulli(1/2) over the enumerated domain
-        quad = discrete_points(BernoulliModel.support())
+        quad = discrete_points(cube_states(1))
         f1 = lambda pts: np.where(pts[:, 0] > 0.5, 2.0 / 3.0, 1.0 / 3.0)
         f2 = lambda pts: np.full(pts.shape[0], 0.5)
         want = (1 / 3) * np.log((1 / 3) / 0.5) + (2 / 3) * np.log((2 / 3) / 0.5)

@@ -8,10 +8,10 @@ from snl_ebm.errors import DegenerateProposalError
 from snl_ebm.proposals import (
     FittedGaussian,
     MdnProposal,
+    ExhaustiveCube,
     StandardGaussian,
-    TwoPointExhaustive,
-    TwoPointUniform,
     UniformBox,
+    UniformCube,
     fit_gaussian,
     from_descriptor,
     sample_and_score,
@@ -138,21 +138,48 @@ class TestUniformBox:
 
 
 class TestTwoPoint:
+    """The d = 1 cube, the two-point support {0, 1}."""
+
     def test_density_on_and_off_support(self):
-        q = TwoPointUniform()
+        q = UniformCube(1)
         out = q.log_density(np.array([[0.0], [1.0], [0.5]]))
         assert out[0] == out[1] == pytest.approx(-np.log(2.0), abs=0)
         assert out[2] == -np.inf
 
     def test_sample_frequencies(self):
-        x = TwoPointUniform().sample(PortableRng(8), 40_000)[:, 0]
+        x = UniformCube(1).sample(PortableRng(8), 40_000)[:, 0]
         assert set(np.unique(x)) == {0.0, 1.0}
         assert abs(x.mean() - 0.5) < 0.01
 
     def test_exhaustive_enumeration_replaces_sampling(self):
-        batch = sample_and_score(TwoPointExhaustive(), PortableRng(9), 12345)
+        batch = sample_and_score(ExhaustiveCube(1), PortableRng(9), 12345)
         np.testing.assert_array_equal(batch.samples, [[0.0], [1.0]])
         np.testing.assert_allclose(batch.proposal_log_densities, -np.log(2.0) * np.ones(2))
+
+
+class TestUniformCube:
+    def test_log_density_is_one_value_per_row(self):
+        # rows with a 0.5 or a 2.0 coordinate are off {0, 1}^3
+        x = np.array([[0.0, 1.0, 1.0], [0.0, 0.5, 1.0], [2.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        for q in (UniformCube(3), ExhaustiveCube(3)):
+            out = q.log_density(x)
+            assert out.shape == (4,)
+            np.testing.assert_array_equal(out, [-3 * np.log(2.0), -np.inf, -np.inf, -3 * np.log(2.0)])
+
+    def test_sample_frequencies(self):
+        x = UniformCube(3).sample(PortableRng(13), 40_000)
+        assert x.shape == (40_000, 3)
+        _, counts = np.unique(x, axis=0, return_counts=True)
+        assert counts.size == 8
+        assert np.all(np.abs(counts / 40_000 - 0.125) < 0.01)
+
+    def test_exhaustive_lists_every_state_and_reads_no_stream(self):
+        rng = PortableRng(14)
+        x = ExhaustiveCube(3).sample(rng, 5)
+        assert rng.counter == 0
+        assert x.shape == (8, 3)
+        assert np.unique(x, axis=0).shape == (8, 3)
+        np.testing.assert_array_equal(UniformCube(3).log_density(x), np.full(8, -3 * np.log(2.0)))
 
 
 class TestSampleAndScore:
@@ -287,6 +314,19 @@ class TestMdnProposal:
         mdn.scale_net.theta = mdn.scale_net.theta * 0.0 - 0.0
         mdn.scale_net.biases[-1][...] = np.full(2, -100.0)
         assert np.all(mdn.heads(np.ones((3, 2))).sigma >= MdnProposal.SCALE_FLOOR)
+
+
+@pytest.mark.parametrize("desc, cls, dim", [
+    ({"kind": "uniform_cube", "dim": 3}, UniformCube, 3),
+    ({"kind": "exhaustive_cube", "dim": 4}, ExhaustiveCube, 4),
+    ({"kind": "two_point_uniform"}, UniformCube, 1),  # written before the cube proposals
+    ({"kind": "two_point_exhaustive"}, ExhaustiveCube, 1),
+])
+def test_cube_descriptor_roundtrip(desc, cls, dim):
+    q = from_descriptor(desc)
+    assert type(q) is cls and q.dim == dim
+    again = from_descriptor(q.descriptor())
+    assert type(again) is cls and again.descriptor() == q.descriptor()
 
 
 def test_from_descriptor_rejects_unknown_kind():

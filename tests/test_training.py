@@ -5,11 +5,11 @@ import pytest
 
 from snl_ebm import regression, training
 from snl_ebm.errors import TrainingDivergedError
-from snl_ebm.models import BernoulliModel, GaussianMeanModel, MlpEnergy
+from snl_ebm.models import BinaryCubeModel, GaussianMeanModel, MlpEnergy
 from snl_ebm.nets import Workspace
 from snl_ebm.objectives import estimate_z
 from snl_ebm.optim import AdamState, adam_step, check_finite_gradient, sgd_step
-from snl_ebm.proposals import StandardGaussian, TwoPointExhaustive, fit_gaussian, sample_and_score
+from snl_ebm.proposals import ExhaustiveCube, StandardGaussian, fit_gaussian, sample_and_score
 from snl_ebm.regression import ConditionalEnergyModel, NormalizerNet, RegressionTrainConfig, train_regression
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import (
@@ -83,8 +83,8 @@ class TestInitB:
         assert init_b(m, batch) == pytest.approx(0.5, abs=0.01)
 
     def test_exhaustive_proposal_is_exact(self):
-        m = BernoulliModel(np.log(3.0))
-        batch = sample_and_score(TwoPointExhaustive(), PortableRng(2), 10)
+        m = BinaryCubeModel(1, np.log(3.0))
+        batch = sample_and_score(ExhaustiveCube(1), PortableRng(2), 10)
         assert init_b(m, batch) == pytest.approx(np.log(4.0), rel=1e-15)
 
 
