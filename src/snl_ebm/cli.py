@@ -203,7 +203,7 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
         config["train.proposal_samples"] = 16 if task == "regression" else 1024
     if task == "density" and config["proposal.kind"] == "mdn":
         problems.append("proposal.kind mdn is only available for the regression task")
-    if config.get("proposal.components", 1) < 1:
+    if config["proposal.components"] < 1:
         problems.append(f"proposal.components must be at least 1, got {config['proposal.components']}")
     if task == "density":
         widths = config["model.widths"]
@@ -302,7 +302,7 @@ def _build_proposal(config: dict, points: np.ndarray, rng: PortableRng | None):
     if kind == "standard":
         return StandardGaussian(points.shape[1])
     if kind == "uniform":
-        bounds = evaluation.data_bounds(points, margin=0.1)
+        bounds = evaluation.data_bounds(points)
         return UniformBox(bounds[:, 0], bounds[:, 1])
     return fit_gaussian(points)
 
@@ -332,9 +332,9 @@ def _density_parts(payload: dict):
     model = MlpEnergy(list(payload["widths"]), base=base)
     model.theta = serialize.parse_vector(payload["theta"])
     b = float(payload["b"])
-    standardizer = _standardizer_from_payload(payload.get("standardizer"))
+    standardizer = _standardizer_from_payload(payload["standardizer"])
     proposal = proposals.from_descriptor(payload["proposal"])
-    return model, b, standardizer, proposal, payload.get("config", [])
+    return model, b, standardizer, proposal, payload["config"]
 
 
 def load_density_checkpoint(path: str):
@@ -387,13 +387,13 @@ def _regression_parts(payload: dict):
     model.y_net.theta = serialize.parse_vector(payload["y_theta"])
     model.head.theta = serialize.parse_vector(payload["head_theta"])
     normalizer = None
-    if payload.get("normalizer_phi") is not None:
+    if payload["normalizer_phi"] is not None:
         normalizer = regression.NormalizerNet()
         normalizer.phi = serialize.parse_vector(payload["normalizer_phi"])
     proposal = proposals.from_descriptor(payload["proposal"])
     model.carrier = eval_proposal = proposals.from_descriptor(payload["eval_proposal"])
-    standardizer = _standardizer_from_payload(payload.get("standardizer"))
-    return model, normalizer, proposal, eval_proposal, standardizer, payload.get("config", [])
+    standardizer = _standardizer_from_payload(payload["standardizer"])
+    return model, normalizer, proposal, eval_proposal, standardizer, payload["config"]
 
 
 def load_regression_checkpoint(path: str):
@@ -516,9 +516,7 @@ def _cmd_eval(args) -> int:
         splits = {"data": points}
         dataset_name = args.data
     elif dataset_name:
-        default_n = datasets.DEFAULT_REGRESSION_N if kind == "regression" else datasets.DEFAULT_DENSITY_N
-        split = datasets.load_named(dataset_name, int(config.get("data.n", default_n)),
-                                    int(config.get("data.seed", 0)))
+        split = datasets.load_named(dataset_name, int(config["data.n"]), int(config["data.seed"]))
         if standardizer is not None:
             split = standardizer.transform_split(split)
         splits = {"train": split.train, "val": split.val, "test": split.test}

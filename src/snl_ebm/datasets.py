@@ -131,22 +131,6 @@ class DatasetSplit:
     test: np.ndarray
 
 
-def split_dataset(points: np.ndarray, sizes: tuple[int, int, int], rng: PortableRng) -> DatasetSplit:
-    """Seeded permutation followed by contiguous partition into train/val/test."""
-    points = np.asarray(points, dtype=np.float64)
-    n_train, n_val, n_test = (int(s) for s in sizes)
-    total = n_train + n_val + n_test
-    if total > points.shape[0]:
-        raise ValueError(f"split sizes {sizes} need {total} rows, have {points.shape[0]}")
-    order = rng.permutation(points.shape[0])
-    shuffled = points[order]
-    return DatasetSplit(
-        train=shuffled[:n_train],
-        val=shuffled[n_train : n_train + n_val],
-        test=shuffled[n_train + n_val : total],
-    )
-
-
 def split_sizes(n: int) -> tuple[int, int, int]:
     """Train, validation and test rows of the 70/10/20 split of n rows.
 
@@ -160,8 +144,13 @@ def split_sizes(n: int) -> tuple[int, int, int]:
 
 
 def split_70_10_20(points: np.ndarray, seed: int) -> DatasetSplit:
-    """The 70/10/20 split of ``points``, permuted by the seed's "split" stream."""
-    return split_dataset(points, split_sizes(len(points)), PortableRng(seed).split("split"))
+    """The 70/10/20 split of ``points``: the rows permuted by the seed's
+    "split" stream, then cut into contiguous train, validation and test runs."""
+    points = np.asarray(points, dtype=np.float64)
+    n_train, n_val, _ = split_sizes(points.shape[0])
+    shuffled = points[PortableRng(seed).split("split").permutation(points.shape[0])]
+    return DatasetSplit(train=shuffled[:n_train], val=shuffled[n_train : n_train + n_val],
+                        test=shuffled[n_train + n_val :])
 
 
 def load_named(name: str, n: int, seed: int) -> DatasetSplit:
@@ -211,19 +200,18 @@ def fit_standardizer(points: np.ndarray) -> Standardizer:
 
 
 def load_delimited(path: str, has_header: bool = False) -> np.ndarray:
-    """Load numeric rows from comma- or whitespace-delimited text.
+    """Load numeric rows from comma- or whitespace-delimited UTF-8 text.
 
-    Ragged rows and non-numeric cells raise ValueError naming the 1-based row
-    and column.
+    Blank lines are skipped, and with ``has_header`` so is the first line
+    that is not blank. A leading byte-order mark (spreadsheet CSV exports)
+    is dropped. Ragged rows and non-numeric cells raise ValueError naming
+    the 1-based line of the file and column.
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    start = 1 if has_header else 0
-    for line_no, line in enumerate(lines, start=1):
-        if line_no <= start or not line.strip():
-            continue
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [(line_no, line) for line_no, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
+    for line_no, line in lines[1 if has_header else 0 :]:
         fields = line.split(",") if "," in line else line.split()
         if width is None:
             width = len(fields)

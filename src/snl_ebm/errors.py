@@ -10,7 +10,7 @@ class SnlError(Exception):
 class EnergyEvaluationError(SnlError):
     """An energy evaluation produced a non-finite value."""
 
-    def __init__(self, index: int, value: float, where: str = "sample"):
+    def __init__(self, index: int, value: float, where: str):
         self.index = int(index)
         self.value = float(value)
         super().__init__(f"non-finite energy {value!r} at {where} index {index}")

@@ -29,6 +29,8 @@ from .objectives import bound_pair, log_weights
 from .proposals import sample_and_score
 from .rng import PortableRng
 
+BOX_MARGIN = 0.1  # relative padding per side of ``data_bounds``, the uniform proposal's box
+
 
 @dataclass(frozen=True)
 class SplitReport:
@@ -77,12 +79,12 @@ class EvalReport:
 
 
 def evaluate(model, b, splits, proposal, n_samples: int = 20000,
-             seed: int = 0, dataset: str = "", rng: PortableRng | None = None) -> EvalReport:
+             seed: int = 0, dataset: str = "") -> EvalReport:
     """Report both forms for every split against one shared sample set.
 
     splits maps names to data arrays; all splits reuse the same Z_hat, so
-    differences between splits reflect the data term alone. ``rng``
-    overrides the seed-derived stream when given.
+    differences between splits reflect the data term alone. The draws come
+    from the stream ``PortableRng(seed).split("evaluate")``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -90,9 +92,7 @@ def evaluate(model, b, splits, proposal, n_samples: int = 20000,
     empty = [name for name, data in splits.items() if data.shape[0] == 0]
     if empty:
         raise ValueError(f"split {empty[0]!r} is empty: each split needs at least one point")
-    if rng is None:
-        rng = PortableRng(seed).split("evaluate")
-    batch = sample_and_score(proposal, rng, n_samples, base=model.base)
+    batch = sample_and_score(proposal, PortableRng(seed).split("evaluate"), n_samples, base=model.base)
     log_z, l_is_se, l_snl_se = bound_pair([(0, 1, log_weights(model, batch)[None, :])], [b], batch.m)
     log_z = float(log_z[0])
     with np.errstate(over="ignore"):  # overflow gives l_snl = -inf, reported as such
@@ -149,7 +149,7 @@ class DensityGrid:
     log_density: np.ndarray
 
 
-def density_grid(model, b: float, bounds: np.ndarray, resolution: int = 200) -> DensityGrid:
+def density_grid(model, b: float, bounds: np.ndarray, resolution: int) -> DensityGrid:
     bounds = np.asarray(bounds, dtype=np.float64)
     if bounds.ndim != 2 or bounds.shape[0] not in (1, 2):
         raise ValueError("grid export supports 1- and 2-dimensional models only")
@@ -166,10 +166,10 @@ def density_grid(model, b: float, bounds: np.ndarray, resolution: int = 200) -> 
     )
 
 
-def data_bounds(data: np.ndarray, margin: float = 0.1) -> np.ndarray:
-    """Bounding box of the data stretched by a relative margin per side."""
+def data_bounds(data: np.ndarray) -> np.ndarray:
+    """Bounding box of the data stretched by ``BOX_MARGIN`` of its width per side."""
     data = np.asarray(data, dtype=np.float64)
     lo = data.min(axis=0)
     hi = data.max(axis=0)
-    pad = margin * np.maximum(hi - lo, 1e-12)
+    pad = BOX_MARGIN * np.maximum(hi - lo, 1e-12)
     return np.column_stack([lo - pad, hi + pad])

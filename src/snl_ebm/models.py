@@ -163,16 +163,17 @@ class BinaryCubeModel(LinearOracle):
 class MlpEnergy(EnergyModel):
     """Fully-connected energy network, optionally tilted by a base density.
 
-    The default architecture is the 2-D density shape [2, 200, 100, 50, 50, 1]
-    (ReLU hidden layers, linear scalar output). With all-zero weights the
+    ``widths`` runs from the input dimension to a scalar output (ReLU hidden
+    layers, linear output); the 2-D density benchmarks use
+    ``DENSITY_WIDTHS`` = [2, 200, 100, 50, 50, 1]. With all-zero weights the
     energy is the final bias, i.e. 0 at initialization; the normalizer offset
     b is a separate scalar owned by the training state, not a layer bias.
     """
 
     base_is_carrier = False
 
-    def __init__(self, widths: list[int] | None = None, base=None, rng: PortableRng | None = None):
-        self.net = Mlp(widths if widths is not None else DENSITY_WIDTHS, rng)
+    def __init__(self, widths: list[int], base=None, rng: PortableRng | None = None):
+        self.net = Mlp(widths, rng)
         if self.net.widths[-1] != 1:
             raise ValueError("energy networks must end in a scalar output")
         self.dim = self.net.widths[0]

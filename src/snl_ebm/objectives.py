@@ -45,8 +45,8 @@ SNL_SHIFT_CAP = 600.0  # log w - b beyond which e^{log w - b} is too close to ov
 class ImportanceBatch:
     """Proposal samples with their log-densities, scored once and reused.
 
-    ``base_log_densities`` carries log d(x_m) for tilted models and may be
-    None, in which case consumers evaluate the model's own base if it has one.
+    ``base_log_densities`` carries log d(x_m) of the model's base, which
+    every consumer reads when the model has one; None for a model without.
     """
 
     samples: np.ndarray
@@ -113,11 +113,8 @@ def log_weights(model, batch: ImportanceBatch) -> np.ndarray:
     energies = model.energy(batch.samples)
     check_finite_energies(energies)
     logw = -energies - batch.proposal_log_densities
-    if getattr(model, "base", None) is not None:
-        if batch.base_log_densities is not None:
-            logw = logw + batch.base_log_densities
-        else:
-            logw = logw + model.base.log_density(batch.samples)
+    if model.base is not None:
+        logw = logw + batch.base_log_densities
     return logw
 
 

@@ -37,7 +37,7 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
+    t: int
 
     def __post_init__(self):
         self.scratch = np.empty((2,) + self.m.shape)

@@ -226,7 +226,7 @@ class MdnProposal:
 
     def heads(self, features: np.ndarray) -> MdnHeads:
         """Run the three heads once; sampling, scoring and the likelihood
-        gradient at the same features can all take the result."""
+        gradient at these features all take the result."""
         features = np.asarray(features, dtype=np.float64)
         logits, cache_pi = self.pi_net.forward(features)
         mu, cache_mu = self.mu_net.forward(features)
@@ -243,18 +243,14 @@ class MdnProposal:
         comp = -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * ((y[:, :, None] - heads.mu[:, None, :]) / sigma) ** 2
         return heads.log_pi[:, None, :] + comp
 
-    def log_density(self, features: np.ndarray, y: np.ndarray, heads: MdnHeads | None = None) -> np.ndarray:
-        """Per-point conditional log q(y | features); y is (n,) or (n, m)."""
-        if heads is None:
-            heads = self.heads(features)
+    def log_density(self, heads: MdnHeads, y: np.ndarray) -> np.ndarray:
+        """Per-point conditional log q(y | features) at the features of ``heads``; y is (n,) or (n, m)."""
         y = np.asarray(y, dtype=np.float64)
         out = logsumexp(self._joint(heads, y.reshape(y.shape[0], -1)), axis=2)
         return out[:, 0] if y.ndim == 1 else out
 
-    def sample(self, rng: PortableRng, features: np.ndarray, m: int, heads: MdnHeads | None = None) -> np.ndarray:
-        """m draws per feature row, shape (n, m)."""
-        if heads is None:
-            heads = self.heads(features)
+    def sample(self, rng: PortableRng, heads: MdnHeads, m: int) -> np.ndarray:
+        """m draws per feature row of ``heads``, shape (n, m)."""
         n = heads.mu.shape[0]
         u = rng.uniform((n, m))
         cum = np.cumsum(np.exp(heads.log_pi), axis=1)
@@ -264,10 +260,9 @@ class MdnProposal:
         z = rng.normal((n, m))
         return heads.mu[rows, k] + heads.sigma[rows, k] * z
 
-    def loglik_gradient(self, features: np.ndarray, y: np.ndarray, heads: MdnHeads | None = None):
-        """(mean log-likelihood, flat ascent gradient) treating features as constant."""
-        if heads is None:
-            heads = self.heads(features)
+    def loglik_gradient(self, heads: MdnHeads, y: np.ndarray):
+        """(mean log-likelihood, flat ascent gradient) at the features of
+        ``heads``, which it treats as constant."""
         y = np.asarray(y, dtype=np.float64).ravel()
         log_pi, mu, sigma, (cache_pi, cache_mu, cache_s), s_raw = heads
         n = mu.shape[0]

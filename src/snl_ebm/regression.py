@@ -48,7 +48,7 @@ energies one draw tile of at most ``DRAW_TILE`` draws at a time through a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,7 +241,6 @@ class RegressionTrainConfig:
     seed: int = 0
     nce_nu: float | None = None  # None -> samples_per_point
     mdn_learning_rate: float = 1e-3
-    divergence_patience: int = 5
 
     def problems(self) -> list[tuple[str, str]]:
         return config_problems(self, ("learning_rate", "batch_size", "samples_per_point", "mdn_learning_rate"))
@@ -262,10 +261,10 @@ class RegressionEpochRecord:
 class RegressionTrainResult:
     model: ConditionalEnergyModel
     normalizer: NormalizerNet | None
-    history: list[RegressionEpochRecord] = field(default_factory=list)
-    best_epoch: int = 0
-    best_theta: np.ndarray | None = None
-    best_phi: np.ndarray | None = None
+    history: list[RegressionEpochRecord]
+    best_epoch: int
+    best_theta: np.ndarray
+    best_phi: np.ndarray | None
 
 
 def measure_term(model, ys: np.ndarray, log_q: np.ndarray) -> np.ndarray:
@@ -282,8 +281,8 @@ def _propose(proposal, rng: PortableRng, h: np.ndarray, n: int, m: int):
     sampling and scoring share."""
     if isinstance(proposal, MdnProposal):
         heads = proposal.heads(h)
-        ys = proposal.sample(rng, h, m, heads)
-        return ys, proposal.log_density(h, ys, heads), heads
+        ys = proposal.sample(rng, heads, m)
+        return ys, proposal.log_density(heads, ys), heads
     ys = proposal.sample(rng, n * m).reshape(n, m)
     return ys, proposal.log_density(ys.reshape(-1, 1)).reshape(n, m), None
 
@@ -377,7 +376,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
         mdn_params = bind(mdn.nets)
         mdn_opt = AdamState.fresh(mdn_params.size)
     workspace = Workspace()
-    batch = None  # (features, targets, MDN heads) of the last step, which the MDN refit reads
+    batch = None  # (MDN heads, targets) of the last step, which the MDN refit reads
 
     def step(rows):
         nonlocal batch
@@ -386,9 +385,9 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
         ys, log_q, heads = _propose(proposal, proposal_rng, h_b, rows.size, config.samples_per_point)
         log_q_data = None
         if config.objective == "nce":
-            log_q_data = (mdn.log_density(h_b, y_b[:, None], heads)[:, 0] if mdn is not None
+            log_q_data = (mdn.log_density(heads, y_b[:, None])[:, 0] if mdn is not None
                           else proposal.log_density(y_b.reshape(-1, 1)))
-        batch = (h_b, y_b, heads)
+        batch = (heads, y_b)
         return _regression_step(model, normalizer, h_b, cache_f, y_b, ys, log_q,
                                 log_q_data, config.objective, config.nce_nu, workspace)
 
@@ -437,21 +436,19 @@ class RegressionEvalReport:
         return out
 
 
-def eval_regression_l_is(model, pairs, proposal, n_samples=20000, rng=None,
-                         normalizer_fn=None):
+def eval_regression_l_is(model, pairs, proposal, rng, n_samples=20000, normalizer_fn=None):
     """Importance-sampled conditional log-likelihood on shared proposal draws.
 
-    One set of n_samples y draws is scored against every evaluation point;
-    the per-point estimates therefore share randomness and the standard
-    errors are computed over draws. ``objectives.bound_pair`` reduces the
-    grid block by block as the model yields it, so no (n, m) array is held.
+    One set of n_samples y draws from ``rng`` is scored against every
+    evaluation point; the per-point estimates therefore share randomness and
+    the standard errors are computed over draws. ``objectives.bound_pair``
+    reduces the grid block by block as the model yields it, so no (n, m)
+    array is held.
     Non-finite energies raise ``EnergyEvaluationError``; draws not of shape
     (n_samples, 1) or ``normalizer_fn`` values not of shape (n,), ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if rng is None:
-        rng = PortableRng(0)
     x, y = (np.asarray(a, dtype=np.float64) for a in pairs)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"x and y must have the same length, got {x.shape[0]} and {y.shape[0]}")

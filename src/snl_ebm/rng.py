@@ -55,14 +55,15 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 class PortableRng:
     """A counter-based SplitMix64 stream with explicit splitting.
 
-    The instance holds only (seed, counter). All drawing methods consume a
-    documented number of counter positions, so two code paths that draw the
-    same shapes from the same stream see the same values.
+    The instance holds only (seed, counter); a stream starts at counter 0,
+    and setting ``counter`` skips to that position. All drawing methods
+    consume a documented number of counter positions, so two code paths that
+    draw the same shapes from the same stream see the same values.
     """
 
-    def __init__(self, seed: int, _counter: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = int(seed) & _MASK
-        self.counter = int(_counter)
+        self.counter = 0
 
     def split(self, label: str) -> "PortableRng":
         """Child stream for ``label``; independent of this stream's counter."""
@@ -83,13 +84,13 @@ class PortableRng:
 
     # -- distributions -----------------------------------------------------
 
-    def uniform(self, size: int | tuple[int, ...] = 1, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    def uniform(self, size: int | tuple[int, ...], low: float = 0.0, high: float = 1.0) -> np.ndarray:
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         u = (self.uint64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (low + (high - low) * u).reshape(shape)
 
-    def normal(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
+    def normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         """Standard normals via Box-Muller; consumes 2*ceil(n/2) positions."""
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1

@@ -25,7 +25,7 @@ optimizer step updates in place.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .objectives import ImportanceBatch, divergence_diagnostics, estimate_z, log
 from .optim import AdamState, adam_step, sgd_step
 from .proposals import sample_and_score
 from .rng import PortableRng
+
+DIVERGENCE_PATIENCE = 5  # skipped (non-finite) steps in a row after which a run raises
 
 
 def config_problems(config, positive: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -48,8 +50,6 @@ def config_problems(config, positive: tuple[str, ...]) -> list[tuple[str, str]]:
     for name in positive:
         if not getattr(config, name) > 0:
             out.append((name, f"{name} must be positive, got {getattr(config, name)!r}"))
-    if config.divergence_patience < 1:
-        out.append(("divergence_patience", f"divergence_patience must be at least 1, got {config.divergence_patience}"))
     if config.nce_nu is not None and not config.nce_nu > 0:
         out.append(("nce_nu", f"nce_nu must be positive, got {config.nce_nu!r}"))
     return out
@@ -71,7 +71,6 @@ class TrainConfig:
     optimizer: str = "adam"  # "adam" | "sgd"
     seed: int = 0
     nce_nu: float | None = None  # None -> proposal_samples / (data rows in the batch), larger on a short last batch
-    divergence_patience: int = 5
 
     def problems(self) -> list[tuple[str, str]]:
         out = config_problems(self, ("learning_rate", "batch_size", "proposal_samples"))
@@ -109,10 +108,10 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     state: SnlState
-    history: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int = 0
-    best_theta: np.ndarray | None = None
-    best_b: float = 0.0
+    history: list[EpochRecord]
+    best_epoch: int
+    best_theta: np.ndarray
+    best_b: float
 
 
 def init_b(model, batch: ImportanceBatch) -> float:
@@ -158,8 +157,6 @@ def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, object
     if model.base is not None:
         log_d_data = model.base.log_density(data)
         log_d_samp = batch.base_log_densities
-        if log_d_samp is None:
-            log_d_samp = model.base.log_density(batch.samples)
     logw = -e_samp + log_d_samp - batch.proposal_log_densities
     if objective == "nce":
         num_data, log_q_data = -e_data + log_d_data, proposal.log_density(data)[None]
@@ -179,9 +176,9 @@ def run_epochs(config, params: np.ndarray, order, step, take, validate, record):
     batches of ``config.batch_size``: ``step(rows)`` returns (objective
     value, ascent gradient, diagnostics), and ``take(grad)`` applies a step
     whose value and gradient are finite. A step that is not, or that raises
-    ``SnlError``, is skipped; ``config.divergence_patience`` skipped steps in
-    a row raise ``TrainingDivergedError`` with the diagnostics of the last
-    step that returned. ``validate(epoch)`` then scores the model, recorded
+    ``SnlError``, is skipped; ``DIVERGENCE_PATIENCE`` skipped steps in a row
+    raise ``TrainingDivergedError`` with the diagnostics of the last step
+    that returned. ``validate(epoch)`` then scores the model, recorded
     as nan when it raises ``SnlError`` or is not finite, and
     ``record(epoch, mean value of the taken steps, validation value, seconds
     of the steps and validation)`` makes the epoch's history entry. Returns
@@ -204,7 +201,7 @@ def run_epochs(config, params: np.ndarray, order, step, take, validate, record):
                 value, grad = np.nan, None
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):
                 bad_streak += 1
-                if bad_streak >= config.divergence_patience:
+                if bad_streak >= DIVERGENCE_PATIENCE:
                     raise TrainingDivergedError(step=step_count, max_energy=diag[0], min_weight=diag[1])
                 continue
             bad_streak = 0
@@ -236,7 +233,7 @@ def train_density(
     ``b=None`` initializes b from a seeded proposal batch; passing a value
     resumes from an earlier run (optimizer moments start fresh). Validation
     uses one fixed, seeded proposal batch for the whole run. If the step
-    objective is non-finite for ``divergence_patience`` consecutive steps the
+    objective is non-finite for ``DIVERGENCE_PATIENCE`` consecutive steps the
     run aborts with diagnostics.
     """
     config.validate()

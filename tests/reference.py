@@ -278,7 +278,7 @@ def generalized_kl(f1, f2, quadrature: Quadrature) -> float:
 
 def mdn_log_likelihood(mdn, features: np.ndarray, y: np.ndarray) -> float:
     """Mean conditional log q(y | features) of an ``MdnProposal``."""
-    return float(np.mean(mdn.log_density(features, np.asarray(y).ravel())))
+    return float(np.mean(mdn.log_density(mdn.heads(features), np.asarray(y).ravel())))
 
 
 def mdn_log_likelihood_and_fit(
@@ -312,7 +312,7 @@ def mdn_log_likelihood_and_fit(
             batches = [order[i : i + batch_size] for i in range(0, n - batch_size + 1, batch_size)]
         epoch_ll = []
         for idx in batches:
-            value, grad = mdn.loglik_gradient(features[idx], targets[idx])
+            value, grad = mdn.loglik_gradient(mdn.heads(features[idx]), targets[idx])
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):
                 params[...] = before_last_step  # drop the step that went non-finite
                 if epoch_ll:

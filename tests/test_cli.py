@@ -1,12 +1,13 @@
 """End-to-end command line checks: generate, train, eval, grid, and the
 collected-problem config errors. Everything runs in-process through main()."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from snl_ebm import datasets, serialize
+from snl_ebm import cli, datasets, serialize
 from snl_ebm.cli import load_density_checkpoint, load_regression_checkpoint, main
 from snl_ebm.models import MlpEnergy
 from snl_ebm.proposals import fit_gaussian
@@ -113,6 +114,14 @@ class TestGenerate:
         assert code == 2
         assert "--n" in err and "n = 0" in err
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config_cls", [TrainConfig, RegressionTrainConfig], ids=lambda cls: cls.__name__)
+def test_every_train_config_field_has_a_key(config_cls):
+    # a field that no key sets is a setting only the tests reach
+    for f in dataclasses.fields(config_cls):
+        key = cli._TRAIN_FIELD_KEYS.get(f.name, "train." + f.name)
+        assert key in cli._KNOWN_KEYS, f"{config_cls.__name__}.{f.name} has no config key {key!r}"
 
 
 class TestConfigErrors:
@@ -578,6 +587,25 @@ class TestDataFileChecks:
         assert code == 2
         assert f"data.path: {data}" in err and message in err
         assert not (tmp_path / "file").exists()
+
+    def test_byte_order_mark_and_blank_line_before_the_header(self, tmp_path, capsys):
+        # a spreadsheet export: BOM, then a blank line, then the header
+        plain = write_points(tmp_path / "plain.csv", 40, 2)
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff\nx1,x2\n" + (tmp_path / "plain.csv").read_text(), encoding="utf-8")
+        extra = ["model.widths = 2,8,1"]
+        assert run(capsys, "train", "--config", path_config(tmp_path, plain, "plain", extra))[0] == 0
+        assert run(capsys, "train", "--config",
+                   path_config(tmp_path, str(marked), "marked", extra + ["data.has_header = true"]))[0] == 0
+        assert checkpoint(tmp_path / "marked" / "checkpoint_final.json")["theta"] == \
+            checkpoint(tmp_path / "plain" / "checkpoint_final.json")["theta"]
+        outputs = []
+        for data, header in ((plain, []), (str(marked), ["--has-header"])):
+            code, out, _ = run(capsys, "eval", "--checkpoint", str(tmp_path / "plain" / "checkpoint_final.json"),
+                               "--data", data, "--samples", "200", *header)
+            assert code == 0
+            outputs.append(out.replace(data, "DATA"))
+        assert outputs[0] == outputs[1]
 
 
 def checkpoint(path):

@@ -18,7 +18,7 @@ from snl_ebm.datasets import (
     generate_regression_1d,
     load_delimited,
     load_named,
-    split_dataset,
+    split_70_10_20,
 )
 from snl_ebm.rng import PortableRng
 
@@ -163,7 +163,7 @@ class TestRegression2:
 class TestSplitDataset:
     def test_sizes_and_disjoint_union(self):
         pts = PortableRng(14).normal((100, 2))
-        split = split_dataset(pts, (70, 10, 20), PortableRng(15))
+        split = split_70_10_20(pts, 15)
         assert split.train.shape == (70, 2)
         assert split.val.shape == (10, 2)
         assert split.test.shape == (20, 2)
@@ -172,13 +172,13 @@ class TestSplitDataset:
 
     def test_deterministic(self):
         pts = PortableRng(16).normal((50, 2))
-        a = split_dataset(pts, (35, 5, 10), PortableRng(17))
-        b = split_dataset(pts, (35, 5, 10), PortableRng(17))
+        a = split_70_10_20(pts, 17)
+        b = split_70_10_20(pts, 17)
         assert np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
 
-    def test_rejects_oversized_split(self):
-        with pytest.raises(ValueError):
-            split_dataset(np.zeros((10, 2)), (8, 2, 2), PortableRng(0))
+    def test_rejects_fewer_than_ten_rows(self):
+        with pytest.raises(ValueError, match="at least 10 rows"):
+            split_70_10_20(np.zeros((9, 2)), 0)
 
 
 class TestLoadNamed:
@@ -241,9 +241,16 @@ class TestLoadDelimited:
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "h.csv"
-        p.write_text("x,y\n1.0,2.0\n")
-        out = load_delimited(str(p), has_header=True)
-        np.testing.assert_array_equal(out, [[1.0, 2.0]])
+        for text in ("x,y\n1.0,2.0\n", "\nx,y\n1.0,2.0\n"):  # the header is the first line that is not blank
+            p.write_text(text)
+            out = load_delimited(str(p), has_header=True)
+            np.testing.assert_array_equal(out, [[1.0, 2.0]])
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        for text, has_header in (("1.5,2\n3,4\n", False), ("x,y\n1.5,2\n3,4\n", True)):
+            p.write_text("\ufeff" + text, encoding="utf-8")
+            np.testing.assert_array_equal(load_delimited(str(p), has_header=has_header), [[1.5, 2.0], [3.0, 4.0]])
 
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -261,6 +268,9 @@ class TestLoadDelimited:
         p.write_text("1,2\n3,oops\n")
         with pytest.raises(ValueError, match="row 2, column 2"):
             load_delimited(str(p))
+        p.write_text("\nx,y\n1,2\n\n3,oops\n")  # rows are numbered by line of the file
+        with pytest.raises(ValueError, match="row 5, column 2"):
+            load_delimited(str(p), has_header=True)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "e.csv"

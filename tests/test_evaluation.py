@@ -87,13 +87,6 @@ class TestEvaluate:
         assert a == b
         assert a.log_z_estimate != c.log_z_estimate
 
-    def test_explicit_rng_overrides_seed(self):
-        model = GaussianMeanModel(0.7)
-        a = evaluate(model, 0.0, {"t": TWO_POINT}, StandardGaussian(1), n_samples=100,
-                     seed=1, rng=PortableRng(4).split("evaluate"))
-        b = evaluate(model, 0.0, {"t": TWO_POINT}, StandardGaussian(1), n_samples=100, seed=4)
-        assert a.splits[0].l_is == b.splits[0].l_is
-
     def test_report_lines(self):
         model = GaussianMeanModel(0.0)
         report = evaluate(model, 0.0, {"test": TWO_POINT}, StandardGaussian(1),
@@ -110,12 +103,11 @@ class TestEvaluate:
 class TestSandwich:
     def test_pointwise_order_and_equality_at_log_z(self):
         model = GaussianMeanModel(1.2)
-        rng = PortableRng(21)
-        batch = sample_and_score(StandardGaussian(1), rng, 500, base=model.base)
+        batch = sample_and_score(StandardGaussian(1), PortableRng(21).split("evaluate"), 500, base=model.base)
         log_z = estimate_z(model, batch)
 
         def sandwich(b):  # (l_snl, l_is) on the 500 draws of ``batch``
-            report = evaluate(model, b, {"t": TWO_POINT}, StandardGaussian(1), n_samples=500, rng=PortableRng(21))
+            report = evaluate(model, b, {"t": TWO_POINT}, StandardGaussian(1), n_samples=500, seed=21)
             return report.splits[0].l_snl, report.splits[0].l_is
 
         for b in np.linspace(log_z - 3.0, log_z + 3.0, 25):
@@ -241,7 +233,3 @@ class TestDataBounds:
     def test_degenerate_column_stays_ordered(self):
         box = data_bounds(np.array([[1.0, 0.0], [1.0, 2.0]]))
         assert box[0, 0] < box[0, 1]
-
-    def test_margin_argument(self):
-        box = data_bounds(np.array([[0.0], [10.0]]), margin=0.5)
-        np.testing.assert_allclose(box, np.array([[-5.0, 15.0]]), rtol=1e-12)

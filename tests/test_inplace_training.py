@@ -174,7 +174,7 @@ def reference_regression(config, x, y, model, norm, proposal):
         ys, log_q, heads = regression._propose(proposal, proposal_rng, h, idx.size, config.samples_per_point)
         log_q_data = None
         if config.objective == "nce":
-            log_q_data = (mdn.log_density(h, y[idx][:, None], heads)[:, 0] if mdn is not None
+            log_q_data = (mdn.log_density(heads, y[idx][:, None])[:, 0] if mdn is not None
                           else proposal.log_density(y[idx].reshape(-1, 1)))
         _, grad, _ = regression._regression_step(model, norm, h, cache_f, y[idx], ys, log_q,
                                                  log_q_data, config.objective, None)
@@ -184,7 +184,7 @@ def reference_regression(config, x, y, model, norm, proposal):
         if norm is not None:
             norm.phi = params[n_theta:]
         if mdn is not None:
-            _, mdn_grad = mdn.loglik_gradient(h, y[idx], heads)
+            _, mdn_grad = mdn.loglik_gradient(heads, y[idx])
             mdn_m, mdn_v, mdn_t, mdn_step = pure_adam(mdn_m, mdn_v, mdn_t, mdn_grad, config.mdn_learning_rate)
             mdn.theta = mdn.theta + mdn_step
     return t, mdn_t
@@ -240,7 +240,7 @@ def test_mdn_fit_drops_the_step_before_a_non_finite_batch():
     t = 0
     values, thetas = [], [ref.theta]
     for lo in (0, 3):  # two finite steps
-        value, grad = ref.loglik_gradient(features[lo : lo + 3], targets[lo : lo + 3])
+        value, grad = ref.loglik_gradient(ref.heads(features[lo : lo + 3]), targets[lo : lo + 3])
         m, v, t, step = pure_adam(m, v, t, grad, 1e-2)
         ref.theta = ref.theta + step
         values.append(value)

@@ -155,23 +155,23 @@ class TestBinaryCubeModel:
 
 class TestMlpEnergy:
     def test_default_widths(self):
-        m = MlpEnergy()
+        m = MlpEnergy(DENSITY_WIDTHS)
         assert m.net.widths == DENSITY_WIDTHS
         assert m.dim == 2
 
     def test_param_count_default(self):
         widths = DENSITY_WIDTHS
         want = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
-        assert MlpEnergy().n_params == want
+        assert MlpEnergy(DENSITY_WIDTHS).n_params == want
 
     def test_zero_init_energy_is_zero(self):
-        m = MlpEnergy()
+        m = MlpEnergy(DENSITY_WIDTHS)
         x = PortableRng(1).normal((10, 2))
         np.testing.assert_array_equal(m.energy(x), np.zeros(10))
 
     def test_zero_init_gradient_is_output_bias_only(self):
         # dead ReLUs everywhere except the last bias, whose derivative is 1
-        m = MlpEnergy()
+        m = MlpEnergy(DENSITY_WIDTHS)
         g = param_gradient(m, np.array([0.3, -0.7]))
         assert g[-1] == 1.0
         assert np.count_nonzero(g) == 1

@@ -138,18 +138,20 @@ class TestEstimateZ:
                 return np.zeros(x.shape[0])
 
         samples = np.array([[2.0], [3.0]])  # outside the carrier box
-        batch = ImportanceBatch(samples, np.zeros(2))
+        batch = ImportanceBatch(samples, np.zeros(2), FlatOnBox.base.log_density(samples))
         with pytest.raises(DegenerateProposalError):
             estimate_z(FlatOnBox(), batch)
 
     def test_cached_base_log_densities_used(self):
+        # the batch's base log-densities are read, not the model's base recomputed
         m = GaussianMeanModel(0.5)
         q = StandardGaussian(1)
         samples = PortableRng(3).normal((100, 1))
         lq = q.log_density(samples)
-        plain = log_weights(m, ImportanceBatch(samples, lq))
         cached = log_weights(m, ImportanceBatch(samples, lq, base_log_densities=m.base.log_density(samples)))
-        np.testing.assert_array_equal(plain, cached)
+        np.testing.assert_array_equal(cached, -m.energy(samples) - lq + m.base.log_density(samples))
+        shifted = log_weights(m, ImportanceBatch(samples, lq, base_log_densities=np.full(100, 2.0)))
+        np.testing.assert_array_equal(shifted, -m.energy(samples) - lq + 2.0)
 
 
 class TestSnlObjective:
@@ -250,10 +252,14 @@ class TestSnlGradients:
 
 
 def l_is_and_l_snl(model, b, m, seed=0):
-    """evaluate's bound pair on TWO_POINT_DATA, from the draws of gaussian_batch(m, seed, model)."""
-    report = evaluate(model, b, {"t": TWO_POINT_DATA}, StandardGaussian(1), n_samples=m,
-                      rng=PortableRng(seed).split("proposal"))
+    """evaluate's bound pair on TWO_POINT_DATA, from the draws of evaluation_batch(m, seed, model)."""
+    report = evaluate(model, b, {"t": TWO_POINT_DATA}, StandardGaussian(1), n_samples=m, seed=seed)
     return report.splits[0].l_is, report.splits[0].l_snl
+
+
+def evaluation_batch(m, seed, model):
+    """The m draws that ``evaluate(..., seed=seed)`` scores, with their log-densities."""
+    return sample_and_score(StandardGaussian(1), PortableRng(seed).split("evaluate"), m, base=model.base)
 
 
 class TestLIs:
@@ -272,7 +278,7 @@ class TestLIs:
             theta = float(rng.uniform(1, -2, 2)[0])
             b = float(rng.uniform(1, -3, 3)[0])
             model = GaussianMeanModel(theta)
-            batch = gaussian_batch(64, seed=k, model=model)
+            batch = evaluation_batch(64, k, model)
             log_z = estimate_z(model, batch)
             upper = l_is_and_l_snl(model, b, 64, seed=k)[0]
             lower = snl_objective(model, b, TWO_POINT_DATA, log_z).value
@@ -281,7 +287,7 @@ class TestLIs:
     def test_gap_is_bregman_distance(self):
         # l_is - l_snl = h(exp(log Zhat - b)) with h(t) = t - 1 - log t
         model = GaussianMeanModel(0.5)
-        batch = gaussian_batch(256, seed=9, model=model)
+        batch = evaluation_batch(256, 9, model)
         log_z = estimate_z(model, batch)
         b = 1.1
         upper, lower = l_is_and_l_snl(model, b, 256, seed=9)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import snl_ebm
 from snl_ebm import evaluation, objectives, regression, training
 
@@ -26,6 +28,12 @@ def test_import_does_not_load_scipy_optimize():
 def test_import_does_not_load_scipy_linalg():
     # only FittedGaussian needs it, and it imports it when one is built
     assert not fresh_import_loads("scipy.linalg")
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse", "scipy.integrate"])
+def test_import_does_not_load_scipy_subpackage(module):
+    # scipy.special, for objectives, is the one scipy subpackage the import needs
+    assert not fresh_import_loads(module)
 
 
 def test_benchmark_hook_points_exist():

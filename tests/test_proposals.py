@@ -213,24 +213,24 @@ class TestMdnProposal:
         heads = mdn.heads(f)
         y = PortableRng(14).normal(10)
         want = norm.logpdf(y, loc=heads.mu[:, 0], scale=heads.sigma[:, 0])
-        np.testing.assert_allclose(mdn.log_density(f, y), want, atol=1e-12)
+        np.testing.assert_allclose(mdn.log_density(heads, y), want, atol=1e-12)
 
     def test_density_normalizes_to_one(self):
         mdn = MdnProposal(4, 3, PortableRng(15))
         f = self.features(1)
         ys = np.linspace(-40.0, 40.0, 16001)
-        dens = np.exp(mdn.log_density(np.repeat(f, ys.size, axis=0), ys))
+        dens = np.exp(mdn.log_density(mdn.heads(np.repeat(f, ys.size, axis=0)), ys))
         mass = np.trapezoid(dens, ys)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
     def test_samples_match_density_histogram(self):
         mdn = MdnProposal(4, 2, PortableRng(16))
         f = self.features(1)
-        draws = mdn.sample(PortableRng(17), f, 100_000)[0]
+        draws = mdn.sample(PortableRng(17), mdn.heads(f), 100_000)[0]
         edges = np.linspace(-6.0, 6.0, 25)
         counts, _ = np.histogram(draws, bins=edges)
         ys = np.linspace(-6.0, 6.0, 4801)
-        dens = np.exp(mdn.log_density(np.repeat(f, ys.size, axis=0), ys))
+        dens = np.exp(mdn.log_density(mdn.heads(np.repeat(f, ys.size, axis=0)), ys))
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(ys))])
         probs = np.interp(edges, ys, cdf)
         expected = np.diff(probs) * draws.size
@@ -243,7 +243,7 @@ class TestMdnProposal:
         mdn = MdnProposal(3, 2, PortableRng(18))
         f = PortableRng(19).normal((12, 3))
         y = PortableRng(20).normal(12)
-        _, grad = mdn.loglik_gradient(f, y)
+        _, grad = mdn.loglik_gradient(mdn.heads(f), y)
         theta0 = mdn.theta
         step = 1e-6
         for i in range(0, theta0.size, 17):  # spot-check a spread of coordinates
@@ -258,20 +258,6 @@ class TestMdnProposal:
             fd = (v_up - v_down) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
         mdn.theta = theta0
-
-    def test_shared_heads_give_identical_results(self):
-        mdn = MdnProposal(4, 2, PortableRng(28))
-        f = self.features(6)
-        y = PortableRng(29).normal(6)
-        heads = mdn.heads(f)
-        ys = mdn.sample(PortableRng(30), f, 5, heads)
-        np.testing.assert_array_equal(ys, mdn.sample(PortableRng(30), f, 5))
-        np.testing.assert_array_equal(mdn.log_density(f, ys, heads), mdn.log_density(f, ys))
-        np.testing.assert_array_equal(mdn.log_density(f, y, heads), mdn.log_density(f, y))
-        value, grad = mdn.loglik_gradient(f, y, heads)
-        again_value, again_grad = mdn.loglik_gradient(f, y)
-        assert value == again_value
-        np.testing.assert_array_equal(grad, again_grad)
 
     def test_fit_approaches_gaussian_entropy_bound(self):
         # constant features make the MDN unconditional; the best attainable
@@ -306,7 +292,7 @@ class TestMdnProposal:
         again = from_descriptor(mdn.descriptor())
         f = self.features(5)
         y = PortableRng(26).normal(5)
-        np.testing.assert_array_equal(again.log_density(f, y), mdn.log_density(f, y))
+        np.testing.assert_array_equal(again.log_density(again.heads(f), y), mdn.log_density(mdn.heads(f), y))
 
     def test_scale_floor_respected(self):
         mdn = MdnProposal(2, 2, PortableRng(27))

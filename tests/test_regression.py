@@ -34,6 +34,7 @@ from snl_ebm.regression import (
 )
 from snl_ebm.objectives import SNL_SHIFT_CAP, step_terms
 from snl_ebm.rng import PortableRng
+from snl_ebm.training import DIVERGENCE_PATIENCE
 
 
 def snl_value(energies, b_values, log_z):
@@ -368,7 +369,7 @@ class TestTrainRegression:
         model.theta = np.full(model.n_params, np.nan)
         with pytest.raises(TrainingDivergedError) as err:
             train_regression(model, None, fit_gaussian(y.reshape(-1, 1)), (x, y), (x[:32], y[:32]), self.config(epochs=1, batch_size=16))
-        assert err.value.step == RegressionTrainConfig().divergence_patience
+        assert err.value.step == DIVERGENCE_PATIENCE
 
     def test_step_error_counts_as_one_skipped_step(self, monkeypatch):
         x, y = self.toy_pairs(41, 48)
@@ -403,7 +404,6 @@ class TestTrainRegression:
             dict(learning_rate=0.0),
             dict(learning_rate=-1.0),
             dict(mdn_learning_rate=-1e-3),
-            dict(divergence_patience=0),
             dict(nce_nu=0.0),
         )
         for kw in bad:
@@ -676,12 +676,13 @@ class TestStreamedEval:
         model = BilinearConditionalModel()
         for bad in (0, -3):
             with pytest.raises(ValueError, match="n_samples"):
-                eval_regression_l_is(model, (np.zeros(3), np.zeros(3)), StandardGaussian(1), n_samples=bad)
+                eval_regression_l_is(model, (np.zeros(3), np.zeros(3)), StandardGaussian(1), n_samples=bad,
+                                     rng=PortableRng(0))
 
     def test_rejects_mismatched_pairs(self):
         with pytest.raises(ValueError, match="3 and 4"):
             eval_regression_l_is(BilinearConditionalModel(), (np.zeros(3), np.zeros(4)), StandardGaussian(1),
-                                 n_samples=10)
+                                 n_samples=10, rng=PortableRng(0))
 
 
 def counting(monkeypatch, net):

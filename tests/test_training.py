@@ -13,6 +13,7 @@ from snl_ebm.proposals import ExhaustiveCube, StandardGaussian, fit_gaussian, sa
 from snl_ebm.regression import ConditionalEnergyModel, NormalizerNet, RegressionTrainConfig, train_regression
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import (
+    DIVERGENCE_PATIENCE,
     SnlState,
     TrainConfig,
     fused_step,
@@ -276,7 +277,7 @@ class TestTrainDensity:
                 self.config(epochs=1, batch_size=32),
                 b=0.0,
             )
-        assert err.value.step == TrainConfig().divergence_patience
+        assert err.value.step == DIVERGENCE_PATIENCE
 
     def test_validate_rejects_bad_configs(self):
         bad = [
@@ -286,7 +287,6 @@ class TestTrainDensity:
             dict(learning_rate=0.0),
             dict(batch_size=0),
             dict(proposal_samples=0),
-            dict(divergence_patience=0),
             dict(nce_nu=0.0),
             dict(nce_nu=-1.0),
         ]
