@@ -102,13 +102,15 @@ _KNOWN_KEYS = {
     "model.seed": (int, 0, None),
     "proposal.kind": (_parse_choice("standard", "fitted", "uniform", "mdn"), "fitted", None),
     "proposal.components": (int, 2, "mdn"),
-    "train.objective": (_parse_choice("snl", "nce"), "snl", None),
-    "train.epochs": (int, 25, None),
-    "train.learning_rate": (float, 1e-3, None),
-    "train.batch_size": (int, 128, None),
-    "train.proposal_samples": (int, None, None),  # density 1024, regression 16 per point
+    # an unset train.* key takes the default of the task's config field; the
+    # other task's keys keep the defaults below in config.resolved
+    "train.objective": (_parse_choice("snl", "nce"), None, None),
+    "train.epochs": (int, None, None),
+    "train.learning_rate": (float, None, None),
+    "train.batch_size": (int, None, None),
+    "train.proposal_samples": (int, None, None),
     "train.optimizer": (_parse_choice("adam", "sgd"), "adam", "density"),
-    "train.seed": (int, 0, None),
+    "train.seed": (int, None, None),
     "train.nce_nu": (_parse_optional_float, None, "nce"),
     "train.mdn_learning_rate": (float, 1e-3, "mdn"),
     "out.dir": (str, None, None),
@@ -119,11 +121,16 @@ _KNOWN_KEYS = {
 _TRAIN_FIELD_KEYS = {"samples_per_point": "train.proposal_samples"}
 
 
+def _train_key(name: str) -> str:
+    return _TRAIN_FIELD_KEYS.get(name, "train." + name)
+
+
 def _train_config(config: dict):
-    """The task's ``TrainConfig`` or ``RegressionTrainConfig`` from the resolved keys."""
+    """The task's ``TrainConfig`` or ``RegressionTrainConfig`` from the
+    resolved keys; an unset key (None) takes the field's default."""
     cls = regression.RegressionTrainConfig if config["task"] == "regression" else training.TrainConfig
-    keys = {f.name: _TRAIN_FIELD_KEYS.get(f.name, "train." + f.name) for f in dataclasses.fields(cls)}
-    return cls(**{name: config[key] for name, key in keys.items() if key in config})
+    keys = {f.name: _train_key(f.name) for f in dataclasses.fields(cls)}
+    return cls(**{name: config[key] for name, key in keys.items() if config[key] is not None})
 
 
 def read_config(path: str | None, overrides: list[str]) -> dict:
@@ -199,8 +206,6 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
             problems.append(f"data.n: {exc}")
     if config["data.standardize"] is None:
         config["data.standardize"] = task == "density"
-    if config["train.proposal_samples"] is None:
-        config["train.proposal_samples"] = 16 if task == "regression" else 1024
     if task == "density" and config["proposal.kind"] == "mdn":
         problems.append("proposal.kind mdn is only available for the regression task")
     if config["proposal.components"] < 1:
@@ -211,8 +216,10 @@ def read_config(path: str | None, overrides: list[str]) -> dict:
             problems.append(f"model.widths: a density energy has one output, got a last width of {widths[-1]}")
         if has_name and widths[0] != 2:  # every named density dataset is 2-D
             problems.append(f"model.widths: {config['data.name']} is 2-D, got a first width of {widths[0]}")
-    for name, message in _train_config(config).problems():
-        problems.append(f"{_TRAIN_FIELD_KEYS.get(name, 'train.' + name)}: {message}")
+    train_config = _train_config(config)
+    config.update({_train_key(f.name): getattr(train_config, f.name) for f in dataclasses.fields(train_config)})
+    for name, message in train_config.problems():
+        problems.append(f"{_train_key(name)}: {message}")
     if not unparsed & {"task", "data.name", "proposal.kind", "train.objective"}:  # the keys the conditions read
         for key, (_, _, when) in _KNOWN_KEYS.items():
             if key in raw and when is not None and not _READ_WHEN[when][1](config):
@@ -282,16 +289,24 @@ def _standardizer_from_payload(payload):
     )
 
 
-def _read_checkpoint(path: str, *kinds: str) -> dict:
-    """The payload of a checkpoint file of this format and one of ``kinds``."""
+def _read_checkpoint(path: str, *kinds: str):
+    """(kind, ``_PARTS[kind]`` of the payload) of a checkpoint file of this
+    format and one of ``kinds``; any fault is a ValueError naming the file."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a checkpoint is a JSON object, found a {type(payload).__name__}")
     version = payload.get("format")
     if version != CHECKPOINT_FORMAT:
-        raise ValueError(f"checkpoint format {version!r} not supported (expected {CHECKPOINT_FORMAT})")
-    if payload.get("kind") not in kinds:
-        raise ValueError(f"expected a {' or '.join(kinds)} checkpoint, found kind {payload.get('kind')!r}")
-    return payload
+        raise ValueError(f"{path}: checkpoint format {version!r} not supported (expected {CHECKPOINT_FORMAT})")
+    kind = payload.get("kind")
+    if kind not in kinds:
+        raise ValueError(f"{path}: expected a {' or '.join(kinds)} checkpoint, found kind {kind!r}")
+    try:
+        return kind, _PARTS[kind](payload)
+    except (KeyError, TypeError, AttributeError) as exc:  # a key missing, or a value of the wrong type
+        fault = f"key {exc.args[0]!r} is missing" if isinstance(exc, KeyError) else f"value is malformed: {exc}"
+        raise ValueError(f"{path}: checkpoint {fault}") from None
 
 
 def _build_proposal(config: dict, points: np.ndarray, rng: PortableRng | None):
@@ -339,13 +354,13 @@ def _density_parts(payload: dict):
 
 def load_density_checkpoint(path: str):
     """(model, b, standardizer, proposal, config lines) from a density run."""
-    return _density_parts(_read_checkpoint(path, "density"))
+    return _read_checkpoint(path, "density")[1]
 
 
-def _density_scorer(args, payload: dict):
+def _density_scorer(args, parts):
     """Score function for ``_cmd_eval``: the bound report of every split;
     a ``--data`` file needs one column per model dimension."""
-    model, b, standardizer, proposal, config_lines = _density_parts(payload)
+    model, b, standardizer, proposal, config_lines = parts
 
     def score(splits, seed, dataset):
         report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
@@ -399,16 +414,14 @@ def _regression_parts(payload: dict):
 def load_regression_checkpoint(path: str):
     """(model, normalizer, proposal, eval proposal, standardizer, config lines)
     from a regression run."""
-    return _regression_parts(_read_checkpoint(path, "regression"))
+    return _read_checkpoint(path, "regression")[1]
 
 
-def _regression_scorer(args, payload: dict):
+def _regression_scorer(args, parts):
     """Score function for ``_cmd_eval``: the bound report of the test split
     (or of ``--data``, two columns x and y), reported as ``test``."""
-    model, normalizer, _, eval_proposal, standardizer, config_lines = _regression_parts(payload)
-    normalizer_fn = None
-    if normalizer is not None:
-        normalizer_fn = lambda xs: normalizer.values(model.features(xs))
+    model, normalizer, _, eval_proposal, standardizer, config_lines = parts
+    normalizer_fn = (lambda xs: normalizer.values(model.features(xs))) if normalizer is not None else None
 
     def score(splits, seed, dataset):
         points = splits["data"] if args.data is not None else splits["test"]
@@ -426,6 +439,7 @@ _FITS = {
     "density": (_fit_density, training.EpochRecord),
     "regression": (_fit_regression, regression.RegressionEpochRecord),
 }
+_PARTS = {"density": _density_parts, "regression": _regression_parts}
 _SCORERS = {"density": _density_scorer, "regression": _regression_scorer}
 
 
@@ -500,9 +514,8 @@ def _cmd_eval(args) -> int:
     if not seeds:
         print(f"--seeds must name at least one seed, got {args.seeds!r}", file=sys.stderr)
         return 2
-    payload = _read_checkpoint(args.checkpoint, *_SCORERS)
-    kind = payload["kind"]
-    score, standardizer, config_lines, columns = _SCORERS[kind](args, payload)
+    kind, parts = _read_checkpoint(args.checkpoint, *_SCORERS)
+    score, standardizer, config_lines, columns = _SCORERS[kind](args, parts)
     config = dict(line.split(" = ", 1) for line in config_lines)
 
     dataset_name = config.get("data.name", "")

@@ -15,10 +15,11 @@ reference measure. Two conventions coexist and are made explicit per model:
   values are relative to Lebesgue measure; the data term is -E + log d.
   MLP energies with a Gaussian base follow this convention.
 
-Either way importance weights compare -E + log d (-E without a base) against
-the proposal density (``objectives.log_weights``), and ``unnorm_log_density``
-is what enters data terms and reports. Conditional models (``regression``)
-follow the carrier convention, with a carrier c(y) over the response.
+Either way a draw's log-weight is -E plus ``objectives.measure_term``,
+log d - log q (-log q without a base), which ``sample_and_score`` stores in
+the batch once; ``unnorm_log_density`` is what enters data terms and reports.
+Conditional models (``regression``) follow the carrier convention, with a
+carrier c(y) over the response and the same ``measure_term``.
 """
 
 from __future__ import annotations

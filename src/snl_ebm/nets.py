@@ -209,6 +209,15 @@ class Mlp:
         return flat
 
 
+def set_theta(nets, flat: np.ndarray) -> None:
+    """Copy consecutive slices of ``flat`` into the parameters of ``nets``."""
+    sizes = [net.n_params for net in nets]
+    if flat.shape != (sum(sizes),):
+        raise ValueError("parameter vector has the wrong length")
+    for net, part in zip(nets, np.split(flat, np.cumsum(sizes)[:-1])):
+        net.theta = part
+
+
 def bind(nets, buffer: np.ndarray | None = None) -> np.ndarray:
     """Move the parameters of ``nets`` into consecutive slices of one flat
     buffer (a new one by default) and return it; each net then views its

@@ -43,29 +43,33 @@ SNL_SHIFT_CAP = 600.0  # log w - b beyond which e^{log w - b} is too close to ov
 
 @dataclass(frozen=True)
 class ImportanceBatch:
-    """Proposal samples with their log-densities, scored once and reused.
-
-    ``base_log_densities`` carries log d(x_m) of the model's base, which
-    every consumer reads when the model has one; None for a model without.
-    """
+    """Proposal samples and each draw's ``measure_term``, log d - log q
+    against a base d (-log q without one), scored once and reused: a draw's
+    log-weight is ``log_measure - E``."""
 
     samples: np.ndarray
-    proposal_log_densities: np.ndarray
-    base_log_densities: np.ndarray | None = None
+    log_measure: np.ndarray
 
     def __post_init__(self):
         if self.samples.ndim != 2:
             raise ValueError("samples must have shape (M, dim)")
-        if self.proposal_log_densities.shape != (self.samples.shape[0],):
-            raise ValueError("proposal log-densities must be one per sample")
-        if self.base_log_densities is not None and self.base_log_densities.shape != (
-            self.samples.shape[0],
-        ):
-            raise ValueError("base log-densities must be one per sample")
+        if self.log_measure.shape != (self.samples.shape[0],):
+            raise ValueError("measure terms must be one per sample")
 
     @property
     def m(self) -> int:
         return self.samples.shape[0]
+
+
+def measure_term(carrier, x: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """log d(x) - log q(x) for a base or carrier d, or -log q(x) when
+    ``carrier`` is None (Lebesgue or counting measure): what each draw's
+    log-weight adds to -E, for density and conditional models alike.
+    ``log_q`` holds one value per draw in any shape, (M,) for a density
+    batch or (n, m) for conditional draws, and ``x`` the draws in its order."""
+    if carrier is None:
+        return -log_q
+    return carrier.log_density(x.reshape(log_q.size, -1)).reshape(log_q.shape) - log_q
 
 
 def logsumexp(a, axis=None, keepdims: bool = False):
@@ -109,13 +113,10 @@ def check_finite_energies(energies: np.ndarray, where: str = "sample", offset: i
 
 
 def log_weights(model, batch: ImportanceBatch) -> np.ndarray:
-    """log w_m = -E(x_m) + log d(x_m) - log q(x_m), base term only if the model has one."""
+    """log w_m = log_measure_m - E(x_m), with the batch scored against the model's base."""
     energies = model.energy(batch.samples)
     check_finite_energies(energies)
-    logw = -energies - batch.proposal_log_densities
-    if model.base is not None:
-        logw = logw + batch.base_log_densities
-    return logw
+    return batch.log_measure - energies
 
 
 def estimate_z(model, batch: ImportanceBatch) -> float:

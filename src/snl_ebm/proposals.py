@@ -16,8 +16,8 @@ import numpy as np
 
 from . import serialize
 from .errors import DegenerateProposalError
-from .nets import Mlp
-from .objectives import ImportanceBatch, logsumexp
+from .nets import Mlp, set_theta
+from .objectives import ImportanceBatch, logsumexp, measure_term
 from .rng import PortableRng
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -168,11 +168,10 @@ class ExhaustiveCube(UniformCube):
 
 
 def sample_and_score(proposal, rng: PortableRng, m: int, base=None) -> ImportanceBatch:
-    """Draw M points (an enumerating proposal: its support) and score q (and d, when given) once."""
+    """Draw M points (an enumerating proposal: its support) and score them
+    once: each draw's ``measure_term`` against ``base`` (None: no base)."""
     samples = proposal.sample(rng, m)
-    log_q = proposal.log_density(samples)
-    base_ld = base.log_density(samples) if base is not None else None
-    return ImportanceBatch(samples=samples, proposal_log_densities=log_q, base_log_densities=base_ld)
+    return ImportanceBatch(samples, measure_term(base, samples, proposal.log_density(samples)))
 
 
 # -- mixture density proposal ------------------------------------------------
@@ -216,13 +215,7 @@ class MdnProposal:
 
     @theta.setter
     def theta(self, flat: np.ndarray) -> None:
-        sizes = [net.n_params for net in self.nets]
-        if flat.shape != (sum(sizes),):
-            raise ValueError("parameter vector has the wrong length")
-        a, b = sizes[0], sizes[0] + sizes[1]
-        self.pi_net.theta = flat[:a]
-        self.mu_net.theta = flat[a:b]
-        self.scale_net.theta = flat[b:]
+        set_theta(self.nets, flat)
 
     def heads(self, features: np.ndarray) -> MdnHeads:
         """Run the three heads once; sampling, scoring and the likelihood

@@ -20,9 +20,10 @@ concat(h_x, y-features), 138 -> 10 -> 1; normalizer net 10 -> 10 -> 1 on h_x.
 
 Conditional models follow the carrier convention of ``models``: values are
 relative to the model's carrier c(y), data terms are -E alone, and every
-log-weight is -E plus ``measure_term``, log c(y) - log q(y) (-log q(y) with
-no carrier: Lebesgue measure). The bilinear oracle's carrier is N(0, 1);
-``train_regression`` sets the Gaussian fitted to the training responses.
+log-weight is -E plus ``objectives.measure_term`` of the carrier,
+log c(y) - log q(y) (-log q(y) with no carrier: Lebesgue measure), the one
+rule that density batches follow too. The bilinear oracle's carrier is N(0, 1); ``train_regression``
+sets the Gaussian fitted to the training responses.
 
 Evaluation reports the importance-sampled conditional log-likelihood
 
@@ -52,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Mlp, Workspace, bind, row_tiles
-from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, step_terms
+from .nets import Mlp, Workspace, bind, row_tiles, set_theta
+from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, measure_term, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, StandardGaussian, fit_gaussian
 from .rng import PortableRng
@@ -108,17 +109,11 @@ class ConditionalEnergyModel:
 
     @theta.setter
     def theta(self, flat: np.ndarray) -> None:
-        sizes = [self.feature_net.n_params, self.y_net.n_params, self.head.n_params]
-        if flat.shape != (sum(sizes),):
-            raise ValueError("parameter vector has the wrong length")
-        a, b = sizes[0], sizes[0] + sizes[1]
-        self.feature_net.theta = flat[:a]
-        self.y_net.theta = flat[a:b]
-        self.head.theta = flat[b:]
+        set_theta(self.nets, flat)
 
     @property
     def n_params(self) -> int:
-        return self.feature_net.n_params + self.y_net.n_params + self.head.n_params
+        return sum(net.n_params for net in self.nets)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         h, _ = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1), keep_cache=False)
@@ -259,20 +254,10 @@ class RegressionEpochRecord:
 
 @dataclass
 class RegressionTrainResult:
-    model: ConditionalEnergyModel
-    normalizer: NormalizerNet | None
     history: list[RegressionEpochRecord]
     best_epoch: int
     best_theta: np.ndarray
     best_phi: np.ndarray | None
-
-
-def measure_term(model, ys: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """log c(y) - log q(y) for the model's carrier c, or -log q(y) when it has
-    none: what each draw's log-weight adds to -E. ``log_q`` is shaped like ``ys``."""
-    if model.carrier is None:
-        return -log_q
-    return model.carrier.log_density(ys.reshape(-1, 1)).reshape(ys.shape) - log_q
 
 
 def _propose(proposal, rng: PortableRng, h: np.ndarray, n: int, m: int):
@@ -319,9 +304,9 @@ def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, ob
     else:
         b_vals, cache_n = np.zeros(n), None
 
-    logw = measure_term(model, ys, log_q) - e_samp
+    logw = measure_term(model.carrier, ys, log_q) - e_samp
     if log_q_data is not None:  # the NCE data logit -E - b + log c - log q
-        log_q_data = -measure_term(model, y, log_q_data)[:, None]
+        log_q_data = -measure_term(model.carrier, y, log_q_data)[:, None]
     value, d_e_data, d_e_samp, d_b = step_terms(-e_data[:, None], logw, b_vals, objective, nu, log_q_data)
 
     cot = np.concatenate([d_e_data.ravel(), d_e_samp.ravel()]).reshape(-1, 1)
@@ -347,7 +332,7 @@ def validation_snl(model, normalizer, proposal, x, y, m, rng):
     e_data = model.energy_pairs(x, y, h)
     e_samp = model.energy_grid_shared(x, ys, h)
     b_vals = normalizer.values(h) if normalizer is not None else np.zeros(x.shape[0])
-    return step_terms(-e_data[:, None], measure_term(model, ys, log_q) - e_samp, b_vals)[0]
+    return step_terms(-e_data[:, None], measure_term(model.carrier, ys, log_q) - e_samp, b_vals)[0]
 
 
 def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config):
@@ -406,8 +391,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
         step, take, validate, RegressionEpochRecord,
     )
     n_theta = model.n_params
-    return RegressionTrainResult(model=model, normalizer=normalizer, history=history, best_epoch=best_epoch,
-                                 best_theta=best[:n_theta],
+    return RegressionTrainResult(history=history, best_epoch=best_epoch, best_theta=best[:n_theta],
                                  best_phi=best[n_theta:] if normalizer is not None else None)
 
 
@@ -459,7 +443,7 @@ def eval_regression_l_is(model, pairs, proposal, rng, n_samples=20000, normalize
     if draws.shape != (n_samples, 1):
         raise ValueError(f"the proposal drew shape {draws.shape}; the evaluation needs ({n_samples}, 1)")
     ys, m = draws[:, 0], n_samples
-    term = measure_term(model, ys, proposal.log_density(draws))
+    term = measure_term(model.carrier, ys, proposal.log_density(draws))
 
     e_data = model.energy_pairs(x, y)
     check_finite_energies(e_data, "data point")

@@ -145,6 +145,7 @@ def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, object
 
     One forward pass per array; ``objectives.step_terms`` turns the energies
     into the value and cotangents (for NCE the value is the negated loss),
+    with the sample log-weights ``batch.log_measure - E`` as in ``log_weights``,
     and one backward pass per array turns those into the gradient, returned
     as one flat [theta; b] vector.
     ``workspaces`` is a pair of ``nets.Workspace`` (data, samples) that the
@@ -153,11 +154,8 @@ def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, object
     space_data, space_samp = workspaces if workspaces is not None else (None, None)
     e_data, vjp_data = model.energy_vjp_prepared(data, space_data)
     e_samp, vjp_samp = model.energy_vjp_prepared(batch.samples, space_samp)
-    log_d_data = log_d_samp = 0.0
-    if model.base is not None:
-        log_d_data = model.base.log_density(data)
-        log_d_samp = batch.base_log_densities
-    logw = -e_samp + log_d_samp - batch.proposal_log_densities
+    logw = batch.log_measure - e_samp
+    log_d_data = model.base.log_density(data) if model.base is not None else 0.0
     if objective == "nce":
         num_data, log_q_data = -e_data + log_d_data, proposal.log_density(data)[None]
     else:  # a carrier base weights the samples but is not part of the data term

@@ -3,6 +3,7 @@ collected-problem config errors. Everything runs in-process through main()."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,8 +121,23 @@ class TestGenerate:
 def test_every_train_config_field_has_a_key(config_cls):
     # a field that no key sets is a setting only the tests reach
     for f in dataclasses.fields(config_cls):
-        key = cli._TRAIN_FIELD_KEYS.get(f.name, "train." + f.name)
+        key = cli._train_key(f.name)
         assert key in cli._KNOWN_KEYS, f"{config_cls.__name__}.{f.name} has no config key {key!r}"
+
+
+@pytest.mark.parametrize("name, config_cls", [("checkerboard", TrainConfig), ("regression1", RegressionTrainConfig)],
+                         ids=["density", "regression"])
+def test_unset_train_keys_take_the_task_config_defaults(name, config_cls):
+    config = cli.read_config(None, [f"data.name={name}", "out.dir=x"])
+    assert cli._train_config(config) == config_cls()
+    assert config["train.optimizer"] == "adam" and config["train.mdn_learning_rate"] == 1e-3
+
+
+def test_readme_key_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Every config key, its default, and the runs that read it:", 1)[1].split("\n\n")[1]
+    keys = [line.split("`")[1] for line in table.splitlines()[2:]]
+    assert keys == list(cli._KNOWN_KEYS)
 
 
 class TestConfigErrors:
@@ -356,6 +372,22 @@ class TestDensityPipeline:
         code, _, err = run(capsys, "eval", "--checkpoint", str(path), "--samples", "100")
         assert code == 1
         assert "expected a density or regression checkpoint, found kind 'mystery'" in err
+
+    @pytest.mark.parametrize("command", ["eval", "grid"])
+    @pytest.mark.parametrize("damage, named", [
+        (lambda p: {k: v for k, v in p.items() if k != "theta"}, "checkpoint key 'theta' is missing"),
+        (lambda p: [p], "a checkpoint is a JSON object, found a list"),
+        (lambda p: {**p, "proposal": {"kind": "fitted_gaussian"}}, "checkpoint key 'mean' is missing"),
+        (lambda p: {**p, "theta": None}, "checkpoint value is malformed: 'NoneType' object is not iterable"),
+    ], ids=["no-theta", "json-list", "bare-proposal", "null-theta"])
+    def test_damaged_checkpoint_names_the_file_and_key(self, tmp_path, capsys, command, damage, named):
+        run(capsys, "train", "--config", density_config(tmp_path))
+        path = tmp_path / "run" / "checkpoint_best.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        more = ["--samples", "100"] if command == "eval" else ["--out", str(tmp_path / "grid.csv")]
+        code, _, err = run(capsys, command, "--checkpoint", str(path), *more)
+        assert code == 1
+        assert err == f"error: {path}: {named}\n"
 
     def test_grid_export(self, tmp_path, capsys):
         run(capsys, "train", "--config", density_config(tmp_path))

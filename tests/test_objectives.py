@@ -26,6 +26,7 @@ from snl_ebm.objectives import (
     estimate_z,
     log_weights,
     logsumexp,
+    measure_term,
     step_terms,
 )
 from snl_ebm.proposals import (
@@ -138,20 +139,20 @@ class TestEstimateZ:
                 return np.zeros(x.shape[0])
 
         samples = np.array([[2.0], [3.0]])  # outside the carrier box
-        batch = ImportanceBatch(samples, np.zeros(2), FlatOnBox.base.log_density(samples))
+        batch = ImportanceBatch(samples, measure_term(FlatOnBox.base, samples, np.zeros(2)))
         with pytest.raises(DegenerateProposalError):
             estimate_z(FlatOnBox(), batch)
 
     def test_cached_base_log_densities_used(self):
-        # the batch's base log-densities are read, not the model's base recomputed
+        # the batch's measure term, base included, is read, not the model's base recomputed
         m = GaussianMeanModel(0.5)
         q = StandardGaussian(1)
         samples = PortableRng(3).normal((100, 1))
         lq = q.log_density(samples)
-        cached = log_weights(m, ImportanceBatch(samples, lq, base_log_densities=m.base.log_density(samples)))
-        np.testing.assert_array_equal(cached, -m.energy(samples) - lq + m.base.log_density(samples))
-        shifted = log_weights(m, ImportanceBatch(samples, lq, base_log_densities=np.full(100, 2.0)))
-        np.testing.assert_array_equal(shifted, -m.energy(samples) - lq + 2.0)
+        cached = log_weights(m, ImportanceBatch(samples, measure_term(m.base, samples, lq)))
+        np.testing.assert_array_equal(cached, (m.base.log_density(samples) - lq) - m.energy(samples))
+        shifted = log_weights(m, ImportanceBatch(samples, np.full(100, 2.0)))
+        np.testing.assert_array_equal(shifted, 2.0 - m.energy(samples))
 
 
 class TestSnlObjective:
@@ -335,7 +336,7 @@ class TestNce:
         # data {1}, noise {0}, q = 1/2: loss = -[log(0.6) + log(2/3)] = -log 0.4
         model = BinaryCubeModel(1, np.log(3.0))
         q = UniformCube(1)
-        batch = ImportanceBatch(np.array([[0.0]]), q.log_density(np.array([[0.0]])))
+        batch = ImportanceBatch(np.array([[0.0]]), -q.log_density(np.array([[0.0]])))
         loss = nce_objective(model, np.log(4.0), np.array([[1.0]]), q, batch, nu=1.0)
         assert loss == pytest.approx(-np.log(0.4), rel=1e-12)
 
@@ -343,7 +344,7 @@ class TestNce:
         model = GaussianMeanModel(10.0)
         q = StandardGaussian(1)
         data = np.array([[3.0]])
-        batch = ImportanceBatch(np.array([[-3.0]]), q.log_density(np.array([[-3.0]])))
+        batch = ImportanceBatch(np.array([[-3.0]]), -q.log_density(np.array([[-3.0]])))
         assert nce_objective(model, 0.0, data, q, batch, nu=1.0) < 1e-12
 
     def test_default_nu_is_sample_ratio(self):

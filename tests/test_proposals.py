@@ -154,7 +154,7 @@ class TestTwoPoint:
     def test_exhaustive_enumeration_replaces_sampling(self):
         batch = sample_and_score(ExhaustiveCube(1), PortableRng(9), 12345)
         np.testing.assert_array_equal(batch.samples, [[0.0], [1.0]])
-        np.testing.assert_allclose(batch.proposal_log_densities, -np.log(2.0) * np.ones(2))
+        np.testing.assert_allclose(batch.log_measure, np.log(2.0) * np.ones(2))
 
 
 class TestUniformCube:
@@ -187,14 +187,14 @@ class TestSampleAndScore:
         q = StandardGaussian(2)
         batch = sample_and_score(q, PortableRng(10), 64)
         assert batch.samples.shape == (64, 2)
-        np.testing.assert_array_equal(batch.proposal_log_densities, q.log_density(batch.samples))
-        assert batch.base_log_densities is None
+        assert batch.log_measure.shape == (64,)
+        np.testing.assert_array_equal(batch.log_measure, -q.log_density(batch.samples))
 
     def test_base_scored_once(self):
         q = StandardGaussian(1)
         base = UniformBox([-5.0], [5.0])
         batch = sample_and_score(q, PortableRng(11), 32, base=base)
-        np.testing.assert_array_equal(batch.base_log_densities, base.log_density(batch.samples))
+        np.testing.assert_array_equal(batch.log_measure, base.log_density(batch.samples) - q.log_density(batch.samples))
 
     def test_mean_of_draws_obeys_clt(self):
         q = StandardGaussian(1)

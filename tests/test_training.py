@@ -7,9 +7,9 @@ from snl_ebm import regression, training
 from snl_ebm.errors import TrainingDivergedError
 from snl_ebm.models import BinaryCubeModel, GaussianMeanModel, MlpEnergy
 from snl_ebm.nets import Workspace
-from snl_ebm.objectives import estimate_z
+from snl_ebm.objectives import divergence_diagnostics, estimate_z, log_weights, step_terms
 from snl_ebm.optim import AdamState, adam_step, check_finite_gradient, sgd_step
-from snl_ebm.proposals import ExhaustiveCube, StandardGaussian, fit_gaussian, sample_and_score
+from snl_ebm.proposals import ExhaustiveCube, StandardGaussian, UniformCube, fit_gaussian, sample_and_score
 from snl_ebm.regression import ConditionalEnergyModel, NormalizerNet, RegressionTrainConfig, train_regression
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import (
@@ -167,6 +167,28 @@ class TestFusedStep:
         _, grads, _ = fused_step(model, 0.0, self.data, batch, "snl")
         want = snl_gradients(model, 0.0, self.data, batch)
         np.testing.assert_allclose(grads[:-1], want.grad_theta, rtol=1e-10, atol=1e-12)
+
+
+WEIGHING_CASES = {  # model, proposal, data: a tilt, a carrier base and no base
+    "tilt": lambda: (MlpEnergy([2, 16, 8, 1], base=StandardGaussian(2), rng=PortableRng(3)),
+                     fit_gaussian(2.0 * PortableRng(9).normal((50, 2))), PortableRng(4).normal((32, 2))),
+    "carrier": lambda: (GaussianMeanModel(0.7), fit_gaussian(PortableRng(9).normal((50, 1)) + 0.5),
+                        PortableRng(4).normal((32, 1)) + 0.7),
+    "no base": lambda: (BinaryCubeModel(3, np.linspace(-0.4, 0.6, 6)), UniformCube(3),
+                        UniformCube(3).sample(PortableRng(4), 32)),
+}
+
+
+@pytest.mark.parametrize("case", WEIGHING_CASES)
+def test_step_and_eval_weigh_draws_alike(case):
+    # the step's SNL value and minimum weight are, bit for bit, those of the
+    # weights that init_b, validation and evaluate read (log_weights)
+    model, proposal, data = WEIGHING_CASES[case]()
+    batch = sample_and_score(proposal, PortableRng(5), 256, base=model.base)
+    value, _, (_, min_weight) = fused_step(model, 0.3, data, batch, "snl")
+    logw = log_weights(model, batch)
+    assert value == step_terms(model.unnorm_log_density(data)[None], logw[None], np.array([0.3]))[0]
+    assert min_weight == divergence_diagnostics(model.energy(batch.samples), logw)[1]
 
 
 class TestTrainDensity:
