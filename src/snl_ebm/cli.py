@@ -274,39 +274,57 @@ def _load_split(config: dict):
 def _standardizer_payload(standardizer):
     if standardizer is None:
         return None
-    return {
-        "mean": serialize.fmt_vector(standardizer.mean),
-        "scale": serialize.fmt_vector(standardizer.scale),
-    }
+    return {"mean": serialize.fmt_vector(standardizer.mean), "scale": serialize.fmt_vector(standardizer.scale)}
 
 
-def _standardizer_from_payload(payload):
-    if not payload:
+def _run_dataset(config_lines: list[str]):
+    """The run's (data.name, data.n, data.seed) from its ``config`` lines, or
+    None for a ``data.path`` run; a malformed line is a ValueError naming it."""
+    lines = {}
+    for line in config_lines:
+        key, sep, _ = line.partition(" = ")
+        if not sep:
+            raise ValueError(f"config line {line!r} is not 'key = value'")
+        lines[key] = line
+    if "data.name" not in lines:
         return None
-    return datasets.Standardizer(
-        mean=serialize.parse_vector(payload["mean"]),
-        scale=serialize.parse_vector(payload["scale"]),
-    )
+    dataset = []
+    for key in ("data.name", "data.n", "data.seed"):
+        try:
+            dataset.append(_KNOWN_KEYS[key][0](lines[key].partition(" = ")[2]))
+            if key == "data.n":
+                datasets.split_sizes(dataset[-1])
+        except ValueError as exc:
+            raise ValueError(f"config line {lines[key]!r}: {exc}")
+    return tuple(dataset)
 
 
-def _read_checkpoint(path: str, *kinds: str):
-    """(kind, ``_PARTS[kind]`` of the payload) of a checkpoint file of this
-    format and one of ``kinds``; any fault is a ValueError naming the file."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: a checkpoint is a JSON object, found a {type(payload).__name__}")
-    version = payload.get("format")
-    if version != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: checkpoint format {version!r} not supported (expected {CHECKPOINT_FORMAT})")
-    kind = payload.get("kind")
-    if kind not in kinds:
-        raise ValueError(f"{path}: expected a {' or '.join(kinds)} checkpoint, found kind {kind!r}")
+def read_checkpoint(path: str, *kinds: str):
+    """The one reader of checkpoint files: (kind, parts, standardizer or None,
+    ``_run_dataset``) of a checkpoint of this format and one of ``kinds``, the
+    parts as ``_PARTS[kind]`` builds them. Any fault of the file is a
+    ValueError naming it and the key or line."""
     try:
-        return kind, _PARTS[kind](payload)
-    except (KeyError, TypeError, AttributeError) as exc:  # a key missing, or a value of the wrong type
-        fault = f"key {exc.args[0]!r} is missing" if isinstance(exc, KeyError) else f"value is malformed: {exc}"
-        raise ValueError(f"{path}: checkpoint {fault}") from None
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            fault = f"a checkpoint is a JSON object, found a {type(payload).__name__}"
+        elif payload.get("format") != CHECKPOINT_FORMAT:
+            fault = f"checkpoint format {payload.get('format')!r} not supported (expected {CHECKPOINT_FORMAT})"
+        elif payload.get("kind") not in kinds:
+            fault = f"expected a {' or '.join(kinds)} checkpoint, found kind {payload.get('kind')!r}"
+        else:
+            scale = payload["standardizer"]
+            standardizer = datasets.Standardizer(mean=serialize.parse_vector(scale["mean"]),
+                                                 scale=serialize.parse_vector(scale["scale"])) if scale else None
+            return payload["kind"], _PARTS[payload["kind"]](payload), standardizer, _run_dataset(payload["config"])
+    except json.JSONDecodeError as exc:
+        fault = f"checkpoint is not JSON: {exc}"
+    except KeyError as exc:
+        fault = f"checkpoint key {exc.args[0]!r} is missing"
+    except (TypeError, AttributeError, ValueError) as exc:  # a value of the wrong type or form
+        fault = f"checkpoint value is malformed: {exc}"
+    raise ValueError(f"{path}: {fault}")
 
 
 def _build_proposal(config: dict, points: np.ndarray, rng: PortableRng | None):
@@ -346,27 +364,19 @@ def _density_parts(payload: dict):
     base = proposals.from_descriptor(payload["base"]) if payload["base"] else None
     model = MlpEnergy(list(payload["widths"]), base=base)
     model.theta = serialize.parse_vector(payload["theta"])
-    b = float(payload["b"])
-    standardizer = _standardizer_from_payload(payload["standardizer"])
-    proposal = proposals.from_descriptor(payload["proposal"])
-    return model, b, standardizer, proposal, payload["config"]
-
-
-def load_density_checkpoint(path: str):
-    """(model, b, standardizer, proposal, config lines) from a density run."""
-    return _read_checkpoint(path, "density")[1]
+    return model, float(payload["b"]), proposals.from_descriptor(payload["proposal"])
 
 
 def _density_scorer(args, parts):
     """Score function for ``_cmd_eval``: the bound report of every split;
     a ``--data`` file needs one column per model dimension."""
-    model, b, standardizer, proposal, config_lines = parts
+    model, b, proposal = parts
 
     def score(splits, seed, dataset):
         report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
         return report.lines(), {s.name: s for s in report.splits}
 
-    return score, standardizer, config_lines, model.dim
+    return score, model.dim
 
 
 # -- regression pipeline ------------------------------------------------------
@@ -397,41 +407,35 @@ def _fit_regression(config: dict, split):
 
 
 def _regression_parts(payload: dict):
+    """The model with its carrier (stored as ``eval_proposal``) and the normalizer."""
     model = regression.ConditionalEnergyModel()
     model.feature_net.theta = serialize.parse_vector(payload["feature_theta"])
     model.y_net.theta = serialize.parse_vector(payload["y_theta"])
     model.head.theta = serialize.parse_vector(payload["head_theta"])
+    model.carrier = proposals.from_descriptor(payload["eval_proposal"])
     normalizer = None
     if payload["normalizer_phi"] is not None:
         normalizer = regression.NormalizerNet()
         normalizer.phi = serialize.parse_vector(payload["normalizer_phi"])
-    proposal = proposals.from_descriptor(payload["proposal"])
-    model.carrier = eval_proposal = proposals.from_descriptor(payload["eval_proposal"])
-    standardizer = _standardizer_from_payload(payload["standardizer"])
-    return model, normalizer, proposal, eval_proposal, standardizer, payload["config"]
-
-
-def load_regression_checkpoint(path: str):
-    """(model, normalizer, proposal, eval proposal, standardizer, config lines)
-    from a regression run."""
-    return _read_checkpoint(path, "regression")[1]
+    return model, normalizer
 
 
 def _regression_scorer(args, parts):
     """Score function for ``_cmd_eval``: the bound report of the test split
-    (or of ``--data``, two columns x and y), reported as ``test``."""
-    model, normalizer, _, eval_proposal, standardizer, config_lines = parts
+    (or of ``--data``, two columns x and y), reported as ``test``, with draws
+    from the model's carrier."""
+    model, normalizer = parts
     normalizer_fn = (lambda xs: normalizer.values(model.features(xs))) if normalizer is not None else None
 
     def score(splits, seed, dataset):
         points = splits["data"] if args.data is not None else splits["test"]
         report = regression.eval_regression_l_is(
-            model, (points[:, 0], points[:, 1]), eval_proposal, n_samples=args.samples,
+            model, (points[:, 0], points[:, 1]), model.carrier, n_samples=args.samples,
             rng=PortableRng(seed).split("evaluate"), normalizer_fn=normalizer_fn,
         )
         return ["test." + line for line in report.lines()], {"test": report}
 
-    return score, standardizer, config_lines, 2  # (x, y) pairs
+    return score, 2  # (x, y) pairs
 
 
 # task -> (fit function, per-epoch record type whose fields are the metrics.csv columns)
@@ -514,28 +518,23 @@ def _cmd_eval(args) -> int:
     if not seeds:
         print(f"--seeds must name at least one seed, got {args.seeds!r}", file=sys.stderr)
         return 2
-    kind, parts = _read_checkpoint(args.checkpoint, *_SCORERS)
-    score, standardizer, config_lines, columns = _SCORERS[kind](args, parts)
-    config = dict(line.split(" = ", 1) for line in config_lines)
+    kind, parts, standardizer, dataset = read_checkpoint(args.checkpoint, *_SCORERS)
+    score, columns = _SCORERS[kind](args, parts)
 
-    dataset_name = config.get("data.name", "")
     if args.data is not None:
         points = datasets.load_delimited(args.data, has_header=args.has_header)
         if points.shape[1] != columns:
             raise ValueError(f"{args.data} has {points.shape[1]} column(s); "
                              f"the {kind} checkpoint needs {columns}")
-        if standardizer is not None:
-            points = standardizer.transform(points)
-        splits = {"data": points}
-        dataset_name = args.data
-    elif dataset_name:
-        split = datasets.load_named(dataset_name, int(config["data.n"]), int(config["data.seed"]))
-        if standardizer is not None:
-            split = standardizer.transform_split(split)
-        splits = {"train": split.train, "val": split.val, "test": split.test}
+        splits, dataset_name = {"data": points}, args.data
+    elif dataset is not None:
+        split = datasets.load_named(*dataset)
+        splits, dataset_name = {"train": split.train, "val": split.val, "test": split.test}, dataset[0]
     else:
         print("checkpoint has no named dataset; pass --data", file=sys.stderr)
         return 2
+    if standardizer is not None:
+        splits = {name: standardizer.transform(points) for name, points in splits.items()}
 
     lines = [f"dataset {dataset_name}", f"checkpoint {args.checkpoint}",
              f"n_samples {args.samples}", f"seeds {','.join(str(s) for s in seeds)}"]
@@ -563,8 +562,8 @@ def _cmd_grid(args) -> int:
     if args.resolution < 1:
         print(f"--resolution must be at least 1, got {args.resolution}", file=sys.stderr)
         return 2
-    model, b, standardizer, proposal, _ = load_density_checkpoint(args.checkpoint)
-    dim = model.net.widths[0]
+    model, b, _ = read_checkpoint(args.checkpoint, "density")[1]
+    dim = model.dim
     if args.bounds is not None:
         try:
             flat = [float(v) for v in args.bounds.split(",")]

@@ -78,18 +78,6 @@ def _four_circles(n: int, rng: PortableRng) -> np.ndarray:
     return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]) + noise
 
 
-def generate_density_2d(name: str, n: int, rng: PortableRng) -> np.ndarray:
-    if name == "checkerboard":
-        return _checkerboard(n, rng)
-    if name == "funnel":
-        return _funnel(n, rng)
-    if name == "pinwheel":
-        return _pinwheel(n, rng)
-    if name == "four_circles":
-        return _four_circles(n, rng)
-    raise ValueError(f"unknown 2-D density dataset {name!r}")
-
-
 def _regression1(n: int, rng: PortableRng) -> np.ndarray:
     x = rng.uniform(n, -3.0, 3.0)
     u = rng.uniform(n)
@@ -116,12 +104,15 @@ def _regression2(n: int, rng: PortableRng) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def generate_regression_1d(name: str, n: int, rng: PortableRng) -> np.ndarray:
-    if name == "regression1":
-        return _regression1(n, rng)
-    if name == "regression2":
-        return _regression2(n, rng)
-    raise ValueError(f"unknown regression dataset {name!r}")
+_GENERATORS = {"checkerboard": _checkerboard, "funnel": _funnel, "pinwheel": _pinwheel,
+               "four_circles": _four_circles, "regression1": _regression1, "regression2": _regression2}
+
+
+def generate(name: str, n: int, rng: PortableRng) -> np.ndarray:
+    """n rows of the built-in dataset ``name``, drawn from ``rng``."""
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown dataset {name!r}")
+    return _GENERATORS[name](n, rng)
 
 
 @dataclass(frozen=True)
@@ -160,14 +151,7 @@ def load_named(name: str, n: int, seed: int) -> DatasetSplit:
     same splits whether generated here or through the CLI.
     """
     split_sizes(n)  # a bad n fails here, before any generator sees it
-    rng = PortableRng(seed)
-    if name in DENSITY_NAMES:
-        points = generate_density_2d(name, n, rng.split("draw"))
-    elif name in REGRESSION_NAMES:
-        points = generate_regression_1d(name, n, rng.split("draw"))
-    else:
-        raise ValueError(f"unknown dataset {name!r}")
-    return split_70_10_20(points, seed)
+    return split_70_10_20(generate(name, n, PortableRng(seed).split("draw")), seed)
 
 
 @dataclass(frozen=True)

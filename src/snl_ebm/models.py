@@ -50,9 +50,6 @@ class EnergyModel:
         made in ``workspace`` (a ``nets.Workspace``) when one is given."""
         raise NotImplementedError
 
-    def energy_vjp(self, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        return self.energy_vjp_prepared(x)[1](cotangent)
-
     @property
     def theta(self) -> np.ndarray:
         raise NotImplementedError

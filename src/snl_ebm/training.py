@@ -84,7 +84,6 @@ class TrainConfig:
 
 @dataclass
 class SnlState:
-    model: object
     b: float
 
 
@@ -269,5 +268,5 @@ def train_density(
         config, params, lambda epoch: shuffle_rng.permutation(train_data.shape[0]), step, take, validate,
         lambda epoch, train, val, seconds: EpochRecord(epoch, train, val, float(params[-1]), seconds),
     )
-    return TrainResult(state=SnlState(model, float(params[-1])), history=history, best_epoch=best_epoch,
+    return TrainResult(state=SnlState(float(params[-1])), history=history, best_epoch=best_epoch,
                        best_theta=best[:-1], best_b=float(best[-1]))

@@ -54,10 +54,15 @@ def snl_objective(model, b: float, data: np.ndarray, log_z: float) -> SnlValue:
     return SnlValue(value=data_term + normalizer_term, data_term=data_term, normalizer_term=normalizer_term)
 
 
+def energy_vjp(model, x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+    """sum_i cotangent_i * dE(x_i)/dtheta, through the model's prepared vjp."""
+    return model.energy_vjp_prepared(x)[1](cotangent)
+
+
 def param_gradient(model, x: np.ndarray) -> np.ndarray:
     """Gradient of E at a single point, through the model's vjp."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return model.energy_vjp(x, np.ones(1))
+    return energy_vjp(model, x, np.ones(1))
 
 
 def weight_log_numerator(model, x: np.ndarray) -> np.ndarray:
@@ -124,9 +129,9 @@ def snl_gradients(model, b: float, data: np.ndarray, batch: ImportanceBatch) -> 
     """
     logw = log_weights(model, batch)
     n = data.shape[0]
-    data_grad = model.energy_vjp(data, np.full(n, -1.0 / n))
+    data_grad = energy_vjp(model, data, np.full(n, -1.0 / n))
     sample_cot = np.exp(logw - b) / batch.m
-    sample_grad = model.energy_vjp(batch.samples, sample_cot)
+    sample_grad = energy_vjp(model, batch.samples, sample_cot)
     grad_b = -1.0 + float(np.exp(logsumexp(logw) - np.log(batch.m) - b))
     return GradientEstimate(grad_theta=data_grad + sample_grad, grad_b=grad_b)
 
@@ -134,7 +139,7 @@ def snl_gradients(model, b: float, data: np.ndarray, batch: ImportanceBatch) -> 
 def exact_snl_gradients(model, b: float, data: np.ndarray) -> GradientEstimate:
     """Closed-form gradient of ell_SNL for models with an exact normalizer."""
     n = data.shape[0]
-    data_grad = model.energy_vjp(data, np.full(n, -1.0 / n))
+    data_grad = energy_vjp(model, data, np.full(n, -1.0 / n))
     log_z = model.exact_log_z()
     grad_theta = data_grad - np.exp(log_z - b) * model.exact_log_z_grad()
     grad_b = -1.0 + float(np.exp(log_z - b))
@@ -150,7 +155,7 @@ def gradient_relation_check(model, b: float, data: np.ndarray) -> tuple[np.ndarr
     """
     lhs = exact_snl_gradients(model, b, data).grad_theta
     n = data.shape[0]
-    grad_ll = model.energy_vjp(data, np.full(n, -1.0 / n)) - model.exact_log_z_grad()
+    grad_ll = energy_vjp(model, data, np.full(n, -1.0 / n)) - model.exact_log_z_grad()
     log_z = model.exact_log_z()
     rhs = grad_ll + model.exact_log_z_grad() * (1.0 - np.exp(log_z - b))
     return lhs, rhs
@@ -208,7 +213,7 @@ def nce_gradients(model, b: float, data: np.ndarray, proposal, batch: Importance
     s = expit(log_nu - g_data)  # 1 - sigma(G - log nu) at data
     t = expit(g_noise - log_nu)  # sigma(G - log nu) at noise
     # dJ/dG = -s/n at data, +(nu/M) t at noise; dG/dtheta = -grad E, dG/db = -1.
-    grad_theta = model.energy_vjp(data, s / n) + model.energy_vjp(batch.samples, -(nu / batch.m) * t)
+    grad_theta = energy_vjp(model, data, s / n) + energy_vjp(model, batch.samples, -(nu / batch.m) * t)
     grad_b = float(np.sum(s) / n - (nu / batch.m) * np.sum(t))
     return GradientEstimate(grad_theta=grad_theta, grad_b=grad_b)
 

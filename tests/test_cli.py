@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from snl_ebm import cli, datasets, serialize
-from snl_ebm.cli import load_density_checkpoint, load_regression_checkpoint, main
+from snl_ebm.cli import main, read_checkpoint
 from snl_ebm.models import MlpEnergy
 from snl_ebm.proposals import fit_gaussian
 from snl_ebm.regression import ConditionalEnergyModel, NormalizerNet, RegressionTrainConfig, train_regression
@@ -52,6 +52,13 @@ def regression_config(tmp_path, out_name="reg", extra=()):
         f"out.dir = {tmp_path / out_name}",
         *extra,
     ])
+
+
+def with_config_line(payload, key, line):
+    """The checkpoint payload with the config line of ``key`` replaced by
+    ``line``, or dropped when ``line`` is None."""
+    lines = [line if old.startswith(key + " = ") else old for old in payload["config"]]
+    return {**payload, "config": [line for line in lines if line is not None]}
 
 
 def metrics_without_seconds(path):
@@ -281,13 +288,14 @@ class TestDensityPipeline:
             assert len(payload["theta"]) == MlpEnergy([2, 16, 8, 1]).theta.size
             float(payload["b"])
 
-        model, b, standardizer, proposal, config_lines = load_density_checkpoint(
-            str(run_dir / "checkpoint_best.json"))
+        kind, (model, b, proposal), standardizer, dataset = read_checkpoint(
+            str(run_dir / "checkpoint_best.json"), "density")
+        assert kind == "density"
         assert np.all(np.isfinite(model.theta))
         assert np.isfinite(model.energy(np.zeros((3, 2)))).all()
         assert standardizer is not None
         assert proposal.kind == "fitted_gaussian"
-        assert "data.name = checkerboard" in config_lines
+        assert dataset == ("checkerboard", 200, 0)
 
     def test_training_is_deterministic(self, tmp_path, capsys):
         run(capsys, "train", "--config", density_config(tmp_path, "run1"))
@@ -374,16 +382,33 @@ class TestDensityPipeline:
         assert "expected a density or regression checkpoint, found kind 'mystery'" in err
 
     @pytest.mark.parametrize("command", ["eval", "grid"])
-    @pytest.mark.parametrize("damage, named", [
+    @pytest.mark.parametrize("damage, named", [  # damage: payload -> a JSON value, or the file's text
         (lambda p: {k: v for k, v in p.items() if k != "theta"}, "checkpoint key 'theta' is missing"),
         (lambda p: [p], "a checkpoint is a JSON object, found a list"),
         (lambda p: {**p, "proposal": {"kind": "fitted_gaussian"}}, "checkpoint key 'mean' is missing"),
         (lambda p: {**p, "theta": None}, "checkpoint value is malformed: 'NoneType' object is not iterable"),
-    ], ids=["no-theta", "json-list", "bare-proposal", "null-theta"])
+        (lambda p: "", "checkpoint is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (lambda p: {**p, "theta": p["theta"][:3]}, "checkpoint value is malformed: expected 193 parameters, got (3,)"),
+        (lambda p: with_config_line(p, "data.n", None), "checkpoint key 'data.n' is missing"),
+        (lambda p: with_config_line(p, "data.n", "data.n = ten"),
+         "checkpoint value is malformed: config line 'data.n = ten': invalid literal for int() with base 10: 'ten'"),
+        (lambda p: with_config_line(p, "data.n", "data.n = 5"),
+         "checkpoint value is malformed: config line 'data.n = 5': "
+         "the 70/10/20 split needs at least 10 rows, got n = 5"),
+        (lambda p: with_config_line(p, "data.seed", "data.seed 0"),
+         "checkpoint value is malformed: config line 'data.seed 0' is not 'key = value'"),
+        (lambda p: {**p, "proposal": {**p["proposal"], "kind": "mystery"}},
+         "checkpoint value is malformed: unknown distribution kind 'mystery'"),
+        (lambda p: with_config_line(p, "data.name", "data.name = spiral"),
+         "checkpoint value is malformed: config line 'data.name = spiral': expected one of "
+         "checkerboard, funnel, pinwheel, four_circles, regression1, regression2; got 'spiral'"),
+    ], ids=["no-theta", "json-list", "bare-proposal", "null-theta", "not-json", "short-theta", "no-data-n",
+            "word-data-n", "small-data-n", "bare-config-line", "mystery-proposal", "unknown-dataset"])
     def test_damaged_checkpoint_names_the_file_and_key(self, tmp_path, capsys, command, damage, named):
         run(capsys, "train", "--config", density_config(tmp_path))
         path = tmp_path / "run" / "checkpoint_best.json"
-        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        damaged = damage(json.loads(path.read_text()))
+        path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
         more = ["--samples", "100"] if command == "eval" else ["--out", str(tmp_path / "grid.csv")]
         code, _, err = run(capsys, command, "--checkpoint", str(path), *more)
         assert code == 1
@@ -446,9 +471,10 @@ class TestRegressionPipeline:
         assert payload["normalizer_phi"] is not None
         assert payload["eval_proposal"]["kind"] == "fitted_gaussian"
 
-        model, normalizer, _, eval_proposal, _, _ = load_regression_checkpoint(
-            str(run_dir / "checkpoint_best.json"))
+        kind, (model, normalizer), standardizer, dataset = read_checkpoint(
+            str(run_dir / "checkpoint_best.json"), "regression")
         assert normalizer is not None
+        assert standardizer is None and dataset == ("regression1", 120, 0)
         assert np.all(np.isfinite(model.theta))
 
         code, out, _ = run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint_best.json"),
@@ -715,6 +741,5 @@ class TestCheckpointParameters:
         for name in ("final", "best"):
             path = tmp_path / "reg" / f"checkpoint_{name}.json"
             assert checkpoint(path)["eval_proposal"] == model.carrier.descriptor()
-            loaded, _, _, eval_proposal, _, _ = load_regression_checkpoint(str(path))
-            assert loaded.carrier is eval_proposal
+            loaded, _ = read_checkpoint(str(path), "regression")[1]
             assert loaded.carrier.descriptor() == model.carrier.descriptor()

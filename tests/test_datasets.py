@@ -14,8 +14,7 @@ from snl_ebm.datasets import (
     DatasetSplit,
     Standardizer,
     fit_standardizer,
-    generate_density_2d,
-    generate_regression_1d,
+    generate,
     load_delimited,
     load_named,
     split_70_10_20,
@@ -25,28 +24,28 @@ from snl_ebm.rng import PortableRng
 
 class TestCheckerboard:
     def test_cells_have_even_parity(self):
-        pts = generate_density_2d("checkerboard", 5000, PortableRng(0))
+        pts = generate("checkerboard", 5000, PortableRng(0))
         parity = (np.floor(pts[:, 0]) + np.floor(pts[:, 1])) % 2
         assert np.all(parity == 0)
 
     def test_bounds_and_count(self):
-        pts = generate_density_2d("checkerboard", 3000, PortableRng(1))
+        pts = generate("checkerboard", 3000, PortableRng(1))
         assert pts.shape == (3000, 2)
         assert np.all(pts >= -4.0) and np.all(pts < 4.0)
 
     def test_covers_many_cells(self):
-        pts = generate_density_2d("checkerboard", 8000, PortableRng(2))
+        pts = generate("checkerboard", 8000, PortableRng(2))
         cells = set(zip(np.floor(pts[:, 0]).astype(int), np.floor(pts[:, 1]).astype(int)))
         assert len(cells) == 32  # half of the 8 x 8 lattice
 
 
 class TestFunnel:
     def test_clipped_to_box(self):
-        pts = generate_density_2d("funnel", 20000, PortableRng(3))
+        pts = generate("funnel", 20000, PortableRng(3))
         assert np.all(np.abs(pts) <= 6.0)
 
     def test_spread_grows_with_first_coordinate(self):
-        pts = generate_density_2d("funnel", 50000, PortableRng(4))
+        pts = generate("funnel", 50000, PortableRng(4))
         v, x = pts[:, 0], pts[:, 1]
         narrow = x[v < -1.0]
         wide = x[(v > 1.0) & (np.abs(x) < 6.0)]
@@ -56,14 +55,14 @@ class TestFunnel:
 
 class TestPinwheel:
     def test_radius_distribution(self):
-        pts = generate_density_2d("pinwheel", 50000, PortableRng(5))
+        pts = generate("pinwheel", 50000, PortableRng(5))
         r = np.linalg.norm(pts, axis=1) / 2.0
         assert abs(r.mean() - 1.0) < 0.02
         assert abs(r.std() - 0.3) < 0.02
 
     def test_five_fold_structure(self):
         # unswirling by the radius collapses points onto 5 arm directions
-        pts = generate_density_2d("pinwheel", 20000, PortableRng(6))
+        pts = generate("pinwheel", 20000, PortableRng(6))
         r = np.linalg.norm(pts, axis=1) / 2.0
         angle = np.arctan2(pts[:, 1], pts[:, 0]) - r
         frac = (angle * 5.0 / (2.0 * np.pi)) % 1.0
@@ -74,7 +73,7 @@ class TestPinwheel:
 
 class TestFourCircles:
     def test_radii_cluster_on_integers(self):
-        pts = generate_density_2d("four_circles", 40000, PortableRng(7))
+        pts = generate("four_circles", 40000, PortableRng(7))
         r = np.linalg.norm(pts, axis=1)
         nearest = np.clip(np.round(r), 1, 4)
         assert np.all(np.abs(r - nearest) < 0.55)  # 5 sigma of the 0.1 noise, approx
@@ -82,27 +81,27 @@ class TestFourCircles:
         np.testing.assert_allclose(counts / 40000, 0.25, atol=0.02)
 
     def test_angles_cover_the_circle(self):
-        pts = generate_density_2d("four_circles", 20000, PortableRng(8))
+        pts = generate("four_circles", 20000, PortableRng(8))
         angles = np.arctan2(pts[:, 1], pts[:, 0])
         hist, _ = np.histogram(angles, bins=8, range=(-np.pi, np.pi))
         np.testing.assert_allclose(hist / 20000, 1 / 8, atol=0.02)
 
 
 def test_density_determinism_and_unknown_name():
-    a = generate_density_2d("funnel", 100, PortableRng(9))
-    b = generate_density_2d("funnel", 100, PortableRng(9))
+    a = generate("funnel", 100, PortableRng(9))
+    b = generate("funnel", 100, PortableRng(9))
     assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        generate_density_2d("spiral", 10, PortableRng(0))
+    with pytest.raises(ValueError, match="unknown dataset 'spiral'"):
+        generate("spiral", 10, PortableRng(0))
 
 
 class TestRegression1:
     def test_x_range(self):
-        pts = generate_regression_1d("regression1", 20000, PortableRng(10))
+        pts = generate("regression1", 20000, PortableRng(10))
         assert np.all(pts[:, 0] >= -3.0) and np.all(pts[:, 0] < 3.0)
 
     def test_positive_branch_is_lognormal(self):
-        pts = generate_regression_1d("regression1", 50000, PortableRng(11))
+        pts = generate("regression1", 50000, PortableRng(11))
         y = pts[pts[:, 0] >= 0.0, 1]
         assert np.all(y > 0.0)
         logs = np.log(y)
@@ -110,7 +109,7 @@ class TestRegression1:
         assert abs(logs.std() - 0.25) < 0.01
 
     def test_negative_branch_mixture(self):
-        pts = generate_regression_1d("regression1", 50000, PortableRng(12))
+        pts = generate("regression1", 50000, PortableRng(12))
         y = pts[pts[:, 0] < 0.0, 1]
         low = y[y < -0.5]
         high = y[y >= -0.5]
@@ -124,7 +123,7 @@ class TestRegression1:
 class TestRegression2:
     @staticmethod
     def pts():
-        return generate_regression_1d("regression2", 80000, PortableRng(13))
+        return generate("regression2", 80000, PortableRng(13))
 
     def test_first_chunk_square_root_law(self):
         pts = self.pts()
@@ -200,7 +199,7 @@ class TestLoadNamed:
         assert not np.array_equal(a.train, c.train)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown dataset 'mystery'"):
             load_named("mystery", 100, 0)
 
 

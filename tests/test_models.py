@@ -16,7 +16,7 @@ from snl_ebm.errors import UnsupportedExactFormError
 from snl_ebm.models import DENSITY_WIDTHS, BinaryCubeModel, GaussianMeanModel, MlpEnergy
 from snl_ebm.proposals import StandardGaussian, cube_states
 from snl_ebm.rng import PortableRng
-from reference import param_gradient, weight_log_numerator
+from reference import energy_vjp, param_gradient, weight_log_numerator
 
 
 class TestGaussianMeanModel:
@@ -71,7 +71,7 @@ class TestGaussianMeanModel:
     def test_vjp_sums_cotangent(self):
         m = GaussianMeanModel(0.0)
         x = np.array([[1.0], [2.0], [3.0]])
-        got = m.energy_vjp(x, np.array([1.0, 1.0, 0.5]))
+        got = energy_vjp(m, x, np.array([1.0, 1.0, 0.5]))
         np.testing.assert_array_equal(got, [-(1.0 + 2.0 + 1.5)])
 
 
@@ -147,7 +147,7 @@ class TestBinaryCubeModel:
         m = BinaryCubeModel(3, PortableRng(12).uniform(6, -1.0, 1.0))
         x = cube_states(3)[[1, 4, 7, 6]]
         cot = np.array([0.2, -1.0, 0.5, 2.0])
-        whole = m.energy_vjp(x, cot)
+        whole = energy_vjp(m, x, cot)
         summed = sum(c * param_gradient(m, xi) for c, xi in zip(cot, x))
         np.testing.assert_allclose(whole, summed, rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(param_gradient(m, x[2]), -m.statistic(x[2:3])[0])
@@ -204,7 +204,7 @@ class TestMlpEnergy:
         m = MlpEnergy([2, 6, 1], rng=PortableRng(6))
         x = PortableRng(7).normal((5, 2))
         cot = np.array([0.2, -1.0, 0.5, 2.0, 0.0])
-        whole = m.energy_vjp(x, cot)
+        whole = energy_vjp(m, x, cot)
         summed = sum(c * param_gradient(m, xi) for c, xi in zip(cot, x))
         np.testing.assert_allclose(whole, summed, rtol=1e-12, atol=1e-12)
 
@@ -214,7 +214,7 @@ class TestMlpEnergy:
         e, vjp = m.energy_vjp_prepared(x)
         np.testing.assert_array_equal(e, m.energy(x))
         cot = np.linspace(-1, 1, 5)
-        np.testing.assert_array_equal(vjp(cot), m.energy_vjp(x, cot))
+        np.testing.assert_array_equal(vjp(cot), energy_vjp(m, x, cot))
 
     def test_exact_forms_unavailable(self):
         m = MlpEnergy([2, 5, 1])
