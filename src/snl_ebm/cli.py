@@ -327,6 +327,18 @@ def read_checkpoint(path: str, *kinds: str):
     raise ValueError(f"{path}: {fault}")
 
 
+def _parameters(payload: dict, key: str, n: int) -> np.ndarray:
+    """The checkpoint's parameter vector ``key``, which must hold n finite
+    values; a ValueError names the key otherwise."""
+    flat = serialize.parse_vector(payload[key])
+    if flat.shape != (n,):
+        raise ValueError(f"{key}: expected {n} parameters, got {flat.shape}")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(f"{key}: parameters must be finite, got {flat[bad[0]]} at index {bad[0]}")
+    return flat
+
+
 def _build_proposal(config: dict, points: np.ndarray, rng: PortableRng | None):
     """The training proposal over ``points``: density data or regression responses (one column)."""
     kind = config["proposal.kind"]
@@ -363,7 +375,7 @@ def _fit_density(config: dict, split):
 def _density_parts(payload: dict):
     base = proposals.from_descriptor(payload["base"]) if payload["base"] else None
     model = MlpEnergy(list(payload["widths"]), base=base)
-    model.theta = serialize.parse_vector(payload["theta"])
+    model.theta = _parameters(payload, "theta", model.n_params)
     return model, float(payload["b"]), proposals.from_descriptor(payload["proposal"])
 
 
@@ -381,6 +393,9 @@ def _density_scorer(args, parts):
 
 # -- regression pipeline ------------------------------------------------------
 
+# the checkpoint key of each of ``ConditionalEnergyModel.nets``, in order
+_REGRESSION_NET_KEYS = ("feature_theta", "y_theta", "head_theta")
+
 
 def _fit_regression(config: dict, split):
     """Train a conditional model on (x, y) rows; returns the result and the final and best checkpoint fields."""
@@ -393,9 +408,7 @@ def _fit_regression(config: dict, split):
                                          (split.val[:, 0], split.val[:, 1]), _train_config(config))
 
     def fields():
-        return {"feature_theta": serialize.fmt_vector(model.feature_net.theta),
-                "y_theta": serialize.fmt_vector(model.y_net.theta),
-                "head_theta": serialize.fmt_vector(model.head.theta),
+        return {**{key: serialize.fmt_vector(net.theta) for key, net in zip(_REGRESSION_NET_KEYS, model.nets)},
                 "normalizer_phi": serialize.fmt_vector(normalizer.phi) if normalizer is not None else None,
                 "proposal": proposal.descriptor(), "eval_proposal": model.carrier.descriptor()}
 
@@ -409,14 +422,13 @@ def _fit_regression(config: dict, split):
 def _regression_parts(payload: dict):
     """The model with its carrier (stored as ``eval_proposal``) and the normalizer."""
     model = regression.ConditionalEnergyModel()
-    model.feature_net.theta = serialize.parse_vector(payload["feature_theta"])
-    model.y_net.theta = serialize.parse_vector(payload["y_theta"])
-    model.head.theta = serialize.parse_vector(payload["head_theta"])
+    for key, net in zip(_REGRESSION_NET_KEYS, model.nets):
+        net.theta = _parameters(payload, key, net.n_params)
     model.carrier = proposals.from_descriptor(payload["eval_proposal"])
     normalizer = None
     if payload["normalizer_phi"] is not None:
         normalizer = regression.NormalizerNet()
-        normalizer.phi = serialize.parse_vector(payload["normalizer_phi"])
+        normalizer.phi = _parameters(payload, "normalizer_phi", normalizer.net.n_params)
     return model, normalizer
 
 
@@ -569,8 +581,8 @@ def _cmd_grid(args) -> int:
             flat = [float(v) for v in args.bounds.split(",")]
         except ValueError:
             flat = []
-        if len(flat) != 2 * dim:
-            print(f"--bounds needs {2 * dim} comma-separated numbers, got {args.bounds!r}", file=sys.stderr)
+        if len(flat) != 2 * dim or not np.all(np.isfinite(flat)):
+            print(f"--bounds needs {2 * dim} comma-separated finite numbers, got {args.bounds!r}", file=sys.stderr)
             return 2
         bounds = np.array(flat).reshape(dim, 2)
         if not np.all(bounds[:, 0] < bounds[:, 1]):

@@ -28,6 +28,7 @@ stream layout independent of branch outcomes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,8 +189,8 @@ def load_delimited(path: str, has_header: bool = False) -> np.ndarray:
 
     Blank lines are skipped, and with ``has_header`` so is the first line
     that is not blank. A leading byte-order mark (spreadsheet CSV exports)
-    is dropped. Ragged rows and non-numeric cells raise ValueError naming
-    the 1-based line of the file and column.
+    is dropped. Ragged rows and non-numeric or non-finite cells raise
+    ValueError naming the 1-based line of the file and column.
     """
     rows: list[list[float]] = []
     width = None
@@ -204,9 +205,12 @@ def load_delimited(path: str, has_header: bool = False) -> np.ndarray:
         row = []
         for col, field in enumerate(fields, start=1):
             try:
-                row.append(float(field))
+                value = float(field)
             except ValueError:
                 raise ValueError(f"non-numeric value {field.strip()!r} at row {line_no}, column {col}") from None
+            if not math.isfinite(value):  # nan, inf, or a literal past the float64 range
+                raise ValueError(f"non-finite value {field.strip()!r} at row {line_no}, column {col}")
+            row.append(value)
         rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")

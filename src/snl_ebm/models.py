@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedExactFormError
-from .nets import Mlp, bind
+from .nets import Mlp, NetGroup
 from .proposals import StandardGaussian, cube_states
 from .rng import PortableRng
 
@@ -158,7 +158,7 @@ class BinaryCubeModel(LinearOracle):
         return np.exp(u - np.logaddexp.reduce(u)) @ t
 
 
-class MlpEnergy(EnergyModel):
+class MlpEnergy(NetGroup, EnergyModel):
     """Fully-connected energy network, optionally tilted by a base density.
 
     ``widths`` runs from the input dimension to a scalar output (ReLU hidden
@@ -172,27 +172,13 @@ class MlpEnergy(EnergyModel):
 
     def __init__(self, widths: list[int], base=None, rng: PortableRng | None = None):
         self.net = Mlp(widths, rng)
+        self.nets = (self.net,)
         if self.net.widths[-1] != 1:
             raise ValueError("energy networks must end in a scalar output")
         self.dim = self.net.widths[0]
         self.base = base
         if base is not None and getattr(base, "dim", self.dim) != self.dim:
             raise ValueError("base distribution dimension does not match the model")
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.net.theta
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        self.net.theta = value
-
-    def bind(self, buffer: np.ndarray) -> None:
-        bind([self.net], buffer)
-
-    @property
-    def n_params(self) -> int:
-        return self.net.n_params
 
     def energy(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.net.forward(np.asarray(x, dtype=np.float64), keep_cache=False)

@@ -16,7 +16,9 @@ in-place write to a layer array (``net.weights[0][...] = w``) or to the buffer
 changes the net, and a layer cannot be rebound. ``theta`` reads a copy of the
 buffer and writes into it. ``bind`` moves the parameters of several nets into
 consecutive slices of one buffer, which a training loop then updates in place
-with one optimizer call. ReLU derivative at exactly 0 is taken to be 0.
+with one optimizer call. A ``NetGroup`` (a model or proposal made of nets)
+reads, writes and binds the parameters of its nets in that same order. ReLU
+derivative at exactly 0 is taken to be 0.
 
 Forward-only passes at many rows (evaluation, validation, grid export) keep
 no cache and run in row tiles of at most ``TILE_ROWS`` rows through one
@@ -209,15 +211,6 @@ class Mlp:
         return flat
 
 
-def set_theta(nets, flat: np.ndarray) -> None:
-    """Copy consecutive slices of ``flat`` into the parameters of ``nets``."""
-    sizes = [net.n_params for net in nets]
-    if flat.shape != (sum(sizes),):
-        raise ValueError("parameter vector has the wrong length")
-    for net, part in zip(nets, np.split(flat, np.cumsum(sizes)[:-1])):
-        net.theta = part
-
-
 def bind(nets, buffer: np.ndarray | None = None) -> np.ndarray:
     """Move the parameters of ``nets`` into consecutive slices of one flat
     buffer (a new one by default) and return it; each net then views its
@@ -234,3 +227,32 @@ def bind(nets, buffer: np.ndarray | None = None) -> np.ndarray:
         net._view(part)
         pos += size
     return buffer
+
+
+class NetGroup:
+    """The parameters of the nets in ``self.nets`` as one flat vector: each
+    net's ``params`` in tuple order, the layout ``bind`` gives a buffer.
+    Models and proposals made of nets inherit this and set ``nets``."""
+
+    nets: tuple[Mlp, ...]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.concatenate([net.params for net in self.nets])
+
+    @theta.setter
+    def theta(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
+        pos = 0
+        for net in self.nets:
+            net.params[...] = flat[pos : pos + net.n_params]
+            pos += net.n_params
+
+    @property
+    def n_params(self) -> int:
+        return sum(net.n_params for net in self.nets)
+
+    def bind(self, buffer: np.ndarray) -> None:
+        bind(self.nets, buffer)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import serialize
 from .errors import DegenerateProposalError
-from .nets import Mlp, set_theta
+from .nets import Mlp, NetGroup
 from .objectives import ImportanceBatch, logsumexp, measure_term
 from .rng import PortableRng
 
@@ -188,7 +188,7 @@ class MdnHeads(NamedTuple):
     s_raw: np.ndarray
 
 
-class MdnProposal:
+class MdnProposal(NetGroup):
     """Conditional Gaussian mixture with one two-layer head per parameter.
 
     Heads map a feature vector to K logits (softmax weights), K means, and K
@@ -208,14 +208,6 @@ class MdnProposal:
         self.mu_net = Mlp(widths, rng.split("mu") if rng else None)
         self.scale_net = Mlp(widths, rng.split("scale") if rng else None)
         self.nets = (self.pi_net, self.mu_net, self.scale_net)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([net.params for net in self.nets])
-
-    @theta.setter
-    def theta(self, flat: np.ndarray) -> None:
-        set_theta(self.nets, flat)
 
     def heads(self, features: np.ndarray) -> MdnHeads:
         """Run the three heads once; sampling, scoring and the likelihood

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Mlp, Workspace, bind, row_tiles, set_theta
+from .nets import Mlp, NetGroup, Workspace, bind, row_tiles
 from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, measure_term, step_terms
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, StandardGaussian, fit_gaussian
@@ -92,7 +92,7 @@ def _collect(blocks, n: int, m: int) -> np.ndarray:
     return out
 
 
-class ConditionalEnergyModel:
+class ConditionalEnergyModel(NetGroup):
     """E(x, y) = head(concat(feature(x), ybranch(y)))."""
 
     carrier = None  # Lebesgue measure until ``train_regression`` sets one
@@ -102,18 +102,6 @@ class ConditionalEnergyModel:
         self.y_net = Mlp(Y_WIDTHS, rng.split("y") if rng else None, relu_output=True)
         self.head = Mlp(HEAD_WIDTHS, rng.split("head") if rng else None)
         self.nets = (self.feature_net, self.y_net, self.head)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([net.params for net in self.nets])
-
-    @theta.setter
-    def theta(self, flat: np.ndarray) -> None:
-        set_theta(self.nets, flat)
-
-    @property
-    def n_params(self) -> int:
-        return sum(net.n_params for net in self.nets)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         h, _ = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1), keep_cache=False)

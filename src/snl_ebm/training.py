@@ -24,6 +24,7 @@ optimizer step updates in place.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -41,17 +42,19 @@ DIVERGENCE_PATIENCE = 5  # skipped (non-finite) steps in a row after which a run
 
 def config_problems(config, positive: tuple[str, ...]) -> list[tuple[str, str]]:
     """(field, message) for every bad field of a density or regression
-    training config; the fields named in ``positive`` must be above 0."""
+    training config; the fields named in ``positive``, and ``nce_nu`` when
+    set, must be above 0 and finite."""
     out = []
     if config.objective not in ("snl", "nce"):
         out.append(("objective", f"unknown objective {config.objective!r}"))
     if config.epochs < 0:  # zero epochs legal: returns the initial state
         out.append(("epochs", f"epochs must be nonnegative, got {config.epochs}"))
-    for name in positive:
-        if not getattr(config, name) > 0:
-            out.append((name, f"{name} must be positive, got {getattr(config, name)!r}"))
-    if config.nce_nu is not None and not config.nce_nu > 0:
-        out.append(("nce_nu", f"nce_nu must be positive, got {config.nce_nu!r}"))
+    for name in positive + (("nce_nu",) if config.nce_nu is not None else ()):
+        value = getattr(config, name)
+        if not value > 0:
+            out.append((name, f"{name} must be positive, got {value!r}"))
+        elif isinstance(value, float) and not math.isfinite(value):
+            out.append((name, f"{name} must be finite, got {value!r}"))
     return out
 
 

@@ -244,9 +244,18 @@ class TestConfigErrors:
         ("density", "model.widths=2,0,1"),
         ("regression", "train.proposal_samples=0"),
         ("regression", "train.mdn_learning_rate=0"),
+        ("density", "train.learning_rate=inf"),
+        ("density-nce", "train.nce_nu=inf"),
+        ("regression", "train.learning_rate=inf"),
+        ("regression-mdn", "train.mdn_learning_rate=inf"),
     ], ids=str)
     def test_bad_training_value_is_a_config_problem(self, tmp_path, capsys, task, setting):
-        config, run_dir = {"density": (density_config, "run"), "regression": (regression_config, "reg")}[task]
+        config, run_dir = {
+            "density": (density_config, "run"),
+            "density-nce": (lambda p: density_config(p, extra=["train.objective = nce"]), "run"),
+            "regression": (regression_config, "reg"),
+            "regression-mdn": (lambda p: regression_config(p, extra=["proposal.kind = mdn"]), "reg"),
+        }[task]
         code, _, err = run(capsys, "train", "--config", config(tmp_path), "--set", setting)
         assert code == 2
         assert f"{setting.split('=')[0]}: " in err
@@ -388,7 +397,10 @@ class TestDensityPipeline:
         (lambda p: {**p, "proposal": {"kind": "fitted_gaussian"}}, "checkpoint key 'mean' is missing"),
         (lambda p: {**p, "theta": None}, "checkpoint value is malformed: 'NoneType' object is not iterable"),
         (lambda p: "", "checkpoint is not JSON: Expecting value: line 1 column 1 (char 0)"),
-        (lambda p: {**p, "theta": p["theta"][:3]}, "checkpoint value is malformed: expected 193 parameters, got (3,)"),
+        (lambda p: {**p, "theta": p["theta"][:3]},
+         "checkpoint value is malformed: theta: expected 193 parameters, got (3,)"),
+        (lambda p: {**p, "theta": p["theta"][:5] + ["nan"] + p["theta"][6:]},
+         "checkpoint value is malformed: theta: parameters must be finite, got nan at index 5"),
         (lambda p: with_config_line(p, "data.n", None), "checkpoint key 'data.n' is missing"),
         (lambda p: with_config_line(p, "data.n", "data.n = ten"),
          "checkpoint value is malformed: config line 'data.n = ten': invalid literal for int() with base 10: 'ten'"),
@@ -402,8 +414,8 @@ class TestDensityPipeline:
         (lambda p: with_config_line(p, "data.name", "data.name = spiral"),
          "checkpoint value is malformed: config line 'data.name = spiral': expected one of "
          "checkerboard, funnel, pinwheel, four_circles, regression1, regression2; got 'spiral'"),
-    ], ids=["no-theta", "json-list", "bare-proposal", "null-theta", "not-json", "short-theta", "no-data-n",
-            "word-data-n", "small-data-n", "bare-config-line", "mystery-proposal", "unknown-dataset"])
+    ], ids=["no-theta", "json-list", "bare-proposal", "null-theta", "not-json", "short-theta", "nan-theta",
+            "no-data-n", "word-data-n", "small-data-n", "bare-config-line", "mystery-proposal", "unknown-dataset"])
     def test_damaged_checkpoint_names_the_file_and_key(self, tmp_path, capsys, command, damage, named):
         run(capsys, "train", "--config", density_config(tmp_path))
         path = tmp_path / "run" / "checkpoint_best.json"
@@ -439,7 +451,8 @@ class TestDensityPipeline:
         assert code == 2
         assert "--bounds needs 4" in err
 
-    @pytest.mark.parametrize("flag", ["--resolution=0", "--resolution=-3", "--bounds=a,b,c,d", "--bounds=1,0,0,1"])
+    @pytest.mark.parametrize("flag", ["--resolution=0", "--resolution=-3", "--bounds=a,b,c,d", "--bounds=1,0,0,1",
+                                      "--bounds=-inf,0,0,1"])
     def test_grid_rejects_malformed_flags(self, tmp_path, capsys, flag):
         run(capsys, "train", "--config", density_config(tmp_path))
         ckpt = str(tmp_path / "run" / "checkpoint_best.json")
@@ -494,6 +507,19 @@ class TestRegressionPipeline:
                            "--samples", "100", "--data", str(data))
         assert code == 1
         assert "one_column.csv has 1 column(s); the regression checkpoint needs 2" in err
+
+    @pytest.mark.parametrize("key", ["feature_theta", "y_theta", "head_theta", "normalizer_phi"])
+    def test_damaged_parameter_vector_names_its_key(self, tmp_path, capsys, key):
+        run(capsys, "train", "--config", regression_config(tmp_path))
+        path = tmp_path / "reg" / "checkpoint_best.json"
+        payload = json.loads(path.read_text())
+        size = len(payload[key])
+        for value, named in ((payload[key][:3], f"expected {size} parameters, got (3,)"),
+                             (["inf"] + payload[key][1:], "parameters must be finite, got inf at index 0")):
+            path.write_text(json.dumps({**payload, key: value}))
+            code, _, err = run(capsys, "eval", "--checkpoint", str(path), "--samples", "100")
+            assert code == 1
+            assert err == f"error: {path}: checkpoint value is malformed: {key}: {named}\n"
 
     def test_without_normalizer_head(self, tmp_path, capsys):
         cfg = regression_config(tmp_path, "reg2", extra=["model.normalizer = false"])

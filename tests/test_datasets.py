@@ -270,6 +270,10 @@ class TestLoadDelimited:
         p.write_text("\nx,y\n1,2\n\n3,oops\n")  # rows are numbered by line of the file
         with pytest.raises(ValueError, match="row 5, column 2"):
             load_delimited(str(p), has_header=True)
+        for cell in ("nan", "inf", "-inf", "1e999"):  # float() reads each, none is a finite value
+            p.write_text(f"1,2\n{cell},4\n")
+            with pytest.raises(ValueError, match=f"non-finite value '{cell}' at row 2, column 1"):
+                load_delimited(str(p))
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "e.csv"

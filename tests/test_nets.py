@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from snl_ebm.models import MlpEnergy
 from snl_ebm.nets import Mlp, Workspace, bind
+from snl_ebm.proposals import MdnProposal
+from snl_ebm.regression import ConditionalEnergyModel
 from snl_ebm.rng import PortableRng
 
 
@@ -87,6 +90,32 @@ def test_bind_moves_parameters_into_one_buffer():
     np.testing.assert_array_equal(nets[1].forward(x1)[0][:, 1], before[1][:, 1] + 1.0)
     with pytest.raises(ValueError):
         bind(nets, np.zeros(flat.size + 1))
+
+
+@pytest.mark.parametrize("make, output", [
+    (lambda rng: MlpEnergy([2, 5, 1], rng=rng), lambda g: g.energy(np.linspace(-1, 1, 6).reshape(3, 2))),
+    (ConditionalEnergyModel, lambda g: g.energy_pairs(np.linspace(-1, 1, 3), np.linspace(0, 2, 3))),
+    (lambda rng: MdnProposal(3, 2, rng), lambda g: g.heads(np.linspace(-1, 1, 9).reshape(3, 3)).mu),
+], ids=["MlpEnergy", "ConditionalEnergyModel", "MdnProposal"])
+def test_net_group_theta_roundtrip_and_bind(make, output):
+    group, twin = make(PortableRng(16)), make(None)
+    flat = group.theta
+    assert flat.shape == (group.n_params,)
+    np.testing.assert_array_equal(flat, np.concatenate([net.theta for net in group.nets]))
+    twin.theta = flat
+    np.testing.assert_array_equal(twin.theta, flat)
+    np.testing.assert_array_equal(output(twin), output(group))
+    with pytest.raises(ValueError, match=rf"expected {flat.size} parameters, got \(3,\)"):
+        twin.theta = flat[:3]
+    buffer = np.zeros(group.n_params)
+    group.bind(buffer)
+    np.testing.assert_array_equal(buffer, flat)
+    before = output(group)
+    buffer *= 0.5  # the bound buffer is the group's storage
+    twin.theta = 0.5 * flat
+    np.testing.assert_array_equal(group.theta, 0.5 * flat)
+    np.testing.assert_array_equal(output(group), output(twin))
+    assert not np.array_equal(output(group), before)
 
 
 def test_theta_setter_rejects_wrong_length():
