@@ -12,8 +12,9 @@ plus repeatable --set key=value overrides. Unknown keys, bad values, missing
 required keys and keys set that the run does not read (``_KNOWN_KEYS``) are
 collected and reported together with exit code 2, as is a data.path file with
 the wrong column count or fewer than 10 rows; either way nothing is written.
-Runtime failures exit 1. Checkpoints store every float as a %.17g string so a
-reload reproduces the exact parameter vector.
+Runtime failures exit 1. A checkpoint is the model's descriptor plus the
+run's record; it stores every float as a %.17g string so a reload reproduces
+the exact parameter vector.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, evaluation, proposals, regression, serialize, training
+from . import datasets, evaluation, models, proposals, regression, serialize, training
 from .errors import ConfigError, SnlError
 from .models import DENSITY_WIDTHS, MlpEnergy
 from .proposals import MdnProposal, StandardGaussian, UniformBox, fit_gaussian
@@ -271,12 +272,6 @@ def _load_split(config: dict):
     return split, standardizer
 
 
-def _standardizer_payload(standardizer):
-    if standardizer is None:
-        return None
-    return {"mean": serialize.fmt_vector(standardizer.mean), "scale": serialize.fmt_vector(standardizer.scale)}
-
-
 def _run_dataset(config_lines: list[str]):
     """The run's (data.name, data.n, data.seed) from its ``config`` lines, or
     None for a ``data.path`` run; a malformed line is a ValueError naming it."""
@@ -301,9 +296,9 @@ def _run_dataset(config_lines: list[str]):
 
 def read_checkpoint(path: str, *kinds: str):
     """The one reader of checkpoint files: (kind, parts, standardizer or None,
-    ``_run_dataset``) of a checkpoint of this format and one of ``kinds``, the
-    parts as ``_PARTS[kind]`` builds them. Any fault of the file is a
-    ValueError naming it and the key or line."""
+    ``_run_dataset``) of a checkpoint of this format and one of ``kinds``; the
+    parts are ``models.from_descriptor``'s, plus the proposal a density eval
+    draws from. Any fault of the file is a ValueError naming it and the key or line."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -314,10 +309,16 @@ def read_checkpoint(path: str, *kinds: str):
         elif payload.get("kind") not in kinds:
             fault = f"expected a {' or '.join(kinds)} checkpoint, found kind {payload.get('kind')!r}"
         else:
-            scale = payload["standardizer"]
-            standardizer = datasets.Standardizer(mean=serialize.parse_vector(scale["mean"]),
-                                                 scale=serialize.parse_vector(scale["scale"])) if scale else None
-            return payload["kind"], _PARTS[payload["kind"]](payload), standardizer, _run_dataset(payload["config"])
+            standardizer = payload["standardizer"]
+            if standardizer is not None:
+                with serialize.named("standardizer"):
+                    standardizer = datasets.Standardizer(serialize.parse(standardizer, "mean"),
+                                                         serialize.parse(standardizer, "scale"))
+            parts = models.from_descriptor(payload)
+            if payload["kind"] == MlpEnergy.kind:
+                with serialize.named("proposal"):
+                    parts += (proposals.from_descriptor(payload["proposal"]),)
+            return payload["kind"], parts, standardizer, _run_dataset(payload["config"])
     except json.JSONDecodeError as exc:
         fault = f"checkpoint is not JSON: {exc}"
     except KeyError as exc:
@@ -325,18 +326,6 @@ def read_checkpoint(path: str, *kinds: str):
     except (TypeError, AttributeError, ValueError) as exc:  # a value of the wrong type or form
         fault = f"checkpoint value is malformed: {exc}"
     raise ValueError(f"{path}: {fault}")
-
-
-def _parameters(payload: dict, key: str, n: int) -> np.ndarray:
-    """The checkpoint's parameter vector ``key``, which must hold n finite
-    values; a ValueError names the key otherwise."""
-    flat = serialize.parse_vector(payload[key])
-    if flat.shape != (n,):
-        raise ValueError(f"{key}: expected {n} parameters, got {flat.shape}")
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise ValueError(f"{key}: parameters must be finite, got {flat[bad[0]]} at index {bad[0]}")
-    return flat
 
 
 def _build_proposal(config: dict, points: np.ndarray, rng: PortableRng | None):
@@ -361,22 +350,9 @@ def _fit_density(config: dict, split):
     model = MlpEnergy(config["model.widths"], base=base, rng=PortableRng(config["model.seed"]).split("model"))
     proposal = _build_proposal(config, split.train, None)
     result = training.train_density(model, proposal, split.train, split.val, _train_config(config))
-
-    def fields(b):
-        return {"widths": list(model.net.widths), "theta": [serialize.fmt(v) for v in model.theta],
-                "b": serialize.fmt(b), "base": model.base.descriptor() if model.base is not None else None,
-                "proposal": proposal.descriptor()}
-
-    final = fields(result.state.b)
+    final = {**model.descriptor(result.state.b), "proposal": proposal.descriptor()}
     model.theta = result.best_theta
-    return result, final, fields(result.best_b)
-
-
-def _density_parts(payload: dict):
-    base = proposals.from_descriptor(payload["base"]) if payload["base"] else None
-    model = MlpEnergy(list(payload["widths"]), base=base)
-    model.theta = _parameters(payload, "theta", model.n_params)
-    return model, float(payload["b"]), proposals.from_descriptor(payload["proposal"])
+    return result, final, {**model.descriptor(result.best_b), "proposal": final["proposal"]}
 
 
 def _density_scorer(args, parts):
@@ -393,9 +369,6 @@ def _density_scorer(args, parts):
 
 # -- regression pipeline ------------------------------------------------------
 
-# the checkpoint key of each of ``ConditionalEnergyModel.nets``, in order
-_REGRESSION_NET_KEYS = ("feature_theta", "y_theta", "head_theta")
-
 
 def _fit_regression(config: dict, split):
     """Train a conditional model on (x, y) rows; returns the result and the final and best checkpoint fields."""
@@ -406,30 +379,11 @@ def _fit_regression(config: dict, split):
     proposal = _build_proposal(config, y_tr.reshape(-1, 1), rng.split("proposal-init"))
     result = regression.train_regression(model, normalizer, proposal, (x_tr, y_tr),
                                          (split.val[:, 0], split.val[:, 1]), _train_config(config))
-
-    def fields():
-        return {**{key: serialize.fmt_vector(net.theta) for key, net in zip(_REGRESSION_NET_KEYS, model.nets)},
-                "normalizer_phi": serialize.fmt_vector(normalizer.phi) if normalizer is not None else None,
-                "proposal": proposal.descriptor(), "eval_proposal": model.carrier.descriptor()}
-
-    final = fields()
+    final = model.descriptor(normalizer)
     model.theta = result.best_theta
     if normalizer is not None:
         normalizer.phi = result.best_phi
-    return result, final, fields()
-
-
-def _regression_parts(payload: dict):
-    """The model with its carrier (stored as ``eval_proposal``) and the normalizer."""
-    model = regression.ConditionalEnergyModel()
-    for key, net in zip(_REGRESSION_NET_KEYS, model.nets):
-        net.theta = _parameters(payload, key, net.n_params)
-    model.carrier = proposals.from_descriptor(payload["eval_proposal"])
-    normalizer = None
-    if payload["normalizer_phi"] is not None:
-        normalizer = regression.NormalizerNet()
-        normalizer.phi = _parameters(payload, "normalizer_phi", normalizer.net.n_params)
-    return model, normalizer
+    return result, final, model.descriptor(normalizer)
 
 
 def _regression_scorer(args, parts):
@@ -455,7 +409,6 @@ _FITS = {
     "density": (_fit_density, training.EpochRecord),
     "regression": (_fit_regression, regression.RegressionEpochRecord),
 }
-_PARTS = {"density": _density_parts, "regression": _regression_parts}
 _SCORERS = {"density": _density_scorer, "regression": _regression_scorer}
 
 
@@ -501,11 +454,13 @@ def _cmd_train(args) -> int:
         fh.write(",".join(columns) + "\n")
         for rec in result.history:
             fh.write(",".join(format(getattr(rec, c), ".3f" if c == "seconds" else ".12g") for c in columns) + "\n")
-    common = {"standardizer": _standardizer_payload(standardizer), "best_epoch": int(result.best_epoch),
+    scale = None if standardizer is None else {"mean": serialize.fmt_vector(standardizer.mean),
+                                                "scale": serialize.fmt_vector(standardizer.scale)}
+    common = {"standardizer": scale, "best_epoch": int(result.best_epoch),
               "epochs_trained": len(result.history), "config": _resolved_lines(config)}
     for name, fields in (("final", final), ("best", best)):
         with open(out_dir / f"checkpoint_{name}.json", "w") as fh:
-            json.dump({"format": CHECKPOINT_FORMAT, "kind": config["task"], **fields, **common}, fh, indent=1)
+            json.dump({"format": CHECKPOINT_FORMAT, **fields, **common}, fh, indent=1)
             fh.write("\n")
     if result.history:
         best_rec = result.history[result.best_epoch - 1] if result.best_epoch else result.history[-1]

@@ -163,6 +163,13 @@ class Standardizer:
     mean: np.ndarray
     scale: np.ndarray
 
+    def __post_init__(self):
+        if self.mean.shape != self.scale.shape:
+            raise ValueError(f"mean and scale differ in shape, {self.mean.shape} and {self.scale.shape}")
+        if not np.all(self.scale > 0.0):
+            i = int(np.argmin(self.scale > 0.0))
+            raise ValueError(f"scale must be above 0, got {self.scale[i]} at index {i}")
+
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.scale
 
@@ -190,7 +197,7 @@ def load_delimited(path: str, has_header: bool = False) -> np.ndarray:
     Blank lines are skipped, and with ``has_header`` so is the first line
     that is not blank. A leading byte-order mark (spreadsheet CSV exports)
     is dropped. Ragged rows and non-numeric or non-finite cells raise
-    ValueError naming the 1-based line of the file and column.
+    ValueError naming the file, its 1-based line and the column.
     """
     rows: list[list[float]] = []
     width = None
@@ -201,17 +208,18 @@ def load_delimited(path: str, has_header: bool = False) -> np.ndarray:
         if width is None:
             width = len(fields)
         elif len(fields) != width:
-            raise ValueError(f"row {line_no} has {len(fields)} fields, expected {width}")
+            raise ValueError(f"{path}: row {line_no} has {len(fields)} fields, expected {width}")
         row = []
         for col, field in enumerate(fields, start=1):
             try:
                 value = float(field)
             except ValueError:
-                raise ValueError(f"non-numeric value {field.strip()!r} at row {line_no}, column {col}") from None
+                raise ValueError(
+                    f"{path}: non-numeric value {field.strip()!r} at row {line_no}, column {col}") from None
             if not math.isfinite(value):  # nan, inf, or a literal past the float64 range
-                raise ValueError(f"non-finite value {field.strip()!r} at row {line_no}, column {col}")
+                raise ValueError(f"{path}: non-finite value {field.strip()!r} at row {line_no}, column {col}")
             row.append(value)
         rows.append(row)
     if not rows:
-        raise ValueError(f"no data rows in {path}")
+        raise ValueError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)

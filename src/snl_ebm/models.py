@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import proposals, serialize
 from .errors import UnsupportedExactFormError
 from .nets import Mlp, NetGroup
 from .proposals import StandardGaussian, cube_states
+from .regression import ConditionalEnergyModel, NormalizerNet
 from .rng import PortableRng
 
 DENSITY_WIDTHS = [2, 200, 100, 50, 50, 1]
@@ -168,6 +170,7 @@ class MlpEnergy(NetGroup, EnergyModel):
     b is a separate scalar owned by the training state, not a layer bias.
     """
 
+    kind = "density"  # the checkpoint kind of ``descriptor``
     base_is_carrier = False
 
     def __init__(self, widths: list[int], base=None, rng: PortableRng | None = None):
@@ -194,3 +197,36 @@ class MlpEnergy(NetGroup, EnergyModel):
                                      workspace=workspace)
 
         return out[:, 0], vjp
+
+    def descriptor(self, b: float) -> dict:
+        """The checkpoint fields of the model with normalizer offset ``b``,
+        which ``from_descriptor`` reads back."""
+        return {"kind": self.kind, "widths": list(self.net.widths), "theta": serialize.fmt_vector(self.theta),
+                "b": serialize.fmt(b), "base": self.base.descriptor() if self.base is not None else None}
+
+
+def from_descriptor(desc: dict):
+    """The one reader of model descriptors: (``MlpEnergy``, b) of kind density,
+    (``ConditionalEnergyModel`` with its carrier, ``NormalizerNet`` or None) of
+    kind regression. A missing key is a KeyError, any other fault a ValueError
+    naming the key."""
+    kind = desc["kind"]
+    if kind == MlpEnergy.kind:
+        with serialize.named("base"):
+            base = proposals.from_descriptor(desc["base"]) if desc["base"] is not None else None
+        with serialize.named("widths"):
+            model = MlpEnergy(desc["widths"], base=base)
+        model.theta = serialize.parse(desc, "theta", (model.n_params,))
+        return model, float(serialize.parse(desc, "b", ()))
+    if kind == ConditionalEnergyModel.kind:
+        model = ConditionalEnergyModel()
+        for key, net in zip(model.NET_KEYS, model.nets):
+            net.theta = serialize.parse(desc, key, (net.n_params,))
+        with serialize.named("eval_proposal"):
+            model.carrier = proposals.from_descriptor(desc["eval_proposal"])
+        normalizer = None
+        if desc["normalizer_phi"] is not None:
+            normalizer = NormalizerNet()
+            normalizer.phi = serialize.parse(desc, "normalizer_phi", (normalizer.net.n_params,))
+        return model, normalizer
+    raise ValueError(f"unknown model kind {kind!r}")

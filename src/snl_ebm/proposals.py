@@ -196,7 +196,6 @@ class MdnProposal(NetGroup):
     the floor. K = 1 collapses to a plain conditional Gaussian.
     """
 
-    kind = "mdn"
     SCALE_FLOOR = 1e-3
     _SCALE_LOG_CAP = 30.0  # keeps exp(s) finite if training spikes
 
@@ -268,34 +267,18 @@ class MdnProposal(NetGroup):
         )
         return float(np.mean(total)), grad
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "components": self.components,
-            "pi": serialize.fmt_vector(self.pi_net.theta),
-            "mu": serialize.fmt_vector(self.mu_net.theta),
-            "scale": serialize.fmt_vector(self.scale_net.theta),
-        }
-
 
 def from_descriptor(desc: dict):
-    """Rebuild a distribution from its serialized descriptor."""
+    """Rebuild an unconditional distribution from its serialized descriptor."""
     kind = desc.get("kind")
     if kind == "standard_gaussian":
         return StandardGaussian(int(desc["dim"]))
     if kind == "fitted_gaussian":
-        return FittedGaussian(serialize.parse_vector(desc["mean"]), serialize.parse_matrix(desc["cov"]))
+        return FittedGaussian(serialize.parse(desc, "mean"), serialize.parse(desc, "cov", (None, None)))
     if kind == "uniform_box":
-        return UniformBox(serialize.parse_vector(desc["lo"]), serialize.parse_vector(desc["hi"]))
+        return UniformBox(serialize.parse(desc, "lo"), serialize.parse(desc, "hi"))
     if kind in ("uniform_cube", "two_point_uniform"):  # two_point_*: the d = 1 cube's earlier kinds
         return UniformCube(int(desc.get("dim", 1)))
     if kind in ("exhaustive_cube", "two_point_exhaustive"):
         return ExhaustiveCube(int(desc.get("dim", 1)))
-    if kind == "mdn":
-        mdn = MdnProposal(int(desc["input_dim"]), int(desc["components"]))
-        mdn.pi_net.theta = serialize.parse_vector(desc["pi"])
-        mdn.mu_net.theta = serialize.parse_vector(desc["mu"])
-        mdn.scale_net.theta = serialize.parse_vector(desc["scale"])
-        return mdn
     raise ValueError(f"unknown distribution kind {kind!r}")

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .nets import Mlp, NetGroup, Workspace, bind, row_tiles
 from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, measure_term, step_terms
 from .optim import AdamState, adam_step
@@ -95,6 +96,8 @@ def _collect(blocks, n: int, m: int) -> np.ndarray:
 class ConditionalEnergyModel(NetGroup):
     """E(x, y) = head(concat(feature(x), ybranch(y)))."""
 
+    kind = "regression"  # the checkpoint kind of ``descriptor``
+    NET_KEYS = ("feature_theta", "y_theta", "head_theta")  # the checkpoint key of each of ``nets``
     carrier = None  # Lebesgue measure until ``train_regression`` sets one
 
     def __init__(self, rng: PortableRng | None = None):
@@ -162,6 +165,14 @@ class ConditionalEnergyModel(NetGroup):
     def energy_grid_shared(self, x: np.ndarray, ys: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         """E(x_i, y_ij), shape (n, m), collected from ``energy_grid_blocks``."""
         return _collect(self.energy_grid_blocks(x, ys, h), np.size(x), np.shape(ys)[-1])
+
+    def descriptor(self, normalizer) -> dict:
+        """The checkpoint fields of the model, its carrier (``eval_proposal``) and
+        its ``NormalizerNet`` or None, which ``models.from_descriptor`` reads back."""
+        nets = {key: serialize.fmt_vector(net.theta) for key, net in zip(self.NET_KEYS, self.nets)}
+        return {"kind": self.kind, **nets,
+                "normalizer_phi": serialize.fmt_vector(normalizer.phi) if normalizer is not None else None,
+                "eval_proposal": self.carrier.descriptor()}
 
 
 class NormalizerNet:

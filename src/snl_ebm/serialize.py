@@ -2,10 +2,13 @@
 
 Checkpoints and distribution descriptors store floats as %.17g strings: 17
 significant digits are enough to reproduce any finite double exactly, so a
-written artifact reloads bit-identically on any platform.
+written artifact reloads bit-identically on any platform. ``parse`` reads
+every one back, and checks it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,9 +25,35 @@ def fmt_matrix(arr: np.ndarray) -> list[list[str]]:
     return [[fmt(v) for v in row] for row in np.asarray(arr, dtype=np.float64)]
 
 
-def parse_vector(items: list[str]) -> np.ndarray:
-    return np.array([float(v) for v in items], dtype=np.float64)
+@contextmanager
+def named(key: str):
+    """Re-raise a malformed value in the block (ValueError, TypeError or
+    AttributeError) as a ValueError naming ``key``; a KeyError passes."""
+    try:
+        yield
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
-def parse_matrix(rows: list[list[str]]) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+def _floats(value, depth: int):
+    if depth and not isinstance(value, list):
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    return [_floats(v, depth - 1) for v in value] if depth else float(value)
+
+
+def parse(desc: dict, key: str, shape: tuple = (None,)) -> np.ndarray:
+    """The float64 array that ``desc`` stores under ``key``: a %.17g string
+    for shape (), a list of them for a vector, a list of such lists for a
+    matrix. A None in ``shape`` takes any length. Every value must be finite;
+    a fault is a ValueError naming ``key``."""
+    value = desc[key]
+    with named(key):
+        arr = np.array(_floats(value, len(shape)), dtype=np.float64)
+        if any(want is not None and want != got for want, got in zip(shape, arr.shape)):
+            raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), arr.shape))
+            where = f" at index {at[0] if len(at) == 1 else at}" if at else ""
+            raise ValueError(f"must be finite, got {arr[at]}{where}")
+    return arr

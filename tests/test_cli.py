@@ -3,6 +3,7 @@ collected-problem config errors. Everything runs in-process through main()."""
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from snl_ebm import cli, datasets, serialize
 from snl_ebm.cli import main, read_checkpoint
 from snl_ebm.models import MlpEnergy
-from snl_ebm.proposals import fit_gaussian
+from snl_ebm.proposals import MdnProposal, fit_gaussian
 from snl_ebm.regression import ConditionalEnergyModel, NormalizerNet, RegressionTrainConfig, train_regression
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import TrainConfig, train_density
@@ -59,6 +60,11 @@ def with_config_line(payload, key, line):
     ``line``, or dropped when ``line`` is None."""
     lines = [line if old.startswith(key + " = ") else old for old in payload["config"]]
     return {**payload, "config": [line for line in lines if line is not None]}
+
+
+def with_standardizer(payload, key, values):
+    """The checkpoint payload with the standardizer's ``key`` set to ``values``."""
+    return {**payload, "standardizer": {**payload["standardizer"], key: values}}
 
 
 def metrics_without_seconds(path):
@@ -395,12 +401,12 @@ class TestDensityPipeline:
         (lambda p: {k: v for k, v in p.items() if k != "theta"}, "checkpoint key 'theta' is missing"),
         (lambda p: [p], "a checkpoint is a JSON object, found a list"),
         (lambda p: {**p, "proposal": {"kind": "fitted_gaussian"}}, "checkpoint key 'mean' is missing"),
-        (lambda p: {**p, "theta": None}, "checkpoint value is malformed: 'NoneType' object is not iterable"),
+        (lambda p: {**p, "theta": None}, "checkpoint value is malformed: theta: expected a list, got NoneType"),
         (lambda p: "", "checkpoint is not JSON: Expecting value: line 1 column 1 (char 0)"),
         (lambda p: {**p, "theta": p["theta"][:3]},
-         "checkpoint value is malformed: theta: expected 193 parameters, got (3,)"),
+         "checkpoint value is malformed: theta: expected shape (193,), got (3,)"),
         (lambda p: {**p, "theta": p["theta"][:5] + ["nan"] + p["theta"][6:]},
-         "checkpoint value is malformed: theta: parameters must be finite, got nan at index 5"),
+         "checkpoint value is malformed: theta: must be finite, got nan at index 5"),
         (lambda p: with_config_line(p, "data.n", None), "checkpoint key 'data.n' is missing"),
         (lambda p: with_config_line(p, "data.n", "data.n = ten"),
          "checkpoint value is malformed: config line 'data.n = ten': invalid literal for int() with base 10: 'ten'"),
@@ -410,12 +416,24 @@ class TestDensityPipeline:
         (lambda p: with_config_line(p, "data.seed", "data.seed 0"),
          "checkpoint value is malformed: config line 'data.seed 0' is not 'key = value'"),
         (lambda p: {**p, "proposal": {**p["proposal"], "kind": "mystery"}},
-         "checkpoint value is malformed: unknown distribution kind 'mystery'"),
+         "checkpoint value is malformed: proposal: unknown distribution kind 'mystery'"),
         (lambda p: with_config_line(p, "data.name", "data.name = spiral"),
          "checkpoint value is malformed: config line 'data.name = spiral': expected one of "
          "checkerboard, funnel, pinwheel, four_circles, regression1, regression2; got 'spiral'"),
+        (lambda p: {**p, "b": "nan"}, "checkpoint value is malformed: b: must be finite, got nan"),
+        (lambda p: with_standardizer(p, "scale", ["0", "1"]),
+         "checkpoint value is malformed: standardizer: scale must be above 0, got 0.0 at index 0"),
+        (lambda p: with_standardizer(p, "scale", ["1", "inf"]),
+         "checkpoint value is malformed: standardizer: scale: must be finite, got inf at index 1"),
+        (lambda p: with_standardizer(p, "mean", ["nan", "0"]),
+         "checkpoint value is malformed: standardizer: mean: must be finite, got nan at index 0"),
+        (lambda p: {**p, "proposal": {**p["proposal"], "cov": [["1", "nan"], ["nan", "1"]]}},
+         "checkpoint value is malformed: proposal: cov: must be finite, got nan at index (0, 1)"),
+        (lambda p: {**p, "proposal": {**p["proposal"], "cov": [["1", "2"], ["2", "1"]]}},
+         "checkpoint value is malformed: proposal: 2-th leading minor of the array is not positive definite"),
     ], ids=["no-theta", "json-list", "bare-proposal", "null-theta", "not-json", "short-theta", "nan-theta",
-            "no-data-n", "word-data-n", "small-data-n", "bare-config-line", "mystery-proposal", "unknown-dataset"])
+            "no-data-n", "word-data-n", "small-data-n", "bare-config-line", "mystery-proposal", "unknown-dataset",
+            "nan-b", "zero-scale", "inf-scale", "nan-mean", "nan-cov", "indefinite-cov"])
     def test_damaged_checkpoint_names_the_file_and_key(self, tmp_path, capsys, command, damage, named):
         run(capsys, "train", "--config", density_config(tmp_path))
         path = tmp_path / "run" / "checkpoint_best.json"
@@ -514,12 +532,29 @@ class TestRegressionPipeline:
         path = tmp_path / "reg" / "checkpoint_best.json"
         payload = json.loads(path.read_text())
         size = len(payload[key])
-        for value, named in ((payload[key][:3], f"expected {size} parameters, got (3,)"),
-                             (["inf"] + payload[key][1:], "parameters must be finite, got inf at index 0")):
+        for value, named in ((payload[key][:3], f"expected shape ({size},), got (3,)"),
+                             (["inf"] + payload[key][1:], "must be finite, got inf at index 0")):
             path.write_text(json.dumps({**payload, key: value}))
             code, _, err = run(capsys, "eval", "--checkpoint", str(path), "--samples", "100")
             assert code == 1
             assert err == f"error: {path}: checkpoint value is malformed: {key}: {named}\n"
+
+    def test_stored_training_proposal_is_not_read(self, tmp_path, capsys):
+        # regression files written before held the training proposal, here an MDN, under "proposal"
+        run(capsys, "train", "--config", regression_config(tmp_path, extra=["proposal.kind = mdn"]))
+        path = tmp_path / "reg" / "checkpoint_best.json"
+        payload = json.loads(path.read_text())
+        assert "proposal" not in payload
+        mdn = MdnProposal(10, 2, PortableRng(3))
+        stored = {"kind": "mdn", "input_dim": 10, "components": 2,
+                  **{key: serialize.fmt_vector(net.theta) for key, net in zip(("pi", "mu", "scale"), mdn.nets)}}
+        reports = []
+        for proposal in (None, stored, {"kind": "mystery"}, {**stored, "pi": ["nan"]}):
+            path.write_text(json.dumps(payload if proposal is None else {**payload, "proposal": proposal}))
+            code, out, err = run(capsys, "eval", "--checkpoint", str(path), "--samples", "100")
+            assert code == 0 and err == ""
+            reports.append(out)
+        assert reports[1:] == reports[:1] * 3
 
     def test_without_normalizer_head(self, tmp_path, capsys):
         cfg = regression_config(tmp_path, "reg2", extra=["model.normalizer = false"])
@@ -672,6 +707,23 @@ class TestDataFileChecks:
         assert f"data.path: {data}" in err and message in err
         assert not (tmp_path / "file").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_cell_names_the_file(self, tmp_path, capsys, command):
+        data = write_points(tmp_path / "points.csv", 40, 2)
+        bad = tmp_path / "bad.csv"
+        lines = Path(data).read_text().splitlines()
+        bad.write_text("\n".join([lines[0], "0.5,inf", *lines[2:]]) + "\n")
+        extra = ["model.widths = 2,8,1"]
+        if command == "train":
+            argv = ["train", "--config", path_config(tmp_path, str(bad), extra=extra)]
+        else:
+            assert run(capsys, "train", "--config", path_config(tmp_path, data, extra=extra))[0] == 0
+            argv = ["eval", "--checkpoint", str(tmp_path / "file" / "checkpoint_final.json"), "--data", str(bad)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: {bad}: non-finite value 'inf' at row 2, column 2\n"
+        assert (tmp_path / "file").exists() == (command == "eval")
+
     def test_byte_order_mark_and_blank_line_before_the_header(self, tmp_path, capsys):
         # a spreadsheet export: BOM, then a blank line, then the header
         plain = write_points(tmp_path / "plain.csv", 40, 2)
@@ -753,7 +805,7 @@ class TestCheckpointParameters:
         assert {k: final[k] for k in want_final} == want_final
         assert {k: best[k] for k in want_best} == want_best
         assert final["head_theta"] != best["head_theta"]
-        keys = ["format", "kind", "feature_theta", "y_theta", "head_theta", "normalizer_phi", "proposal",
+        keys = ["format", "kind", "feature_theta", "y_theta", "head_theta", "normalizer_phi",
                 "eval_proposal", "standardizer", "best_epoch", "epochs_trained", "config"]
         assert list(final) == keys and list(best) == keys
 
@@ -769,3 +821,19 @@ class TestCheckpointParameters:
             assert checkpoint(path)["eval_proposal"] == model.carrier.descriptor()
             loaded, _ = read_checkpoint(str(path), "regression")[1]
             assert loaded.carrier.descriptor() == model.carrier.descriptor()
+
+
+@pytest.mark.parametrize("config, run_dir, kind", [(density_config, "run", "density"),
+                                                   (regression_config, "reg", "regression")],
+                         ids=["density", "regression"])
+def test_every_written_key_is_read(tmp_path, capsys, config, run_dir, kind):
+    # a key that train writes and no reader needs is a key whose damage goes unnoticed
+    informational = {"best_epoch", "epochs_trained"}
+    assert run(capsys, "train", "--config", config(tmp_path))[0] == 0
+    path = tmp_path / run_dir / "checkpoint_best.json"
+    payload = checkpoint(path)
+    assert informational < set(payload)
+    for key in sorted(set(payload) - informational):
+        path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*\b{key}\b"):
+            read_checkpoint(str(path), kind)

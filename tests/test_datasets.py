@@ -5,6 +5,8 @@ distributional facts that define each shape (parity of checkerboard cells,
 ring radii, mixture proportions) plus bit-determinism for a fixed seed.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -272,7 +274,7 @@ class TestLoadDelimited:
             load_delimited(str(p), has_header=True)
         for cell in ("nan", "inf", "-inf", "1e999"):  # float() reads each, none is a finite value
             p.write_text(f"1,2\n{cell},4\n")
-            with pytest.raises(ValueError, match=f"non-finite value '{cell}' at row 2, column 1"):
+            with pytest.raises(ValueError, match=re.escape(f"{p}: non-finite value '{cell}' at row 2, column 1")):
                 load_delimited(str(p))
 
     def test_empty_file_rejected(self, tmp_path):

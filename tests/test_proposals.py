@@ -1,5 +1,7 @@
 """Proposal distributions: densities, sampling, fitting, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
@@ -287,13 +289,6 @@ class TestMdnProposal:
         assert history == []
         np.testing.assert_array_equal(mdn.theta, before)
 
-    def test_descriptor_roundtrip_exact(self):
-        mdn = MdnProposal(4, 3, PortableRng(25))
-        again = from_descriptor(mdn.descriptor())
-        f = self.features(5)
-        y = PortableRng(26).normal(5)
-        np.testing.assert_array_equal(again.log_density(again.heads(f), y), mdn.log_density(mdn.heads(f), y))
-
     def test_scale_floor_respected(self):
         mdn = MdnProposal(2, 2, PortableRng(27))
         # force hugely negative raw scales
@@ -318,3 +313,15 @@ def test_cube_descriptor_roundtrip(desc, cls, dim):
 def test_from_descriptor_rejects_unknown_kind():
     with pytest.raises(ValueError):
         from_descriptor({"kind": "cauchy"})
+
+
+@pytest.mark.parametrize("desc, named", [
+    ({"kind": "fitted_gaussian", "mean": ["0", "inf"], "cov": [["1", "0"], ["0", "1"]]},
+     "mean: must be finite, got inf at index 1"),
+    ({"kind": "fitted_gaussian", "mean": ["0"], "cov": "1"}, "cov: expected a list, got str"),
+    ({"kind": "uniform_box", "lo": ["0", "x"], "hi": ["1", "1"]}, "lo: could not convert string to float: 'x'"),
+    ({"kind": "uniform_box", "lo": ["0"], "hi": ["1e999"]}, "hi: must be finite, got inf at index 0"),
+], ids=["inf-mean", "flat-cov", "word-lo", "huge-hi"])
+def test_from_descriptor_names_the_bad_number(desc, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        from_descriptor(desc)
