@@ -298,7 +298,8 @@ def read_checkpoint(path: str, *kinds: str):
     """The one reader of checkpoint files: (kind, parts, standardizer or None,
     ``_run_dataset``) of a checkpoint of this format and one of ``kinds``; the
     parts are ``models.from_descriptor``'s, plus the proposal a density eval
-    draws from. Any fault of the file is a ValueError naming it and the key or line."""
+    draws from; it and the standardizer must have the model's dimension. Any
+    fault of the file is a ValueError naming it and the key or line."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -309,15 +310,16 @@ def read_checkpoint(path: str, *kinds: str):
         elif payload.get("kind") not in kinds:
             fault = f"expected a {' or '.join(kinds)} checkpoint, found kind {payload.get('kind')!r}"
         else:
+            parts = models.from_descriptor(payload)
+            dim = parts[0].dim if payload["kind"] == MlpEnergy.kind else 2  # a regression row is (x, y)
             standardizer = payload["standardizer"]
             if standardizer is not None:
                 with serialize.named("standardizer"):
-                    standardizer = datasets.Standardizer(serialize.parse(standardizer, "mean"),
-                                                         serialize.parse(standardizer, "scale"))
-            parts = models.from_descriptor(payload)
+                    standardizer = datasets.Standardizer(serialize.parse(standardizer, "mean", (dim,)),
+                                                         serialize.parse(standardizer, "scale", (dim,)))
             if payload["kind"] == MlpEnergy.kind:
                 with serialize.named("proposal"):
-                    parts += (proposals.from_descriptor(payload["proposal"]),)
+                    parts += (proposals.from_descriptor(payload["proposal"], dim),)
             return payload["kind"], parts, standardizer, _run_dataset(payload["config"])
     except json.JSONDecodeError as exc:
         fault = f"checkpoint is not JSON: {exc}"
@@ -382,7 +384,7 @@ def _fit_regression(config: dict, split):
     final = model.descriptor(normalizer)
     model.theta = result.best_theta
     if normalizer is not None:
-        normalizer.phi = result.best_phi
+        normalizer.theta = result.best_phi
     return result, final, model.descriptor(normalizer)
 
 

@@ -209,13 +209,13 @@ def from_descriptor(desc: dict):
     """The one reader of model descriptors: (``MlpEnergy``, b) of kind density,
     (``ConditionalEnergyModel`` with its carrier, ``NormalizerNet`` or None) of
     kind regression. A missing key is a KeyError, any other fault a ValueError
-    naming the key."""
+    naming the key, among them a base or carrier of the wrong dimension."""
     kind = desc["kind"]
     if kind == MlpEnergy.kind:
-        with serialize.named("base"):
-            base = proposals.from_descriptor(desc["base"]) if desc["base"] is not None else None
         with serialize.named("widths"):
-            model = MlpEnergy(desc["widths"], base=base)
+            model = MlpEnergy(desc["widths"])
+        with serialize.named("base"):
+            model.base = proposals.from_descriptor(desc["base"], model.dim) if desc["base"] is not None else None
         model.theta = serialize.parse(desc, "theta", (model.n_params,))
         return model, float(serialize.parse(desc, "b", ()))
     if kind == ConditionalEnergyModel.kind:
@@ -223,10 +223,9 @@ def from_descriptor(desc: dict):
         for key, net in zip(model.NET_KEYS, model.nets):
             net.theta = serialize.parse(desc, key, (net.n_params,))
         with serialize.named("eval_proposal"):
-            model.carrier = proposals.from_descriptor(desc["eval_proposal"])
-        normalizer = None
-        if desc["normalizer_phi"] is not None:
-            normalizer = NormalizerNet()
-            normalizer.phi = serialize.parse(desc, "normalizer_phi", (normalizer.net.n_params,))
+            model.carrier = proposals.from_descriptor(desc["eval_proposal"], 1)
+        normalizer = NormalizerNet() if desc["normalizer_phi"] is not None else None
+        if normalizer is not None:
+            normalizer.theta = serialize.parse(desc, "normalizer_phi", (normalizer.n_params,))
         return model, normalizer
     raise ValueError(f"unknown model kind {kind!r}")

@@ -268,17 +268,22 @@ class MdnProposal(NetGroup):
         return float(np.mean(total)), grad
 
 
-def from_descriptor(desc: dict):
-    """Rebuild an unconditional distribution from its serialized descriptor."""
+def from_descriptor(desc: dict, dim: int | None = None):
+    """Rebuild an unconditional distribution from its serialized descriptor;
+    with ``dim`` given, one of another dimension is a ValueError."""
     kind = desc.get("kind")
     if kind == "standard_gaussian":
-        return StandardGaussian(int(desc["dim"]))
-    if kind == "fitted_gaussian":
-        return FittedGaussian(serialize.parse(desc, "mean"), serialize.parse(desc, "cov", (None, None)))
-    if kind == "uniform_box":
-        return UniformBox(serialize.parse(desc, "lo"), serialize.parse(desc, "hi"))
-    if kind in ("uniform_cube", "two_point_uniform"):  # two_point_*: the d = 1 cube's earlier kinds
-        return UniformCube(int(desc.get("dim", 1)))
-    if kind in ("exhaustive_cube", "two_point_exhaustive"):
-        return ExhaustiveCube(int(desc.get("dim", 1)))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+        out = StandardGaussian(int(desc["dim"]))
+    elif kind == "fitted_gaussian":
+        out = FittedGaussian(serialize.parse(desc, "mean"), serialize.parse(desc, "cov", (None, None)))
+    elif kind == "uniform_box":
+        out = UniformBox(serialize.parse(desc, "lo"), serialize.parse(desc, "hi"))
+    elif kind in ("uniform_cube", "two_point_uniform"):  # two_point_*: the d = 1 cube's earlier kinds
+        out = UniformCube(int(desc.get("dim", 1)))
+    elif kind in ("exhaustive_cube", "two_point_exhaustive"):
+        out = ExhaustiveCube(int(desc.get("dim", 1)))
+    else:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    if dim is not None and out.dim != dim:
+        raise ValueError(f"has dimension {out.dim}; the model needs {dim}")
+    return out

@@ -12,7 +12,10 @@ mixture density network it is refitted by one interleaved maximum-likelihood
 step per energy step, reading the feature vector h_x as a constant. The loop
 is ``training.run_epochs``; this module supplies the conditional step, the
 Adam step and MDN refit of a taken step, the per-epoch shuffle stream
-(``split_index(epoch)``) and the validation with fresh draws per epoch.
+(``split_index(epoch)``) and the validation with fresh draws per epoch. The
+step and the loop reach a model and a normalizer only through their
+``*_vjp_prepared`` methods and ``bind``, so a closed-form model can train
+through them too (``tests/reference.py`` holds a bilinear one).
 
 Architecture: feature extractor 1 -> 10 -> 10 -> 10 (ReLU throughout)
 producing h_x; y branch 1 -> 16 -> 32 -> 64 -> 128; joint energy head on
@@ -35,16 +38,11 @@ in the display above; it is kept so the companion linear bound
 mean_i [ -E_i - b_i - e^{-b_i} Z_hat_i + 1 ] (same samples, hence never above
 the log form pointwise) and the normalization check can be reported.
 
-The n x M grid of E(x_i, y_m) is never held whole. The model yields it in
-blocks of max(1, GRID_CELLS // M) points against all M draws, and
-``objectives.bound_pair`` reduces each block as it arrives, one group per
-point; its docstring states the estimator of log Z_hat(x_i) and of both
-standard errors, which density evaluation shares. The y-branch runs once
-over all M draws, in row tiles of at most ``nets.TILE_ROWS``, and keeps only
-its (M, 10) contribution to the head's hidden layer. A block fills its
-energies one draw tile of at most ``DRAW_TILE`` draws at a time through a
-(points, 10, tile) buffer, so the evaluation's working memory is a few
-(M, 10) arrays plus one tile of the y-branch, set by the draws and not by n.
+The n x M grid of E(x_i, y_m) is never held whole: the model yields it in
+blocks of points (``energy_grid_blocks``), and ``objectives.bound_pair``
+reduces each block as it arrives, one group per point, so the evaluation's
+working memory is set by the draws and not by n. ``bound_pair``'s docstring
+states the estimator of log Z_hat(x_i) and of both standard errors.
 """
 
 from __future__ import annotations
@@ -110,6 +108,37 @@ class ConditionalEnergyModel(NetGroup):
         h, _ = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1), keep_cache=False)
         return h
 
+    def features_vjp_prepared(self, x: np.ndarray, workspace=None):
+        """(h, vjp): the features h_x and vjp(d_h), the flat gradient of theta's feature part."""
+        h, cache = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1), workspace=workspace)
+        return h, lambda d_h: self.feature_net.backward(cache, d_h, workspace=workspace)
+
+    def energy_vjp_prepared(self, h: np.ndarray, y: np.ndarray, ys: np.ndarray, workspace=None):
+        """(E(x_i, y_i) (n,), E(x_i, y_ij) (n, m), vjp) at the features h of
+        the x_i; vjp(d_data, d_samples) is (the flat gradient of the rest of
+        theta, d_h). Data and draw rows share one y-branch and one head pass,
+        data rows first, made in ``workspace`` when one is given."""
+        n, m = ys.shape
+        k = h.shape[1]
+        y_all = np.concatenate([y, ys.ravel()]).reshape(-1, 1)
+        g_all, cache_y = self.y_net.forward(y_all, workspace=workspace)
+        # head input rows [h_i, g(y_i)] then [h_i, g(y_ij)], copied into one array
+        shape = (n * (m + 1), k + g_all.shape[1])
+        head_in = np.empty(shape) if workspace is None else workspace.array("head-input", shape)
+        head_in[:n, :k] = h
+        head_in[n:].reshape(n, m, shape[1])[:, :, :k] = h[:, None, :]
+        head_in[:, k:] = g_all
+        e_all, cache_h = self.head.forward(head_in, workspace=workspace)
+
+        def vjp(d_data, d_samples):
+            cot = np.concatenate([d_data.ravel(), d_samples.ravel()]).reshape(-1, 1)
+            g_head, d_input = self.head.backward(cache_h, cot, need_input_grad=True, workspace=workspace)
+            d_h_rows, d_g = d_input[:, :k], d_input[:, k:]
+            g_y = self.y_net.backward(cache_y, d_g, workspace=workspace)
+            return np.concatenate([g_y, g_head]), d_h_rows[:n] + d_h_rows[n:].reshape(n, m, k).sum(axis=1)
+
+        return e_all[:n, 0], e_all[n:, 0].reshape(n, m), vjp
+
     def energy_pairs(self, x: np.ndarray, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         """E(x_i, y_i); ``h`` is ``features(x)`` when the caller already has it."""
         if h is None:
@@ -123,12 +152,12 @@ class ConditionalEnergyModel(NetGroup):
         shared set of draws ``ys`` of shape (m,) or per-point draws (n, m),
         max(1, GRID_CELLS // m) points per block; the caller owns each block.
 
-        The head's first layer splits over the concat, so the y-branch and
-        its head contribution are computed once per call, one row tile at a
-        time. A block's hidden layer is laid out draw-major, (points, 10,
-        tile), so the innermost loops run over the draws, and ``w2 @ z``
-        contracts the hidden axis; a block takes its draws in tiles of at
-        most ``DRAW_TILE``.
+        The head's first layer splits over the concat, so the y-branch runs
+        once per call, in row tiles of at most ``nets.TILE_ROWS``, and keeps
+        only its (m, 10) contribution to the head's hidden layer. A block's
+        hidden layer is laid out draw-major, (points, 10, tile), so the
+        innermost loops run over the draws, and ``w2 @ z`` contracts the
+        hidden axis; a block takes its draws in tiles of at most ``DRAW_TILE``.
         """
         ys = np.asarray(ys, dtype=np.float64)
         if h is None:
@@ -171,27 +200,26 @@ class ConditionalEnergyModel(NetGroup):
         its ``NormalizerNet`` or None, which ``models.from_descriptor`` reads back."""
         nets = {key: serialize.fmt_vector(net.theta) for key, net in zip(self.NET_KEYS, self.nets)}
         return {"kind": self.kind, **nets,
-                "normalizer_phi": serialize.fmt_vector(normalizer.phi) if normalizer is not None else None,
+                "normalizer_phi": serialize.fmt_vector(normalizer.theta) if normalizer is not None else None,
                 "eval_proposal": self.carrier.descriptor()}
 
 
-class NormalizerNet:
-    """b_phi on the feature vector h_x."""
+class NormalizerNet(NetGroup):
+    """b_phi on the feature vector h_x; its ``theta`` is phi."""
 
     def __init__(self, rng: PortableRng | None = None):
         self.net = Mlp(NORMALIZER_WIDTHS, rng)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.net.theta
-
-    @phi.setter
-    def phi(self, flat: np.ndarray) -> None:
-        self.net.theta = flat
+        self.nets = (self.net,)
 
     def values(self, h: np.ndarray) -> np.ndarray:
         out, _ = self.net.forward(h, keep_cache=False)
         return out[:, 0]
+
+    def values_vjp_prepared(self, h: np.ndarray, workspace=None):
+        """(b_phi(h) (n,), vjp): vjp(d_b) is (the flat gradient of phi, d_h)."""
+        out, cache = self.net.forward(h, workspace=workspace)
+        return out[:, 0], lambda d_b: self.net.backward(cache, d_b.reshape(-1, 1), need_input_grad=True,
+                                                       workspace=workspace)
 
 
 class BilinearConditionalModel:
@@ -271,56 +299,27 @@ def _propose(proposal, rng: PortableRng, h: np.ndarray, n: int, m: int):
     return ys, proposal.log_density(ys.reshape(-1, 1)).reshape(n, m), None
 
 
-def _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, nu, workspace=None):
+def _regression_step(model, normalizer, h, features_vjp, y, ys, log_q, log_q_data, objective, nu, workspace=None):
     """Objective value, ascent gradient over [theta; phi], and diagnostics.
 
-    h/cache_f are the feature net's output and backward cache at the batch
-    inputs, computed once by the caller and shared with the proposal.
-    ys/log_q are the per-point proposal draws (n, m); log_q_data is q at the
-    observed pairs (only read by the ranking loss). The other sub-networks
-    are evaluated once; data and sample rows share the y-branch and head
-    passes, with data rows first. ``objectives.step_terms`` does the step
-    math with one group per point. The sub-networks' passes are made in
-    ``workspace`` (a ``nets.Workspace``) when the training loop gives one.
+    h/features_vjp are ``model.features_vjp_prepared`` at the batch inputs,
+    shared with the proposal; ys/log_q are the per-point draws (n, m), and
+    log_q_data is q at the observed pairs (read by NCE only). The passes are
+    made in ``workspace`` (a ``nets.Workspace``) when the loop gives one, and
+    ``objectives.step_terms`` does the step math with one group per point.
     """
-    n, m = ys.shape
-    k = h.shape[1]
-    y_all = np.concatenate([y, ys.ravel()]).reshape(-1, 1)
-    g_all, cache_y = model.y_net.forward(y_all, workspace=workspace)
-    # head input rows [h_i, g(y_i)] then [h_i, g(y_ij)], copied into one array
-    shape = (n * (m + 1), k + g_all.shape[1])
-    head_in = np.empty(shape) if workspace is None else workspace.array("head-input", shape)
-    head_in[:n, :k] = h
-    head_in[n:].reshape(n, m, shape[1])[:, :, :k] = h[:, None, :]
-    head_in[:, k:] = g_all
-    e_all, cache_h = model.head.forward(head_in, workspace=workspace)
-    e_data = e_all[:n, 0]
-    e_samp = e_all[n:, 0].reshape(n, m)
-
-    if normalizer is not None:
-        b_out, cache_n = normalizer.net.forward(h, workspace=workspace)
-        b_vals = b_out[:, 0]
-    else:
-        b_vals, cache_n = np.zeros(n), None
+    e_data, e_samp, energy_vjp = model.energy_vjp_prepared(h, y, ys, workspace)
+    b_vals, normalizer_vjp = (normalizer.values_vjp_prepared(h, workspace) if normalizer is not None
+                              else (np.zeros(ys.shape[0]), lambda d_b: (np.empty(0), 0.0)))  # b = 0, no phi
 
     logw = measure_term(model.carrier, ys, log_q) - e_samp
     if log_q_data is not None:  # the NCE data logit -E - b + log c - log q
         log_q_data = -measure_term(model.carrier, y, log_q_data)[:, None]
     value, d_e_data, d_e_samp, d_b = step_terms(-e_data[:, None], logw, b_vals, objective, nu, log_q_data)
 
-    cot = np.concatenate([d_e_data.ravel(), d_e_samp.ravel()]).reshape(-1, 1)
-    g_head, d_input = model.head.backward(cache_h, cot, need_input_grad=True, workspace=workspace)
-    d_h_rows, d_g = d_input[:, :k], d_input[:, k:]
-    g_y = model.y_net.backward(cache_y, d_g, workspace=workspace)
-    d_h = d_h_rows[:n] + d_h_rows[n:].reshape(n, m, k).sum(axis=1)
-    grads = [None, g_y, g_head]
-    if normalizer is not None:
-        g_norm, d_h_norm = normalizer.net.backward(cache_n, d_b.reshape(-1, 1), need_input_grad=True,
-                                                   workspace=workspace)
-        d_h = d_h + d_h_norm
-        grads.append(g_norm)
-    grads[0] = model.feature_net.backward(cache_f, d_h, workspace=workspace)
-    return value, np.concatenate(grads), divergence_diagnostics(e_samp, logw)
+    g_energy, d_h = energy_vjp(d_e_data, d_e_samp)
+    g_norm, d_h_norm = normalizer_vjp(d_b)
+    return value, np.concatenate([features_vjp(d_h + d_h_norm), g_energy, g_norm]), divergence_diagnostics(e_samp, logw)
 
 
 def validation_snl(model, normalizer, proposal, x, y, m, rng):
@@ -341,20 +340,23 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     either an MdnProposal on the feature vector (refit by one likelihood step
     after every energy step, against the current features) or any fixed
     unconditional distribution with sample/log_density. The model's carrier
-    becomes the Gaussian fitted to the training responses.
+    becomes the Gaussian fitted to the training responses. Any model and
+    normalizer that meet the contract of ``_regression_step`` train here.
     """
     config.validate()
     x_tr, y_tr = (np.asarray(a, dtype=np.float64) for a in train_pairs)
     x_val, y_val = (np.asarray(a, dtype=np.float64) for a in val_pairs)
     model.carrier = fit_gaussian(y_tr.reshape(-1, 1))
     root = PortableRng(config.seed)
-    shuffle_rng = root.split("shuffle")
-    proposal_rng = root.split("proposal")
-    val_rng = root.split("validation")
+    shuffle_rng, proposal_rng, val_rng = (root.split(k) for k in ("shuffle", "proposal", "validation"))
     mdn = proposal if isinstance(proposal, MdnProposal) else None
 
     # one flat buffer for [theta; phi] and one for the MDN, each stepped in place
-    params = bind(model.nets + ((normalizer.net,) if normalizer is not None else ()))
+    n_theta = model.n_params
+    params = np.empty(n_theta + (normalizer.n_params if normalizer is not None else 0))
+    model.bind(params[:n_theta])
+    if normalizer is not None:
+        normalizer.bind(params[n_theta:])
     opt = AdamState.fresh(params.size)
     if mdn is not None:
         mdn_params = bind(mdn.nets)
@@ -365,14 +367,14 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     def step(rows):
         nonlocal batch
         y_b = y_tr[rows]
-        h_b, cache_f = model.feature_net.forward(x_tr[rows].reshape(-1, 1), workspace=workspace)
+        h_b, features_vjp = model.features_vjp_prepared(x_tr[rows], workspace)
         ys, log_q, heads = _propose(proposal, proposal_rng, h_b, rows.size, config.samples_per_point)
         log_q_data = None
         if config.objective == "nce":
             log_q_data = (mdn.log_density(heads, y_b[:, None])[:, 0] if mdn is not None
                           else proposal.log_density(y_b.reshape(-1, 1)))
         batch = (heads, y_b)
-        return _regression_step(model, normalizer, h_b, cache_f, y_b, ys, log_q,
+        return _regression_step(model, normalizer, h_b, features_vjp, y_b, ys, log_q,
                                 log_q_data, config.objective, config.nce_nu, workspace)
 
     def take(grad):
@@ -389,7 +391,6 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
         config, params, lambda epoch: shuffle_rng.split_index(epoch - 1).permutation(x_tr.shape[0]),
         step, take, validate, RegressionEpochRecord,
     )
-    n_theta = model.n_params
     return RegressionTrainResult(history=history, best_epoch=best_epoch, best_theta=best[:n_theta],
                                  best_phi=best[n_theta:] if normalizer is not None else None)
 

@@ -4,10 +4,10 @@ These are the textbook forms of the SNL value and of the SNL and NCE
 gradients, the closed-form gradients of models with an exact normalizer, a
 1-D maximization over b, quadrature with the generalized KL divergence,
 single-point energy gradients and weight numerators, the importance-weight
-mean with its standard error, and a maximum-likelihood fit of the MDN
-proposal. The package trains and validates through
-``objectives.step_terms`` and evaluates through ``objectives.bound_pair``;
-nothing in it imports this module.
+mean with its standard error, a maximum-likelihood fit of the MDN proposal,
+and a trainable closed-form conditional oracle. The package trains and
+validates through ``objectives.step_terms`` and evaluates through
+``objectives.bound_pair``; nothing in it imports this module.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from snl_ebm.errors import NonFiniteObjectiveError
 from snl_ebm.nets import bind
 from snl_ebm.objectives import ImportanceBatch, estimate_z, log_weights, logsumexp
 from snl_ebm.optim import AdamState, adam_step
+from snl_ebm.regression import BilinearConditionalModel
 from snl_ebm.rng import PortableRng
 
 
@@ -328,3 +329,98 @@ def mdn_log_likelihood_and_fit(
             epoch_ll.append(value)
         history.append(float(np.mean(epoch_ll)))
     return history
+
+
+# -- trainable conditional oracle --------------------------------------------
+
+
+class FlatParameters:
+    """``theta``, ``n_params`` and ``bind`` over one flat vector ``_flat``, as
+    ``nets.NetGroup`` gives them to a model made of nets."""
+
+    _flat: np.ndarray
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._flat.copy()
+
+    @theta.setter
+    def theta(self, value) -> None:
+        self._flat[...] = value
+
+    @property
+    def n_params(self) -> int:
+        return self._flat.size
+
+    def bind(self, buffer: np.ndarray) -> None:
+        buffer[...] = self._flat
+        self._flat = buffer
+
+
+class TrainableBilinearModel(FlatParameters, BilinearConditionalModel):
+    """E(x, y) = -theta x y under the conditional model contract of
+    ``regression.ConditionalEnergyModel``, so ``train_regression`` trains it.
+
+    Its features h = (x, x^2) have no parameters. Against a Gaussian carrier
+    N(mu, sigma^2), which ``train_regression`` sets, log Z(x) = theta mu x +
+    theta^2 sigma^2 x^2 / 2 is linear in h, so ``LinearNormalizer`` holds it
+    exactly, and p(y|x) = N(mu + theta sigma^2 x, sigma^2).
+    """
+
+    def __init__(self, theta: float = 0.0):
+        self._flat = np.array([float(theta)])
+        self.carrier = None
+
+    def features(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        return np.column_stack([x, x * x])
+
+    def features_vjp_prepared(self, x: np.ndarray, workspace=None):
+        return self.features(x), lambda d_h: np.empty(0)
+
+    def energy_pairs(self, x, y, h=None):
+        return super().energy_pairs(x, y)
+
+    def energy_grid_shared(self, x, ys, h=None):
+        return super().energy_grid_shared(x, ys)
+
+    def energy_vjp_prepared(self, h: np.ndarray, y: np.ndarray, ys: np.ndarray, workspace=None):
+        """dE/dtheta = -x y and dE/dh = (-theta y, 0), by hand."""
+        x, theta = h[:, 0], float(self._flat[0])
+
+        def vjp(d_data, d_samples):
+            d_data = d_data.ravel()
+            grad = -(d_data @ (x * y) + np.sum(d_samples * x[:, None] * ys))
+            d_h = np.zeros_like(h)
+            d_h[:, 0] = -theta * (d_data * y + np.sum(d_samples * ys, axis=1))
+            return np.array([grad]), d_h
+
+        return self.energy_pairs(x, y), self.energy_grid_shared(x, ys), vjp
+
+    def carrier_moments(self) -> tuple[float, float]:
+        return float(self.carrier.mean[0]), float(self.carrier.cov[0, 0])
+
+    def exact_log_z(self, x: np.ndarray) -> np.ndarray:
+        mu, var = self.carrier_moments()
+        theta, x = float(self._flat[0]), np.asarray(x, dtype=np.float64)
+        return theta * mu * x + 0.5 * theta**2 * var * x * x
+
+    def conditional_mle(self, x: np.ndarray, y: np.ndarray) -> float:
+        """argmax_theta mean_i log p(y_i | x_i) = sum x (y - mu) / (sigma^2 sum x^2)."""
+        mu, var = self.carrier_moments()
+        return float(np.sum(x * (y - mu)) / (var * np.sum(x * x)))
+
+
+class LinearNormalizer(FlatParameters):
+    """b(x) = w . h_x + c on the oracle's features, phi = (w, c), under the
+    normalizer contract of ``regression.NormalizerNet``."""
+
+    def __init__(self, phi=(0.0, 0.0, 0.0)):
+        self._flat = np.array(phi, dtype=np.float64)
+
+    def values(self, h: np.ndarray) -> np.ndarray:
+        return h @ self._flat[:-1] + self._flat[-1]
+
+    def values_vjp_prepared(self, h: np.ndarray, workspace=None):
+        w = self._flat[:-1].copy()
+        return self.values(h), lambda d_b: (np.append(d_b @ h, d_b.sum()), np.outer(d_b, w))

@@ -7,8 +7,9 @@ and at d = 8 with sampled ones), exactness of the b-maximization, gradient
 correctness against finite differences, unbiasedness of the normalizer
 estimate, concavity of the exact objectives, the lower-bound/upper-bound
 ordering of the evaluation pair, the scaled-density divergence identity,
-the bilinear conditional oracle, and reference levels for the bundled
-two-dimensional and conditional benchmarks.
+the bilinear conditional oracle and its training through
+``train_regression`` to the conditional MLE, and reference levels for the
+bundled two-dimensional and conditional benchmarks.
 
 The two benchmark tests at the bottom train full models across five seeds
 each and together need roughly ten minutes; run the suite on an otherwise
@@ -51,7 +52,16 @@ from snl_ebm.regression import (
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import TrainConfig, train_density
 from snl_ebm.proposals import MdnProposal
-from reference import generalized_kl, maximize_over_b, snl_gradients, snl_objective, trapezoid_1d, z_estimate
+from reference import (
+    LinearNormalizer,
+    TrainableBilinearModel,
+    generalized_kl,
+    maximize_over_b,
+    snl_gradients,
+    snl_objective,
+    trapezoid_1d,
+    z_estimate,
+)
 
 
 # -- closed-form training oracles ---------------------------------------------
@@ -492,6 +502,38 @@ def test_bilinear_conditional_oracle_optimum_and_importance_estimate():
     print(f"bilinear oracle: |l_is - exact| = {gap:.5f} "
           f"(< 3*se = {3*report.l_is_se:.5f})")
     assert gap < 3.0 * report.l_is_se
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bilinear_conditional_oracle_training_recovers_conditional_mle(seed):
+    """E(x,y) = -theta x y with features (x, x^2) and a linear normalizer,
+    trained through ``train_regression`` on 2000 pairs x ~ U(-1.5, 1.5),
+    y = 0.8 x + 0.3 + N(0, 1): SNL, 60 epochs at lr 1e-3, batches of 64, 32
+    draws per point from the fitted carrier N(mu, sigma^2). theta goes to
+    the conditional MLE sum x (y - mu) / (sigma^2 sum x^2) within 0.01, and
+    b(x) to log Z(x) = theta mu x + theta^2 sigma^2 x^2 / 2 within 0.04 over
+    [-1.5, 1.5]. Measured on seeds 0-9: |theta - theta_MLE| <= 0.0036 and
+    max |b - log Z| <= 0.030, in 0.7-1.3 s a seed."""
+    t0 = time.perf_counter()
+    rng = PortableRng(seed).split("oracle-data")
+    pairs = []
+    for n in (2000, 500):  # training, validation
+        x = rng.uniform(n, -1.5, 1.5)
+        pairs.append((x, 0.8 * x + 0.3 + rng.normal(n)))
+    (x, y), val = pairs
+    model, normalizer = TrainableBilinearModel(), LinearNormalizer()
+    config = RegressionTrainConfig(objective="snl", epochs=60, learning_rate=1e-3, batch_size=64,
+                                   samples_per_point=32, seed=seed)
+    train_regression(model, normalizer, fit_gaussian(y.reshape(-1, 1)), (x, y), val, config)
+    elapsed = time.perf_counter() - t0
+
+    theta_err = abs(float(model.theta[0]) - model.conditional_mle(x, y))
+    grid = np.linspace(-1.5, 1.5, 301)
+    b_err = float(np.max(np.abs(normalizer.values(model.features(grid)) - model.exact_log_z(grid))))
+    print(f"bilinear training seed {seed}: |theta-theta_MLE|={theta_err:.4f} (<0.01) "
+          f"max|b-log Z|={b_err:.4f} (<0.04) {elapsed:.2f}s")
+    assert theta_err < 0.01
+    assert b_err < 0.04
 
 
 # -- benchmark reproductions (slow) ---------------------------------------------

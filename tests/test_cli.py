@@ -431,9 +431,16 @@ class TestDensityPipeline:
          "checkpoint value is malformed: proposal: cov: must be finite, got nan at index (0, 1)"),
         (lambda p: {**p, "proposal": {**p["proposal"], "cov": [["1", "2"], ["2", "1"]]}},
          "checkpoint value is malformed: proposal: 2-th leading minor of the array is not positive definite"),
+        (lambda p: with_standardizer(with_standardizer(p, "mean", ["0", "0", "0"]), "scale", ["1", "1", "1"]),
+         "checkpoint value is malformed: standardizer: mean: expected shape (2,), got (3,)"),
+        (lambda p: {**p, "proposal": {"kind": "standard_gaussian", "dim": 3}},
+         "checkpoint value is malformed: proposal: has dimension 3; the model needs 2"),
+        (lambda p: {**p, "base": {"kind": "standard_gaussian", "dim": 3}},
+         "checkpoint value is malformed: base: has dimension 3; the model needs 2"),
     ], ids=["no-theta", "json-list", "bare-proposal", "null-theta", "not-json", "short-theta", "nan-theta",
             "no-data-n", "word-data-n", "small-data-n", "bare-config-line", "mystery-proposal", "unknown-dataset",
-            "nan-b", "zero-scale", "inf-scale", "nan-mean", "nan-cov", "indefinite-cov"])
+            "nan-b", "zero-scale", "inf-scale", "nan-mean", "nan-cov", "indefinite-cov", "3-d-standardizer",
+            "3-d-proposal", "3-d-base"])
     def test_damaged_checkpoint_names_the_file_and_key(self, tmp_path, capsys, command, damage, named):
         run(capsys, "train", "--config", density_config(tmp_path))
         path = tmp_path / "run" / "checkpoint_best.json"
@@ -525,6 +532,21 @@ class TestRegressionPipeline:
                            "--samples", "100", "--data", str(data))
         assert code == 1
         assert "one_column.csv has 1 column(s); the regression checkpoint needs 2" in err
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda p: with_standardizer(with_standardizer(p, "mean", p["standardizer"]["mean"][:1]), "scale",
+                                     p["standardizer"]["scale"][:1]),
+         "checkpoint value is malformed: standardizer: mean: expected shape (2,), got (1,)"),
+        (lambda p: {**p, "eval_proposal": {"kind": "standard_gaussian", "dim": 2}},
+         "checkpoint value is malformed: eval_proposal: has dimension 2; the model needs 1"),
+    ], ids=["1-d-standardizer", "2-d-carrier"])
+    def test_damaged_checkpoint_names_the_file_and_key(self, tmp_path, capsys, damage, named):
+        run(capsys, "train", "--config", regression_config(tmp_path, extra=["data.standardize = true"]))
+        path = tmp_path / "reg" / "checkpoint_best.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(path), "--samples", "100")
+        assert code == 1
+        assert err == f"error: {path}: {named}\n"
 
     @pytest.mark.parametrize("key", ["feature_theta", "y_theta", "head_theta", "normalizer_phi"])
     def test_damaged_parameter_vector_names_its_key(self, tmp_path, capsys, key):
@@ -793,13 +815,13 @@ class TestCheckpointParameters:
         assert out.splitlines()[0] == f"trained 3 epochs; best val {best_val:.6f} at epoch {result.best_epoch}"
 
         def fields(theta, phi):
-            model.theta, normalizer.phi = theta, phi
+            model.theta, normalizer.theta = theta, phi
             return {"feature_theta": serialize.fmt_vector(model.feature_net.theta),
                     "y_theta": serialize.fmt_vector(model.y_net.theta),
                     "head_theta": serialize.fmt_vector(model.head.theta),
-                    "normalizer_phi": serialize.fmt_vector(normalizer.phi)}
+                    "normalizer_phi": serialize.fmt_vector(normalizer.theta)}
 
-        want_final = fields(model.theta.copy(), normalizer.phi.copy())
+        want_final = fields(model.theta.copy(), normalizer.theta.copy())
         want_best = fields(result.best_theta, result.best_phi)
         final, best = (checkpoint(tmp_path / "reg" / f"checkpoint_{name}.json") for name in ("final", "best"))
         assert {k: final[k] for k in want_final} == want_final

@@ -164,25 +164,25 @@ def reference_regression(config, x, y, model, norm, proposal):
     root = PortableRng(config.seed)
     shuffle_rng, proposal_rng = root.split("shuffle"), root.split("proposal")
     n_theta = model.n_params
-    m = v = np.zeros(n_theta + (norm.net.n_params if norm is not None else 0))
+    m = v = np.zeros(n_theta + (norm.n_params if norm is not None else 0))
     mdn_m = mdn_v = np.zeros(mdn.theta.size if mdn is not None else 0)
     t = mdn_t = 0
     order = shuffle_rng.split_index(0).permutation(48)
     for lo in range(0, 48, 16):  # three steps
         idx = order[lo : lo + 16]
-        h, cache_f = model.feature_net.forward(x[idx].reshape(-1, 1))
+        h, features_vjp = model.features_vjp_prepared(x[idx])
         ys, log_q, heads = regression._propose(proposal, proposal_rng, h, idx.size, config.samples_per_point)
         log_q_data = None
         if config.objective == "nce":
             log_q_data = (mdn.log_density(heads, y[idx][:, None])[:, 0] if mdn is not None
                           else proposal.log_density(y[idx].reshape(-1, 1)))
-        _, grad, _ = regression._regression_step(model, norm, h, cache_f, y[idx], ys, log_q,
+        _, grad, _ = regression._regression_step(model, norm, h, features_vjp, y[idx], ys, log_q,
                                                  log_q_data, config.objective, None)
         m, v, t, step = pure_adam(m, v, t, grad, config.learning_rate)
-        params = np.concatenate([model.theta] + ([norm.phi] if norm is not None else [])) + step
+        params = np.concatenate([model.theta] + ([norm.theta] if norm is not None else [])) + step
         model.theta = params[:n_theta]
         if norm is not None:
-            norm.phi = params[n_theta:]
+            norm.theta = params[n_theta:]
         if mdn is not None:
             _, mdn_grad = mdn.loglik_gradient(heads, y[idx])
             mdn_m, mdn_v, mdn_t, mdn_step = pure_adam(mdn_m, mdn_v, mdn_t, mdn_grad, config.mdn_learning_rate)
@@ -204,7 +204,7 @@ def check_regression_mdn_steps(objective):
     ref_model, ref_norm, ref_mdn = regression_setup()
     assert reference_regression(config, x, y, ref_model, ref_norm, ref_mdn) == (3, 3)
     assert_same_bits(model.theta, ref_model.theta)
-    assert_same_bits(norm.phi, ref_norm.phi)
+    assert_same_bits(norm.theta, ref_norm.theta)
     assert_same_bits(mdn.theta, ref_mdn.theta)
 
 

@@ -35,6 +35,7 @@ from snl_ebm.regression import (
 from snl_ebm.objectives import SNL_SHIFT_CAP, step_terms
 from snl_ebm.rng import PortableRng
 from snl_ebm.training import DIVERGENCE_PATIENCE
+from reference import LinearNormalizer, TrainableBilinearModel
 
 
 def snl_value(energies, b_values, log_z):
@@ -77,7 +78,7 @@ class TestArchitecture:
         assert h.shape == (5, 10)
         assert norm.values(h).shape == (5,)
         other = NormalizerNet()
-        other.phi = norm.phi
+        other.theta = norm.theta
         np.testing.assert_array_equal(other.values(h), norm.values(h))
 
 
@@ -174,17 +175,28 @@ class TestBilinearOracle:
 
 def run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, nu):
     """_regression_step with the feature pass the training loop makes."""
-    h, cache_f = model.feature_net.forward(x.reshape(-1, 1))
-    return _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, nu)
+    h, features_vjp = model.features_vjp_prepared(x)
+    return _regression_step(model, normalizer, h, features_vjp, y, ys, log_q, log_q_data, objective, nu)
+
+
+def step_inputs(family, with_normalizer):
+    """(model, normalizer or None): the network pair, or the trainable
+    oracle with a linear normalizer, both away from their optimum."""
+    if family == "net":
+        rng = PortableRng(14)
+        return ConditionalEnergyModel(rng.split("model")), NormalizerNet(rng.split("norm")) if with_normalizer else None
+    model = TrainableBilinearModel(0.7)
+    model.carrier = FittedGaussian([0.3], [[2.25]])
+    return model, LinearNormalizer([0.2, -0.1, 0.4]) if with_normalizer else None
 
 
 class TestStepGradients:
     @pytest.mark.parametrize("objective", ["snl", "nce"])
-    @pytest.mark.parametrize("with_normalizer", [True, False])
-    def test_against_finite_differences(self, objective, with_normalizer):
-        rng = PortableRng(14)
-        model = ConditionalEnergyModel(rng.split("model"))
-        normalizer = NormalizerNet(rng.split("norm")) if with_normalizer else None
+    @pytest.mark.parametrize("family, with_normalizer", [("net", True), ("net", False), ("oracle", True),
+                                                         ("oracle", False)],
+                             ids=["True", "False", "oracle-True", "oracle-False"])
+    def test_against_finite_differences(self, objective, family, with_normalizer):
+        model, normalizer = step_inputs(family, with_normalizer)
         n, m = 5, 3
         x = PortableRng(15).normal(n)
         y = PortableRng(16).normal(n)
@@ -195,13 +207,13 @@ class TestStepGradients:
         def params():
             parts = [model.theta]
             if normalizer is not None:
-                parts.append(normalizer.phi)
+                parts.append(normalizer.theta)
             return np.concatenate(parts)
 
         def set_params(flat):
             model.theta = flat[: model.n_params]
             if normalizer is not None:
-                normalizer.phi = flat[model.n_params :]
+                normalizer.theta = flat[model.n_params :]
 
         def value_at(flat):
             set_params(flat)
@@ -212,7 +224,7 @@ class TestStepGradients:
         _, grad, _ = run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 2.0)
         assert grad.shape == theta0.shape
         step = 1e-6
-        for i in range(0, theta0.size, 97):  # spread spot-checks across all nets
+        for i in range(0, theta0.size, 97 if family == "net" else 1):  # spread spot-checks across all nets
             up = theta0.copy()
             up[i] += step
             down = theta0.copy()
@@ -220,6 +232,25 @@ class TestStepGradients:
             fd = (value_at(up) - value_at(down)) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-9), f"coordinate {i}"
         set_params(theta0)
+
+    def test_oracle_d_h_against_finite_differences(self):
+        # the oracle's features have no parameters, so the step's gradient never reads its d_h
+        model, normalizer = step_inputs("oracle", True)
+        h = model.features(PortableRng(15).normal(5))
+        y, ys = PortableRng(16).normal(5), PortableRng(17).normal((5, 3))
+        d_data, d_samples, d_b = PortableRng(18).normal(5), PortableRng(19).normal((5, 3)), PortableRng(20).normal(5)
+
+        def value_at(h):
+            e_data, e_samp, _ = model.energy_vjp_prepared(h, y, ys)
+            return d_data @ e_data + np.sum(d_samples * e_samp) + d_b @ normalizer.values(h)
+
+        energy_vjp, normalizer_vjp = model.energy_vjp_prepared(h, y, ys)[2], normalizer.values_vjp_prepared(h)[1]
+        got = energy_vjp(d_data, d_samples)[1] + normalizer_vjp(d_b)[1]
+        for index in np.ndindex(*h.shape):
+            up, down = h.copy(), h.copy()
+            up[index] += 1e-6
+            down[index] -= 1e-6
+            assert got[index] == pytest.approx((value_at(up) - value_at(down)) / 2e-6, rel=1e-6, abs=1e-8), index
 
     @pytest.mark.parametrize("objective", ["snl", "nce"])
     def test_workspace_changes_no_bits(self, objective):
@@ -233,8 +264,8 @@ class TestStepGradients:
             log_q = StandardGaussian(1).log_density(ys.reshape(-1, 1)).reshape(6, 4)
             log_q_data = StandardGaussian(1).log_density(y.reshape(-1, 1))
             want = run_step(model, normalizer, x, y, ys, log_q, log_q_data, objective, 2.0)
-            h, cache_f = model.feature_net.forward(x.reshape(-1, 1), workspace=workspace)
-            got = _regression_step(model, normalizer, h, cache_f, y, ys, log_q, log_q_data, objective, 2.0,
+            h, features_vjp = model.features_vjp_prepared(x, workspace)
+            got = _regression_step(model, normalizer, h, features_vjp, y, ys, log_q, log_q_data, objective, 2.0,
                                    workspace)
             assert got[0] == want[0] and got[2] == want[2]
             np.testing.assert_array_equal(got[1], want[1])
@@ -279,7 +310,7 @@ class TestTrainRegression:
     def test_zero_epochs_leave_parameters_untouched(self):
         model = ConditionalEnergyModel(PortableRng(19))
         norm = NormalizerNet(PortableRng(20))
-        before_theta, before_phi = model.theta, norm.phi
+        before_theta, before_phi = model.theta, norm.theta
         x, y = self.toy_pairs(21, 64)
         result = train_regression(model, norm, fit_gaussian(y.reshape(-1, 1)), (x, y), (x[:16], y[:16]), self.config(epochs=0))
         assert result.history == []
