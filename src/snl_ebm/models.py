@@ -189,14 +189,16 @@ class MlpEnergy(NetGroup, EnergyModel):
 
     def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
         """One forward pass shared between the energy values and later vjp
-        calls; with a ``workspace`` both stay valid until its next pass."""
+        calls; with a ``workspace`` both stay valid until its next pass. The
+        pass runs in the workspace's precision; energies and gradients come
+        back as float64."""
         out, cache = self.net.forward(np.asarray(x, dtype=np.float64), workspace=workspace)
 
         def vjp(cotangent: np.ndarray) -> np.ndarray:
             return self.net.backward(cache, np.asarray(cotangent, dtype=np.float64).reshape(-1, 1),
                                      workspace=workspace)
 
-        return out[:, 0], vjp
+        return out[:, 0].astype(np.float64, copy=False), vjp
 
     def descriptor(self, b: float) -> dict:
         """The checkpoint fields of the model with normalizer offset ``b``,

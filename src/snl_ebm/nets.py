@@ -20,6 +20,13 @@ with one optimizer call. A ``NetGroup`` (a model or proposal made of nets)
 reads, writes and binds the parameters of its nets in that same order. ReLU
 derivative at exactly 0 is taken to be 0.
 
+Precision: parameters, gradients and every caller's arithmetic are float64.
+A ``Workspace`` carries the precision of the passes made in it, float64 by
+default: a pass in a float32 workspace casts its input and each layer's
+weights and bias to float32 and keeps float32 activations, and its backward
+pass hands back float64 gradients. Density training steps run in float32
+workspaces (``training.STEP_DTYPE``); every other pass is float64.
+
 Forward-only passes at many rows (evaluation, validation, grid export) keep
 no cache and run in row tiles of at most ``TILE_ROWS`` rows through one
 reused ``Workspace``, so their working memory is one tile's activations
@@ -67,7 +74,7 @@ def row_tiles(n: int, rows: int | None = None) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _scratch(workspace: Workspace | None, key, shape, dtype=np.float64) -> np.ndarray | None:
+def _scratch(workspace: Workspace | None, key, shape, dtype=None) -> np.ndarray | None:
     """The workspace's array for ``key``, or None (numpy allocates) without one."""
     return None if workspace is None else workspace.array(key, shape, dtype)
 
@@ -82,15 +89,21 @@ class Workspace:
     virtual machine, OpenBLAS). Arrays are keyed by net and layer, so one
     workspace serves several nets; a cache made in it is valid until the
     next forward pass of the same net in the same workspace.
+
+    ``dtype`` is the precision of the passes made in the workspace, and of its
+    arrays unless ``array`` is asked for another dtype.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._arrays: dict = {}
 
-    def array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """A C-contiguous array of ``shape`` for ``key``: a view of the start
-        of the key's array, which is replaced only when it is too small or of
-        another dtype, so a shorter last tile or batch allocates nothing."""
+    def array(self, key, shape: tuple, dtype=None) -> np.ndarray:
+        """A C-contiguous array of ``shape`` for ``key``, of the workspace's
+        dtype by default: a view of the start of the key's array, which is
+        replaced only when it is too small or of another dtype, so a shorter
+        last tile or batch allocates nothing."""
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
         size = math.prod(shape)
         a = self._arrays.get(key)
         if a is None or a.size < size or a.dtype != dtype:
@@ -148,7 +161,8 @@ class Mlp:
         ReLU runs in place, so a NaN pre-activation stays NaN. The cache holds
         each layer's input and the output; a ReLU layer's derivative mask is
         read back from its (post-ReLU) output. With a ``workspace`` the
-        activations, output included, are written into its arrays. With
+        activations, output included, are written into its arrays, in its
+        dtype (see the module docstring). With
         ``keep_cache`` off and no workspace the cache is None and the pass
         runs over the ``row_tiles`` of x through one workspace of its own,
         writing each tile's output into one fresh (n, out_width) array: at
@@ -166,12 +180,16 @@ class Mlp:
         return out, None
 
     def _layers(self, h: np.ndarray, keep_cache: bool, workspace: Workspace | None):
-        """The pass of ``forward`` over one checked input, in one piece."""
+        """The pass of ``forward`` over one checked input, in one piece, in the
+        workspace's dtype (float64 without one)."""
+        dtype = np.float64 if workspace is None else workspace.dtype
+        h = h.astype(dtype, copy=False)
         acts = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w, out=_scratch(workspace, (id(self), "act", i), (h.shape[0], w.shape[1])))
-            h += b
+            h = np.matmul(h, w.astype(dtype, copy=False),
+                          out=_scratch(workspace, (id(self), "act", i), (h.shape[0], w.shape[1])))
+            h += b.astype(dtype, copy=False)
             if i < last or self.relu_output:
                 np.maximum(h, 0.0, out=h)
             if keep_cache:
@@ -184,15 +202,16 @@ class Mlp:
 
         Returns the flat parameter gradient, or (flat gradient, input gradient)
         when ``need_input_grad`` is set. Gradients are of sum_n <cotangent_n, out_n>.
-        Both are fresh arrays; a ``workspace`` holds only the intermediates.
+        Both are fresh float64 arrays; the pass runs in the cache's dtype, and a
+        ``workspace`` holds only the intermediates.
         """
         acts = cache
-        g = np.asarray(cotangent, dtype=np.float64)
+        g = np.asarray(cotangent, dtype=acts[-1].dtype)
         last = len(self.weights) - 1
         flat = np.empty(self.n_params)
         end = flat.size
         for i in range(last, -1, -1):
-            w = self.weights[i]
+            w = self.weights[i].astype(g.dtype, copy=False)
             if i < last or self.relu_output:
                 mask = np.greater(acts[i + 1], 0.0, out=_scratch(workspace, (id(self), "mask", i), g.shape, bool))
                 # below the top layer g is this pass's own array; the cotangent is the caller's
@@ -207,7 +226,7 @@ class Mlp:
                 out = _scratch(workspace, (id(self), "grad", i), (g.shape[0], w.shape[0])) if i > 0 else None
                 g = np.matmul(g, w.T, out=out)
         if need_input_grad:
-            return flat, g
+            return flat, g.astype(np.float64, copy=False)
         return flat
 
 

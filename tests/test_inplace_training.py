@@ -14,6 +14,7 @@ import pytest
 from snl_ebm import regression, training
 from snl_ebm.errors import NonFiniteObjectiveError
 from snl_ebm.models import MlpEnergy
+from snl_ebm.nets import Workspace
 from snl_ebm.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step
 from snl_ebm.proposals import (
     MdnProposal,
@@ -90,7 +91,9 @@ def density_setup():
 
 def reference_density(config, data, proposal, ref):
     """``train_density`` for one epoch of three steps, rebuilt from ``fused_step``
-    with pure Adam or SGD; returns the final b and the number of steps."""
+    in the trainer's float32 workspaces with pure Adam or SGD; returns the
+    final b and the number of steps."""
+    workspaces = (Workspace(training.STEP_DTYPE), Workspace(training.STEP_DTYPE))
     root = PortableRng(config.seed)
     shuffle_rng, proposal_rng = root.split("shuffle"), root.split("proposal")
     b = init_b(ref, sample_and_score(proposal, root.split("init-b"), 64, base=ref.base))
@@ -99,7 +102,8 @@ def reference_density(config, data, proposal, ref):
     order = shuffle_rng.permutation(96)
     for lo in range(0, 96, 32):  # three steps
         batch = sample_and_score(proposal, proposal_rng, 64, base=ref.base)
-        _, grad, _ = fused_step(ref, b, data[order[lo : lo + 32]], batch, config.objective, proposal=proposal)
+        _, grad, _ = fused_step(ref, b, data[order[lo : lo + 32]], batch, config.objective, proposal=proposal,
+                                workspaces=workspaces)
         if config.optimizer == "sgd":
             step, t = config.learning_rate * grad, t + 1
         else:

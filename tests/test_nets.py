@@ -273,3 +273,60 @@ def test_workspace_serves_a_shorter_shape_from_its_array_and_grows_once():
     assert not np.shares_memory(longer, first)
     assert np.shares_memory(ws.array("k", (4, 3)), longer)
     assert ws.array("k", (2, 3), bool).dtype == bool
+
+
+def plain_passes(net, x, cot):
+    """Output, flat gradient and input gradient of ``net`` by plain float64
+    numpy, in the operation order of ``Mlp``'s passes."""
+    acts, h = [x], x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if i < len(net.weights) - 1 or net.relu_output:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    g, parts = cot, []
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i < len(net.weights) - 1 or net.relu_output:
+            g = g * (acts[i + 1] > 0.0)
+        parts[:0] = [(acts[i].T @ g).ravel(), g.sum(axis=0)]
+        g = g @ net.weights[i].T
+    return h, np.concatenate(parts), g
+
+
+@pytest.mark.parametrize("workspace", [None, "default"])
+@pytest.mark.parametrize("relu_output", [False, True])
+def test_float64_passes_keep_their_bits(workspace, relu_output):
+    # without a workspace, or in a default one, the passes are float64 throughout
+    net = Mlp([3, 9, 6, 2], PortableRng(5), relu_output=relu_output)
+    ws = Workspace() if workspace else None
+    x = PortableRng(6).normal((11, 3))
+    cot = PortableRng(7).normal((11, 2))
+    out, cache = net.forward(x, workspace=ws)
+    flat, gx = net.backward(cache, cot, need_input_grad=True, workspace=ws)
+    want_out, want_flat, want_gx = plain_passes(net, x, cot)
+    for got, want in ((out, want_out), (flat, want_flat), (gx, want_gx)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+    assert all(a.dtype == np.float64 for a in cache)
+    if ws is not None:
+        assert ws.dtype == np.float64 and ws.array("k", (2,)).dtype == np.float64
+
+
+@pytest.mark.parametrize("relu_output", [False, True])
+def test_float32_workspace_passes_give_float32_activations_and_float64_gradients(relu_output):
+    net = Mlp([3, 9, 6, 2], PortableRng(5), relu_output=relu_output)
+    ws = Workspace(np.float32)
+    x = PortableRng(6).normal((11, 3))
+    cot = PortableRng(7).normal((11, 2))
+    out, cache = net.forward(x, workspace=ws)
+    flat, gx = net.backward(cache, cot, need_input_grad=True, workspace=ws)
+    assert out.dtype == np.float32 and all(a.dtype == np.float32 for a in cache)
+    assert flat.dtype == np.float64 and gx.dtype == np.float64
+    assert net.params.dtype == np.float64  # the parameters themselves are never cast
+    assert ws.array("k", (2,)).dtype == np.float32 and ws.array("m", (2,), bool).dtype == bool
+    want_out, want_flat, want_gx = plain_passes(net, x, cot)
+    np.testing.assert_allclose(out, want_out, rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(flat, want_flat, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-6)
+    assert not np.array_equal(flat, want_flat)  # the pass did run in float32
