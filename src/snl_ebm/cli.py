@@ -24,10 +24,11 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import datasets, evaluation, models, proposals, regression, serialize, training
+from . import datasets, evaluation, regression, serialize, training
 from .errors import ConfigError, SnlError
 from .models import DENSITY_WIDTHS, MlpEnergy
 from .proposals import MdnProposal, StandardGaussian, UniformBox, fit_gaussian
@@ -297,29 +298,25 @@ def _run_dataset(config_lines: list[str]):
 def read_checkpoint(path: str, *kinds: str):
     """The one reader of checkpoint files: (kind, parts, standardizer or None,
     ``_run_dataset``) of a checkpoint of this format and one of ``kinds``; the
-    parts are ``models.from_descriptor``'s, plus the proposal a density eval
-    draws from; it and the standardizer must have the model's dimension. Any
-    fault of the file is a ValueError naming it and the key or line."""
+    parts are the ``from_descriptor`` of the kind's model class, and the
+    standardizer must have the model's dimension. Any fault of the file is a
+    ValueError naming it and the key or line."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             fault = f"a checkpoint is a JSON object, found a {type(payload).__name__}"
-        elif payload.get("format") != CHECKPOINT_FORMAT:
+        elif type(payload.get("format")) is not int or payload["format"] != CHECKPOINT_FORMAT:  # not true, not 1.0
             fault = f"checkpoint format {payload.get('format')!r} not supported (expected {CHECKPOINT_FORMAT})"
         elif payload.get("kind") not in kinds:
             fault = f"expected a {' or '.join(kinds)} checkpoint, found kind {payload.get('kind')!r}"
         else:
-            parts = models.from_descriptor(payload)
-            dim = parts[0].dim if payload["kind"] == MlpEnergy.kind else 2  # a regression row is (x, y)
-            standardizer = payload["standardizer"]
+            parts = _TASKS[payload["kind"]].model.from_descriptor(payload)
+            standardizer, dim = payload["standardizer"], parts[0].dim
             if standardizer is not None:
                 with serialize.named("standardizer"):
                     standardizer = datasets.Standardizer(serialize.parse(standardizer, "mean", (dim,)),
                                                          serialize.parse(standardizer, "scale", (dim,)))
-            if payload["kind"] == MlpEnergy.kind:
-                with serialize.named("proposal"):
-                    parts += (proposals.from_descriptor(payload["proposal"], dim),)
             return payload["kind"], parts, standardizer, _run_dataset(payload["config"])
     except json.JSONDecodeError as exc:
         fault = f"checkpoint is not JSON: {exc}"
@@ -352,21 +349,16 @@ def _fit_density(config: dict, split):
     model = MlpEnergy(config["model.widths"], base=base, rng=PortableRng(config["model.seed"]).split("model"))
     proposal = _build_proposal(config, split.train, None)
     result = training.train_density(model, proposal, split.train, split.val, _train_config(config))
-    final = {**model.descriptor(result.state.b), "proposal": proposal.descriptor()}
+    final = model.descriptor(result.state.b, proposal)
     model.theta = result.best_theta
-    return result, final, {**model.descriptor(result.best_b), "proposal": final["proposal"]}
+    return result, final, model.descriptor(result.best_b, proposal)
 
 
-def _density_scorer(args, parts):
-    """Score function for ``_cmd_eval``: the bound report of every split;
-    a ``--data`` file needs one column per model dimension."""
+def _density_scorer(args, parts, splits, seed, dataset):
+    """One seed of ``_cmd_eval``: the bound report of every split."""
     model, b, proposal = parts
-
-    def score(splits, seed, dataset):
-        report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
-        return report.lines(), {s.name: s for s in report.splits}
-
-    return score, model.dim
+    report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
+    return report.lines(), {s.name: s for s in report.splits}
 
 
 # -- regression pipeline ------------------------------------------------------
@@ -388,30 +380,30 @@ def _fit_regression(config: dict, split):
     return result, final, model.descriptor(normalizer)
 
 
-def _regression_scorer(args, parts):
-    """Score function for ``_cmd_eval``: the bound report of the test split
-    (or of ``--data``, two columns x and y), reported as ``test``, with draws
-    from the model's carrier."""
+def _regression_scorer(args, parts, splits, seed, dataset):
+    """One seed of ``_cmd_eval``: the bound report of the test split (or of
+    ``--data``), reported as ``test``, with draws from the model's carrier."""
     model, normalizer = parts
     normalizer_fn = (lambda xs: normalizer.values(model.features(xs))) if normalizer is not None else None
-
-    def score(splits, seed, dataset):
-        points = splits["data"] if args.data is not None else splits["test"]
-        report = regression.eval_regression_l_is(
-            model, (points[:, 0], points[:, 1]), model.carrier, n_samples=args.samples,
-            rng=PortableRng(seed).split("evaluate"), normalizer_fn=normalizer_fn,
-        )
-        return ["test." + line for line in report.lines()], {"test": report}
-
-    return score, 2  # (x, y) pairs
+    points = splits["data"] if args.data is not None else splits["test"]
+    report = regression.eval_regression_l_is(
+        model, (points[:, 0], points[:, 1]), model.carrier, n_samples=args.samples,
+        rng=PortableRng(seed).split("evaluate"), normalizer_fn=normalizer_fn,
+    )
+    return ["test." + line for line in report.lines()], {"test": report}
 
 
-# task -> (fit function, per-epoch record type whose fields are the metrics.csv columns)
-_FITS = {
-    "density": (_fit_density, training.EpochRecord),
-    "regression": (_fit_regression, regression.RegressionEpochRecord),
-}
-_SCORERS = {"density": _density_scorer, "regression": _regression_scorer}
+class _Task(NamedTuple):
+    model: type  # its ``kind`` is the task's name, and ``from_descriptor`` reads its checkpoints
+    fit: object  # config, split -> (result, final and best checkpoint fields)
+    record: type  # the per-epoch record, whose fields are the metrics.csv columns
+    scorer: object  # args, checkpoint parts, splits, seed, dataset name -> one seed's lines and reports
+
+
+_TASKS = {task.model.kind: task for task in (
+    _Task(MlpEnergy, _fit_density, training.EpochRecord, _density_scorer),
+    _Task(regression.ConditionalEnergyModel, _fit_regression, regression.RegressionEpochRecord, _regression_scorer),
+)}
 
 
 # -- commands -----------------------------------------------------------------
@@ -448,10 +440,10 @@ def _cmd_train(args) -> int:
     out_dir = Path(config["out.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text("\n".join(_resolved_lines(config)) + "\n")
-    fit, record = _FITS[config["task"]]
-    result, final, best = fit(config, split)
+    task = _TASKS[config["task"]]
+    result, final, best = task.fit(config, split)
 
-    columns = [f.name for f in dataclasses.fields(record)]
+    columns = [f.name for f in dataclasses.fields(task.record)]
     with open(out_dir / "metrics.csv", "w") as fh:
         fh.write(",".join(columns) + "\n")
         for rec in result.history:
@@ -487,14 +479,13 @@ def _cmd_eval(args) -> int:
     if not seeds:
         print(f"--seeds must name at least one seed, got {args.seeds!r}", file=sys.stderr)
         return 2
-    kind, parts, standardizer, dataset = read_checkpoint(args.checkpoint, *_SCORERS)
-    score, columns = _SCORERS[kind](args, parts)
+    kind, parts, standardizer, dataset = read_checkpoint(args.checkpoint, *_TASKS)
 
     if args.data is not None:
         points = datasets.load_delimited(args.data, has_header=args.has_header)
-        if points.shape[1] != columns:
+        if points.shape[1] != parts[0].dim:
             raise ValueError(f"{args.data} has {points.shape[1]} column(s); "
-                             f"the {kind} checkpoint needs {columns}")
+                             f"the {kind} checkpoint needs {parts[0].dim}")
         splits, dataset_name = {"data": points}, args.data
     elif dataset is not None:
         split = datasets.load_named(*dataset)
@@ -509,7 +500,7 @@ def _cmd_eval(args) -> int:
              f"n_samples {args.samples}", f"seeds {','.join(str(s) for s in seeds)}"]
     per_seed = []
     for seed in seeds:
-        seed_lines, reports = score(splits, seed, dataset_name)
+        seed_lines, reports = _TASKS[kind].scorer(args, parts, splits, seed, dataset_name)
         per_seed.append(reports)
         lines.append(f"[seed {seed}]")
         lines.extend(seed_lines)

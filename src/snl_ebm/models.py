@@ -30,7 +30,6 @@ from . import proposals, serialize
 from .errors import UnsupportedExactFormError
 from .nets import Mlp, NetGroup
 from .proposals import StandardGaussian, cube_states
-from .regression import ConditionalEnergyModel, NormalizerNet
 from .rng import PortableRng
 
 DENSITY_WIDTHS = [2, 200, 100, 50, 50, 1]
@@ -200,34 +199,25 @@ class MlpEnergy(NetGroup, EnergyModel):
 
         return out[:, 0].astype(np.float64, copy=False), vjp
 
-    def descriptor(self, b: float) -> dict:
-        """The checkpoint fields of the model with normalizer offset ``b``,
-        which ``from_descriptor`` reads back."""
+    def descriptor(self, b: float, proposal) -> dict:
+        """The checkpoint fields of the model with normalizer offset ``b`` and
+        the ``proposal`` its evaluation draws from, which ``from_descriptor``
+        reads back."""
         return {"kind": self.kind, "widths": list(self.net.widths), "theta": serialize.fmt_vector(self.theta),
-                "b": serialize.fmt(b), "base": self.base.descriptor() if self.base is not None else None}
+                "b": serialize.fmt(b), "base": self.base.descriptor() if self.base is not None else None,
+                "proposal": proposal.descriptor()}
 
-
-def from_descriptor(desc: dict):
-    """The one reader of model descriptors: (``MlpEnergy``, b) of kind density,
-    (``ConditionalEnergyModel`` with its carrier, ``NormalizerNet`` or None) of
-    kind regression. A missing key is a KeyError, any other fault a ValueError
-    naming the key, among them a base or carrier of the wrong dimension."""
-    kind = desc["kind"]
-    if kind == MlpEnergy.kind:
+    @classmethod
+    def from_descriptor(cls, desc: dict):
+        """(model, b, proposal) from ``descriptor``'s fields. A missing key is
+        a KeyError, any other fault a ValueError naming the key, among them a
+        base or proposal of another dimension than the model's."""
+        widths = serialize.parse_count(desc, "widths", 1)
         with serialize.named("widths"):
-            model = MlpEnergy(desc["widths"])
+            model = cls(widths)
         with serialize.named("base"):
             model.base = proposals.from_descriptor(desc["base"], model.dim) if desc["base"] is not None else None
         model.theta = serialize.parse(desc, "theta", (model.n_params,))
-        return model, float(serialize.parse(desc, "b", ()))
-    if kind == ConditionalEnergyModel.kind:
-        model = ConditionalEnergyModel()
-        for key, net in zip(model.NET_KEYS, model.nets):
-            net.theta = serialize.parse(desc, key, (net.n_params,))
-        with serialize.named("eval_proposal"):
-            model.carrier = proposals.from_descriptor(desc["eval_proposal"], 1)
-        normalizer = NormalizerNet() if desc["normalizer_phi"] is not None else None
-        if normalizer is not None:
-            normalizer.theta = serialize.parse(desc, "normalizer_phi", (normalizer.n_params,))
-        return model, normalizer
-    raise ValueError(f"unknown model kind {kind!r}")
+        with serialize.named("proposal"):
+            proposal = proposals.from_descriptor(desc["proposal"], model.dim)
+        return model, float(serialize.parse(desc, "b", ())), proposal

@@ -1,7 +1,8 @@
 """Proposal and base distributions, and proposal fitting.
 
-Unconditional distributions expose log_density/sample and serialize to plain
-descriptors; ``ExhaustiveCube.sample`` returns all of {0, 1}^d, not draws.
+Unconditional distributions expose log_density/sample, and those a
+checkpoint stores (the Gaussians and the box) serialize to plain descriptors;
+``ExhaustiveCube.sample`` returns all of {0, 1}^d, not draws.
 The mixture-density proposal is conditional: its parameter heads map a fixed
 feature vector per data point to mixture weights, means, and scales, and
 regression training refits it by one maximum-likelihood step
@@ -141,8 +142,6 @@ def cube_states(dim: int) -> np.ndarray:
 class UniformCube:
     """Uniform on the 2^dim points of {0, 1}^dim (probability 2^-dim each)."""
 
-    kind = "uniform_cube"
-
     def __init__(self, dim: int):
         self.dim = int(dim)
 
@@ -153,15 +152,10 @@ class UniformCube:
     def sample(self, rng: PortableRng, n: int) -> np.ndarray:
         return rng.integers(n * self.dim, 2).astype(np.float64).reshape(n, self.dim)
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
-
 
 class ExhaustiveCube(UniformCube):
     """Enumerates {0, 1}^dim instead of sampling: ``sample`` returns each state
     once and reads no stream, so the weight mean sum_x e^{-E(x)} is Z exactly."""
-
-    kind = "exhaustive_cube"
 
     def sample(self, rng: PortableRng, n: int) -> np.ndarray:
         return cube_states(self.dim)
@@ -273,15 +267,11 @@ def from_descriptor(desc: dict, dim: int | None = None):
     with ``dim`` given, one of another dimension is a ValueError."""
     kind = desc.get("kind")
     if kind == "standard_gaussian":
-        out = StandardGaussian(int(desc["dim"]))
+        out = StandardGaussian(serialize.parse_count(desc, "dim"))
     elif kind == "fitted_gaussian":
         out = FittedGaussian(serialize.parse(desc, "mean"), serialize.parse(desc, "cov", (None, None)))
     elif kind == "uniform_box":
         out = UniformBox(serialize.parse(desc, "lo"), serialize.parse(desc, "hi"))
-    elif kind in ("uniform_cube", "two_point_uniform"):  # two_point_*: the d = 1 cube's earlier kinds
-        out = UniformCube(int(desc.get("dim", 1)))
-    elif kind in ("exhaustive_cube", "two_point_exhaustive"):
-        out = ExhaustiveCube(int(desc.get("dim", 1)))
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
     if dim is not None and out.dim != dim:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
+from . import proposals, serialize
 from .nets import Mlp, NetGroup, Workspace, bind, row_tiles
 from .objectives import bound_pair, check_finite_energies, divergence_diagnostics, measure_term, step_terms
 from .optim import AdamState, adam_step
@@ -95,6 +95,7 @@ class ConditionalEnergyModel(NetGroup):
     """E(x, y) = head(concat(feature(x), ybranch(y)))."""
 
     kind = "regression"  # the checkpoint kind of ``descriptor``
+    dim = 2  # a data row is (x, y)
     NET_KEYS = ("feature_theta", "y_theta", "head_theta")  # the checkpoint key of each of ``nets``
     carrier = None  # Lebesgue measure until ``train_regression`` sets one
 
@@ -197,11 +198,26 @@ class ConditionalEnergyModel(NetGroup):
 
     def descriptor(self, normalizer) -> dict:
         """The checkpoint fields of the model, its carrier (``eval_proposal``) and
-        its ``NormalizerNet`` or None, which ``models.from_descriptor`` reads back."""
+        its ``NormalizerNet`` or None, which ``from_descriptor`` reads back."""
         nets = {key: serialize.fmt_vector(net.theta) for key, net in zip(self.NET_KEYS, self.nets)}
         return {"kind": self.kind, **nets,
                 "normalizer_phi": serialize.fmt_vector(normalizer.theta) if normalizer is not None else None,
                 "eval_proposal": self.carrier.descriptor()}
+
+    @classmethod
+    def from_descriptor(cls, desc: dict):
+        """(model with its carrier, ``NormalizerNet`` or None) from
+        ``descriptor``'s fields. A missing key is a KeyError, any other fault
+        a ValueError naming the key, among them a carrier that is not 1-D."""
+        model = cls()
+        for key, net in zip(model.NET_KEYS, model.nets):
+            net.theta = serialize.parse(desc, key, (net.n_params,))
+        with serialize.named("eval_proposal"):
+            model.carrier = proposals.from_descriptor(desc["eval_proposal"], 1)
+        normalizer = NormalizerNet() if desc["normalizer_phi"] is not None else None
+        if normalizer is not None:
+            normalizer.theta = serialize.parse(desc, "normalizer_phi", (normalizer.n_params,))
+        return model, normalizer
 
 
 class NormalizerNet(NetGroup):

@@ -437,10 +437,15 @@ class TestDensityPipeline:
          "checkpoint value is malformed: proposal: has dimension 3; the model needs 2"),
         (lambda p: {**p, "base": {"kind": "standard_gaussian", "dim": 3}},
          "checkpoint value is malformed: base: has dimension 3; the model needs 2"),
+        (lambda p: {**p, "widths": [2.9, *p["widths"][1:]]},
+         "checkpoint value is malformed: widths: expected an integer of at least 1, got 2.9"),
+        (lambda p: {**p, "proposal": {"kind": "standard_gaussian", "dim": 2.9}},
+         "checkpoint value is malformed: proposal: dim: expected an integer of at least 1, got 2.9"),
+        (lambda p: {**p, "format": True}, "checkpoint format True not supported (expected 1)"),
     ], ids=["no-theta", "json-list", "bare-proposal", "null-theta", "not-json", "short-theta", "nan-theta",
             "no-data-n", "word-data-n", "small-data-n", "bare-config-line", "mystery-proposal", "unknown-dataset",
             "nan-b", "zero-scale", "inf-scale", "nan-mean", "nan-cov", "indefinite-cov", "3-d-standardizer",
-            "3-d-proposal", "3-d-base"])
+            "3-d-proposal", "3-d-base", "fractional-width", "fractional-dim", "bool-format"])
     def test_damaged_checkpoint_names_the_file_and_key(self, tmp_path, capsys, command, damage, named):
         run(capsys, "train", "--config", density_config(tmp_path))
         path = tmp_path / "run" / "checkpoint_best.json"

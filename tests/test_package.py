@@ -1,6 +1,7 @@
 """Package-level contracts: what importing the library pulls in, and the
 library names the benchmark harness in ``perfbench/`` patches or counts."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import snl_ebm
-from snl_ebm import evaluation, objectives, regression, training
+from snl_ebm import evaluation, nets, objectives, optim, proposals, regression, rng, training
 
 
 def fresh_import_loads(module: str) -> bool:
@@ -55,3 +56,34 @@ def test_benchmark_hook_points_exist():
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     for cls in (regression.ConditionalEnergyModel, regression.BilinearConditionalModel):
         assert callable(vars(cls).get("energy_grid_shared")), f"{cls.__name__}.energy_grid_shared"
+    # spans.py patches these in their class's own ``vars``: an inherited one is a KeyError there
+    methods = {
+        nets.Mlp: ["forward", "backward"],
+        rng.PortableRng: ["uint64", "uniform", "normal", "integers", "permutation"],
+        proposals.StandardGaussian: ["sample", "log_density"],
+        proposals.FittedGaussian: ["sample", "log_density"],
+        proposals.MdnProposal: ["sample", "log_density", "loglik_gradient"],
+    }
+    for cls, names in methods.items():
+        for name in names:
+            assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
+    assert isinstance(vars(nets.Mlp).get("theta"), property), "Mlp.theta"
+    # and it wraps these wherever a library module holds them
+    for fn in (proposals.sample_and_score, optim.adam_step):
+        assert any(fn in vars(module).values() for name, module in sys.modules.items()
+                   if name.startswith("snl_ebm.")), fn.__qualname__
+
+
+def test_models_does_not_import_the_trainers_or_the_cli():
+    # models.py holds the density models and oracles; the conditional family,
+    # the training loops, evaluation and the CLI build on it, not it on them
+    tree = ast.parse(Path(snl_ebm.__file__).with_name("models.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"regression", "training", "evaluation", "cli"}
