@@ -20,12 +20,16 @@ with one optimizer call. A ``NetGroup`` (a model or proposal made of nets)
 reads, writes and binds the parameters of its nets in that same order. ReLU
 derivative at exactly 0 is taken to be 0.
 
-Precision: parameters, gradients and every caller's arithmetic are float64.
-A ``Workspace`` carries the precision of the passes made in it, float64 by
-default: a pass in a float32 workspace casts its input and each layer's
-weights and bias to float32 and keeps float32 activations, and its backward
-pass hands back float64 gradients. Density training steps run in float32
-workspaces (``training.STEP_DTYPE``); every other pass is float64.
+Precision: parameters, parameter gradients and the arithmetic around the
+passes are float64. A ``Workspace`` carries the precision of the passes made
+in it, float64 by default: a pass in a float32 workspace casts its input and
+each layer's weights and bias to float32 and keeps float32 activations. Its
+backward pass hands back the flat parameter gradient in float64 and the input
+gradient in float32, so chained nets (feature net -> energy head -> y-branch)
+pass float32 arrays from one pass to the next with no float64 copy. The
+training steps of both families run in float32 workspaces
+(``training.STEP_DTYPE``); the callers cast the energies and b values they
+read to float64. Every other pass is float64.
 
 Forward-only passes at many rows (evaluation, validation, grid export) keep
 no cache and run in row tiles of at most ``TILE_ROWS`` rows through one
@@ -168,7 +172,7 @@ class Mlp:
         writing each tile's output into one fresh (n, out_width) array: at
         most one tile of every layer's activations is alive at once.
         """
-        h = np.asarray(x, dtype=np.float64)
+        h = np.asarray(x)
         if h.ndim != 2 or h.shape[1] != self.widths[0]:
             raise ValueError(f"expected input shape (n, {self.widths[0]}), got {h.shape}")
         if keep_cache or workspace is not None or h.shape[0] <= TILE_ROWS:
@@ -202,8 +206,10 @@ class Mlp:
 
         Returns the flat parameter gradient, or (flat gradient, input gradient)
         when ``need_input_grad`` is set. Gradients are of sum_n <cotangent_n, out_n>.
-        Both are fresh float64 arrays; the pass runs in the cache's dtype, and a
-        ``workspace`` holds only the intermediates.
+        Both are fresh arrays: the flat gradient float64, the input gradient in
+        the cache's dtype, which the pass runs in (so a float32 pass hands it to
+        the next net's float32 pass without a copy); a ``workspace`` holds only
+        the intermediates.
         """
         acts = cache
         g = np.asarray(cotangent, dtype=acts[-1].dtype)
@@ -224,9 +230,13 @@ class Mlp:
             if i > 0 or need_input_grad:
                 # the input gradient is returned, so it never lives in the workspace
                 out = _scratch(workspace, (id(self), "grad", i), (g.shape[0], w.shape[0])) if i > 0 else None
-                g = np.matmul(g, w.T, out=out)
+                # a layer one unit wide makes this an outer product: a broadcast
+                # multiply takes about half the time of a k = 1 GEMM and makes the
+                # same products, but keeps the sign of a zero one, where BLAS
+                # gives +0 (OpenBLAS 0.3.31)
+                g = np.multiply(g, w.T, out=out) if w.shape[1] == 1 else np.matmul(g, w.T, out=out)
         if need_input_grad:
-            return flat, g.astype(np.float64, copy=False)
+            return flat, g
         return flat
 
 

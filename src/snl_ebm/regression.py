@@ -57,7 +57,7 @@ from .objectives import bound_pair, check_finite_energies, divergence_diagnostic
 from .optim import AdamState, adam_step
 from .proposals import MdnProposal, StandardGaussian, fit_gaussian
 from .rng import PortableRng
-from .training import config_problems, raise_problems, run_epochs
+from .training import STEP_DTYPE, config_problems, raise_problems, run_epochs
 
 FEATURE_WIDTHS = [1, 10, 10, 10]
 Y_WIDTHS = [1, 16, 32, 64, 128]
@@ -110,7 +110,8 @@ class ConditionalEnergyModel(NetGroup):
         return h
 
     def features_vjp_prepared(self, x: np.ndarray, workspace=None):
-        """(h, vjp): the features h_x and vjp(d_h), the flat gradient of theta's feature part."""
+        """(h, vjp): the features h_x, in the workspace's dtype, and vjp(d_h),
+        the flat gradient of theta's feature part."""
         h, cache = self.feature_net.forward(np.asarray(x, dtype=np.float64).reshape(-1, 1), workspace=workspace)
         return h, lambda d_h: self.feature_net.backward(cache, d_h, workspace=workspace)
 
@@ -118,7 +119,8 @@ class ConditionalEnergyModel(NetGroup):
         """(E(x_i, y_i) (n,), E(x_i, y_ij) (n, m), vjp) at the features h of
         the x_i; vjp(d_data, d_samples) is (the flat gradient of the rest of
         theta, d_h). Data and draw rows share one y-branch and one head pass,
-        data rows first, made in ``workspace`` when one is given."""
+        data rows first, made in ``workspace`` when one is given; the energies
+        come back as float64 and d_h in the workspace's dtype."""
         n, m = ys.shape
         k = h.shape[1]
         y_all = np.concatenate([y, ys.ravel()]).reshape(-1, 1)
@@ -138,7 +140,8 @@ class ConditionalEnergyModel(NetGroup):
             g_y = self.y_net.backward(cache_y, d_g, workspace=workspace)
             return np.concatenate([g_y, g_head]), d_h_rows[:n] + d_h_rows[n:].reshape(n, m, k).sum(axis=1)
 
-        return e_all[:n, 0], e_all[n:, 0].reshape(n, m), vjp
+        e_all = e_all[:, 0].astype(np.float64, copy=False)
+        return e_all[:n], e_all[n:].reshape(n, m), vjp
 
     def energy_pairs(self, x: np.ndarray, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         """E(x_i, y_i); ``h`` is ``features(x)`` when the caller already has it."""
@@ -232,10 +235,11 @@ class NormalizerNet(NetGroup):
         return out[:, 0]
 
     def values_vjp_prepared(self, h: np.ndarray, workspace=None):
-        """(b_phi(h) (n,), vjp): vjp(d_b) is (the flat gradient of phi, d_h)."""
+        """(b_phi(h) (n,) in float64, vjp): vjp(d_b) is (the flat gradient of
+        phi, d_h in the workspace's dtype)."""
         out, cache = self.net.forward(h, workspace=workspace)
-        return out[:, 0], lambda d_b: self.net.backward(cache, d_b.reshape(-1, 1), need_input_grad=True,
-                                                       workspace=workspace)
+        return out[:, 0].astype(np.float64, copy=False), lambda d_b: self.net.backward(
+            cache, d_b.reshape(-1, 1), need_input_grad=True, workspace=workspace)
 
 
 class BilinearConditionalModel:
@@ -321,8 +325,10 @@ def _regression_step(model, normalizer, h, features_vjp, y, ys, log_q, log_q_dat
     h/features_vjp are ``model.features_vjp_prepared`` at the batch inputs,
     shared with the proposal; ys/log_q are the per-point draws (n, m), and
     log_q_data is q at the observed pairs (read by NCE only). The passes are
-    made in ``workspace`` (a ``nets.Workspace``) when the loop gives one, and
-    ``objectives.step_terms`` does the step math with one group per point.
+    made in ``workspace`` (a ``nets.Workspace``) when the loop gives one, in
+    its precision (``STEP_DTYPE`` in ``train_regression``), and
+    ``objectives.step_terms`` does the step math in float64 with one group
+    per point.
     """
     e_data, e_samp, energy_vjp = model.energy_vjp_prepared(h, y, ys, workspace)
     b_vals, normalizer_vjp = (normalizer.values_vjp_prepared(h, workspace) if normalizer is not None
@@ -377,7 +383,7 @@ def train_regression(model, normalizer, proposal, train_pairs, val_pairs, config
     if mdn is not None:
         mdn_params = bind(mdn.nets)
         mdn_opt = AdamState.fresh(mdn_params.size)
-    workspace = Workspace()
+    workspace = Workspace(STEP_DTYPE)
     batch = None  # (MDN heads, targets) of the last step, which the MDN refit reads
 
     def step(rows):

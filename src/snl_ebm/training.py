@@ -39,13 +39,15 @@ from .rng import PortableRng
 
 DIVERGENCE_PATIENCE = 5  # skipped (non-finite) steps in a row after which a run raises
 
-# Precision of the forward and backward passes of a density training step
-# (``nets.Workspace``); b, the optimizer, ``step_terms`` and validation stay
-# float64. On the 2-200-100-50-50-1 net at 1024 draws, float32 rounding moves
-# the step gradient by about 4e-6 of its Monte Carlo std over draw batches
-# (``tests/test_training.py`` bounds it), and the step took 36 % less time
-# (2-CPU host, OpenBLAS 0.3.31). Conditional steps stay float64: in float32
-# they moved regression benchmark seeds by up to 0.30 nats.
+# Precision of the forward and backward passes of a training step, density and
+# conditional (``nets.Workspace``); b, the optimizer, ``step_terms``, the MDN
+# proposal and its refit, validation and evaluation stay float64. Float32
+# rounding moves the step gradient by far less than its Monte Carlo std over
+# draw batches: about 4e-6 of it on the 2-200-100-50-50-1 density net at 1024
+# draws, and at most 1.3e-5 on the conditional nets at 64 points x 16 draws
+# (``tests/test_training.py`` bounds both). The density step took 36 % less
+# time, and a regression training step with its MDN refit 23 % less (2-CPU
+# host, OpenBLAS 0.3.31).
 STEP_DTYPE = np.float32
 
 

@@ -594,6 +594,11 @@ def test_density_benchmark_levels_and_snl_nce_ordering():
     assert not problems, "; ".join(problems)
 
 
+def _mean_se(values):
+    """'mean +- standard error' of per-seed values, the error over the seeds."""
+    return f"{np.mean(values):+.4f} +- {np.std(values, ddof=1) / math.sqrt(len(values)):.4f}"
+
+
 def _regression_benchmark_run(name, objective, proposal_kind, seed):
     split = load_named(name, 2858, seed)
     x_tr, y_tr = split.train[:, 0], split.train[:, 1]
@@ -615,7 +620,7 @@ def _regression_benchmark_run(name, objective, proposal_kind, seed):
         rng=PortableRng(seed).split("evaluate"),
         normalizer_fn=lambda xs: normalizer.values(model.features(xs)),
     )
-    return report.l_is
+    return report
 
 
 @pytest.mark.slow
@@ -631,13 +636,22 @@ def test_regression_benchmark_levels_and_snl_nce_ordering():
         ("regression2", "snl", "fitted"),
         ("regression2", "nce", "fitted"),
     ]
-    means = {}
+    means, vals = {}, {}
     for name, objective, kind in cells:
-        vals = [_regression_benchmark_run(name, objective, kind, seed)
-                for seed in range(5)]
-        means[name, objective] = float(np.mean(vals))
-        print(f"{name} {objective} {kind}: per-seed {np.round(vals, 4).tolist()} "
+        started = time.perf_counter()
+        reports = [_regression_benchmark_run(name, objective, kind, seed)
+                   for seed in range(5)]
+        seconds = time.perf_counter() - started
+        vals[name, objective] = np.array([r.l_is for r in reports])
+        means[name, objective] = float(np.mean(vals[name, objective]))
+        print(f"{name} {objective} {kind}: per-seed {np.round(vals[name, objective], 4).tolist()} "
               f"mean {means[name, objective]:.4f}")
+        print(f"  mean {_mean_se(vals[name, objective])}, {seconds:.0f}s; per-seed "
+              f"l_is_se {[round(r.l_is_se, 4) for r in reports]}, "
+              f"l_is - l_snl {[round(r.l_is - r.l_snl, 4) for r in reports]}")
+    for name in ("regression1", "regression2"):
+        print(f"{name} snl - nce, paired over seeds: "
+              f"{_mean_se(vals[name, 'snl'] - vals[name, 'nce'])}")
 
     problems = []
     level = means["regression1", "snl"]

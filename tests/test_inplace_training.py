@@ -160,9 +160,10 @@ def regression_setup():
 
 def reference_regression(config, x, y, model, norm, proposal):
     """``train_regression`` for one epoch of three steps, rebuilt from
-    ``_regression_step`` with pure Adam (and the MDN refit when ``proposal``
-    is an ``MdnProposal``) on the carrier fitted to ``y``; returns the number
-    of energy and MDN steps."""
+    ``_regression_step`` in the trainer's float32 workspace with pure Adam
+    (and the MDN refit when ``proposal`` is an ``MdnProposal``) on the carrier
+    fitted to ``y``; returns the number of energy and MDN steps."""
+    workspace = Workspace(training.STEP_DTYPE)
     model.carrier = fit_gaussian(y.reshape(-1, 1))
     mdn = proposal if isinstance(proposal, MdnProposal) else None
     root = PortableRng(config.seed)
@@ -174,14 +175,14 @@ def reference_regression(config, x, y, model, norm, proposal):
     order = shuffle_rng.split_index(0).permutation(48)
     for lo in range(0, 48, 16):  # three steps
         idx = order[lo : lo + 16]
-        h, features_vjp = model.features_vjp_prepared(x[idx])
+        h, features_vjp = model.features_vjp_prepared(x[idx], workspace)
         ys, log_q, heads = regression._propose(proposal, proposal_rng, h, idx.size, config.samples_per_point)
         log_q_data = None
         if config.objective == "nce":
             log_q_data = (mdn.log_density(heads, y[idx][:, None])[:, 0] if mdn is not None
                           else proposal.log_density(y[idx].reshape(-1, 1)))
         _, grad, _ = regression._regression_step(model, norm, h, features_vjp, y[idx], ys, log_q,
-                                                 log_q_data, config.objective, None)
+                                                 log_q_data, config.objective, None, workspace)
         m, v, t, step = pure_adam(m, v, t, grad, config.learning_rate)
         params = np.concatenate([model.theta] + ([norm.theta] if norm is not None else [])) + step
         model.theta = params[:n_theta]

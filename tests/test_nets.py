@@ -322,7 +322,7 @@ def test_float32_workspace_passes_give_float32_activations_and_float64_gradients
     out, cache = net.forward(x, workspace=ws)
     flat, gx = net.backward(cache, cot, need_input_grad=True, workspace=ws)
     assert out.dtype == np.float32 and all(a.dtype == np.float32 for a in cache)
-    assert flat.dtype == np.float64 and gx.dtype == np.float64
+    assert flat.dtype == np.float64 and gx.dtype == np.float32  # gx feeds the previous net's float32 pass
     assert net.params.dtype == np.float64  # the parameters themselves are never cast
     assert ws.array("k", (2,)).dtype == np.float32 and ws.array("m", (2,), bool).dtype == bool
     want_out, want_flat, want_gx = plain_passes(net, x, cot)
@@ -330,3 +330,35 @@ def test_float32_workspace_passes_give_float32_activations_and_float64_gradients
     np.testing.assert_allclose(flat, want_flat, rtol=1e-5, atol=1e-5)
     np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-6)
     assert not np.array_equal(flat, want_flat)  # the pass did run in float32
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_unit_wide_layer_input_gradient_has_the_products_of_a_matmul(dtype):
+    # A layer one unit wide makes its input gradient the outer product of the
+    # cotangent and the weights, which backward forms by a broadcast multiply
+    # instead of a k = 1 matmul. Every product keeps the matmul's bits; a zero
+    # product (an exact-zero cotangent row, as underflowed weights make) keeps
+    # its sign, where BLAS gives +0, and so equals the matmul's only in value.
+    net = Mlp([50, 1], PortableRng(5))
+    x = PortableRng(6).normal((1056, 50))
+    cot = PortableRng(7).normal((1056, 1))
+    cot[::3] = 0.0
+    _, cache = net.forward(x, workspace=Workspace(dtype))
+    _, gx = net.backward(cache, cot, need_input_grad=True, workspace=Workspace(dtype))
+    g, w = cot.astype(dtype), net.weights[0].astype(dtype)
+    want = np.matmul(g, w.T)
+    assert gx.dtype == dtype
+    np.testing.assert_array_equal(gx, want)
+    nonzero = want != 0.0
+    assert nonzero.any() and not nonzero.all()
+    assert np.array_equal(gx[nonzero].view(np.uint8), want[nonzero].view(np.uint8))
+    assert np.array_equal(gx.view(np.uint8), (g * w.T).view(np.uint8))
+    # through a whole net the values are those of plain numpy with matmuls
+    net = Mlp([3, 9, 6, 1], PortableRng(5))
+    x = PortableRng(6).normal((11, 3))
+    cot = PortableRng(7).normal((11, 1))
+    cot[::3] = 0.0
+    out, cache = net.forward(x)
+    flat, gx = net.backward(cache, cot, need_input_grad=True)
+    for got, want in zip((out, flat, gx), plain_passes(net, x, cot)):
+        np.testing.assert_array_equal(got, want)
