@@ -16,17 +16,14 @@ from .errors import (
     NonFiniteObjectiveError,
     SnlError,
     TrainingDivergedError,
-    UnsupportedExactFormError,
 )
 from .evaluation import evaluate
-from .models import BinaryCubeModel, GaussianMeanModel, MlpEnergy
+from .models import GaussianMeanModel, MlpEnergy
 from .proposals import (
-    ExhaustiveCube,
     FittedGaussian,
     MdnProposal,
     StandardGaussian,
     UniformBox,
-    UniformCube,
     fit_gaussian,
 )
 from .regression import (
@@ -44,12 +41,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearConditionalModel",
-    "BinaryCubeModel",
     "ConditionalEnergyModel",
     "ConfigError",
     "DegenerateProposalError",
     "EnergyEvaluationError",
-    "ExhaustiveCube",
     "FittedGaussian",
     "GaussianMeanModel",
     "MdnProposal",
@@ -63,8 +58,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "UniformBox",
-    "UniformCube",
-    "UnsupportedExactFormError",
     "eval_regression_l_is",
     "evaluate",
     "fit_gaussian",

@@ -45,10 +45,6 @@ class TrainingDivergedError(SnlError):
         )
 
 
-class UnsupportedExactFormError(SnlError):
-    """Requested a closed form the model does not have."""
-
-
 class ConfigError(SnlError):
     """Invalid run configuration. ``problems`` lists every issue found."""
 

@@ -1,7 +1,7 @@
-"""Energy models: closed-form exponential-family oracles and MLP energies.
+"""Energy models: a closed-form exponential-family oracle and MLP energies.
 
-The oracles, ``GaussianMeanModel`` and ``BinaryCubeModel``, are exponential
-families E(x) = -theta . T(x) whose log Z and its gradient are exact.
+The oracle, ``GaussianMeanModel``, is an exponential family E(x) = -theta . T(x)
+whose log Z and its gradient are exact.
 
 A model is E_theta(x) plus an optional base density d(x) and a declared
 reference measure. Two conventions coexist and are made explicit per model:
@@ -27,16 +27,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import proposals, serialize
-from .errors import UnsupportedExactFormError
 from .nets import Mlp, NetGroup
-from .proposals import StandardGaussian, cube_states
+from .proposals import StandardGaussian
 from .rng import PortableRng
 
 DENSITY_WIDTHS = [2, 200, 100, 50, 50, 1]
 
 
 class EnergyModel:
-    """Contract shared by all unconditional energy models."""
+    """Contract shared by all unconditional energy models. A model also has
+    ``energy_vjp_prepared(x, workspace=None)``, which returns (energies, vjp):
+    vjp(cotangent) is sum_i cotangent_i * dE(x_i)/dtheta as a flat vector. MLP
+    energies share one forward pass between the two, made in ``workspace`` (a
+    ``nets.Workspace``) when one is given; the trainers also take ``theta``,
+    ``n_params`` and ``bind``, as ``nets.NetGroup`` gives them."""
 
     dim: int
     base = None
@@ -45,50 +49,16 @@ class EnergyModel:
     def energy(self, x: np.ndarray) -> np.ndarray:
         return self.energy_vjp_prepared(x)[0]
 
-    def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
-        """(energies, vjp): vjp(cotangent) is sum_i cotangent_i * dE(x_i)/dtheta
-        as a flat vector. MLP energies share one forward pass between the two,
-        made in ``workspace`` (a ``nets.Workspace``) when one is given."""
-        raise NotImplementedError
-
-    @property
-    def theta(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def bind(self, buffer: np.ndarray) -> None:
-        """Move the parameters into ``buffer`` (flat, ``n_params`` long) and
-        keep them there, so that in-place updates of it change the model."""
-        raise NotImplementedError
-
-    @property
-    def n_params(self) -> int:
-        return self.theta.shape[0]
-
     def unnorm_log_density(self, x: np.ndarray) -> np.ndarray:
         u = -self.energy(x)
         if self.base is not None and not self.base_is_carrier:
             u = u + self.base.log_density(x)
         return u
 
-    # closed forms; only the oracles implement these
-    def exact_log_z(self) -> float:
-        raise UnsupportedExactFormError(f"{type(self).__name__} has no closed-form normalizer")
-
-    def exact_log_z_grad(self) -> np.ndarray:
-        raise UnsupportedExactFormError(f"{type(self).__name__} has no closed-form normalizer")
-
-    def exact_log_likelihood(self, data: np.ndarray) -> float:
-        """mean_i -E(x_i) - log Z, relative to the model's reference measure."""
-        return float(np.mean(-self.energy(data))) - self.exact_log_z()
-
 
 class LinearOracle(EnergyModel):
-    """E(x) = -theta . T(x), the shared form of the oracles, with the
-    sufficient statistic T(x) = ``statistic(x)`` of shape (n, n_params)."""
+    """E(x) = -theta . T(x), the shared form of exponential-family oracles, with
+    the sufficient statistic T(x) = ``statistic(x)`` of shape (n, n_params)."""
 
     def __init__(self, theta):
         self._theta = np.array(theta, dtype=np.float64).ravel()
@@ -101,6 +71,10 @@ class LinearOracle(EnergyModel):
     def theta(self, value: np.ndarray) -> None:
         self._theta[...] = np.asarray(value, dtype=np.float64).reshape(self._theta.shape)
 
+    @property
+    def n_params(self) -> int:
+        return self._theta.shape[0]
+
     def bind(self, buffer: np.ndarray) -> None:
         buffer[...] = self._theta
         self._theta = buffer
@@ -108,6 +82,10 @@ class LinearOracle(EnergyModel):
     def energy_vjp_prepared(self, x: np.ndarray, workspace=None):
         t = self.statistic(x)
         return -(t @ self._theta), lambda cotangent: -(cotangent @ t)
+
+    def exact_log_likelihood(self, data: np.ndarray) -> float:
+        """mean_i -E(x_i) - log Z, relative to the model's reference measure."""
+        return float(np.mean(-self.energy(data))) - self.exact_log_z()
 
 
 class GaussianMeanModel(LinearOracle):
@@ -133,30 +111,6 @@ class GaussianMeanModel(LinearOracle):
 
     def exact_log_z_grad(self) -> np.ndarray:
         return self._theta.copy()
-
-
-class BinaryCubeModel(LinearOracle):
-    """Fully visible Boltzmann machine on {0, 1}^dim under counting measure:
-    T(x) = (x_i for each i; x_i x_j for i < j, row-major), dim(dim+1)/2
-    parameters (``theta`` may be one value for all), Z summed over the 2^dim
-    states. dim = 1 is the Bernoulli family, Z = 1 + e^theta."""
-
-    def __init__(self, dim: int, theta=0.0):
-        self.dim = int(dim)
-        super().__init__(np.broadcast_to(np.asarray(theta, dtype=np.float64), (self.dim * (self.dim + 1) // 2,)))
-
-    def statistic(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        i, j = np.triu_indices(self.dim, 1)
-        return np.concatenate([x, x[:, i] * x[:, j]], axis=1)
-
-    def exact_log_z(self) -> float:
-        return float(np.logaddexp.reduce(self.statistic(cube_states(self.dim)) @ self._theta))
-
-    def exact_log_z_grad(self) -> np.ndarray:
-        t = self.statistic(cube_states(self.dim))
-        u = t @ self._theta
-        return np.exp(u - np.logaddexp.reduce(u)) @ t
 
 
 class MlpEnergy(NetGroup, EnergyModel):

@@ -1,8 +1,7 @@
 """Proposal and base distributions, and proposal fitting.
 
 Unconditional distributions expose log_density/sample, and those a
-checkpoint stores (the Gaussians and the box) serialize to plain descriptors;
-``ExhaustiveCube.sample`` returns all of {0, 1}^d, not draws.
+checkpoint stores (the Gaussians and the box) serialize to plain descriptors.
 The mixture-density proposal is conditional: its parameter heads map a fixed
 feature vector per data point to mixture weights, means, and scales, and
 regression training refits it by one maximum-likelihood step
@@ -134,36 +133,9 @@ class UniformBox:
         }
 
 
-def cube_states(dim: int) -> np.ndarray:
-    """The 2^dim points of {0, 1}^dim, one per row, in binary counting order."""
-    return ((np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1).astype(np.float64)
-
-
-class UniformCube:
-    """Uniform on the 2^dim points of {0, 1}^dim (probability 2^-dim each)."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        on_cube = np.all(np.isin(x, (0.0, 1.0)), axis=1)
-        return np.where(on_cube, -self.dim * np.log(2.0), -np.inf)
-
-    def sample(self, rng: PortableRng, n: int) -> np.ndarray:
-        return rng.integers(n * self.dim, 2).astype(np.float64).reshape(n, self.dim)
-
-
-class ExhaustiveCube(UniformCube):
-    """Enumerates {0, 1}^dim instead of sampling: ``sample`` returns each state
-    once and reads no stream, so the weight mean sum_x e^{-E(x)} is Z exactly."""
-
-    def sample(self, rng: PortableRng, n: int) -> np.ndarray:
-        return cube_states(self.dim)
-
-
 def sample_and_score(proposal, rng: PortableRng, m: int, base=None) -> ImportanceBatch:
-    """Draw M points (an enumerating proposal: its support) and score them
-    once: each draw's ``measure_term`` against ``base`` (None: no base)."""
+    """Draw M points and score them once: each draw's ``measure_term``
+    against ``base`` (None: no base)."""
     samples = proposal.sample(rng, m)
     return ImportanceBatch(samples, measure_term(base, samples, proposal.log_density(samples)))
 

@@ -5,9 +5,10 @@ gradients, the closed-form gradients of models with an exact normalizer, a
 1-D maximization over b, quadrature with the generalized KL divergence,
 single-point energy gradients and weight numerators, the importance-weight
 mean with its standard error, a maximum-likelihood fit of the MDN proposal,
-and a trainable closed-form conditional oracle. The package trains and
-validates through ``objectives.step_terms`` and evaluates through
-``objectives.bound_pair``; nothing in it imports this module.
+a trainable closed-form conditional oracle, and the binary-cube oracle: a
+fully visible Boltzmann machine with its uniform and enumerating proposals.
+The package trains and validates through ``objectives.step_terms`` and
+evaluates through ``objectives.bound_pair``; nothing in it imports this module.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit, log_expit
 
 from snl_ebm.errors import NonFiniteObjectiveError
+from snl_ebm.models import LinearOracle
 from snl_ebm.nets import bind
 from snl_ebm.objectives import ImportanceBatch, estimate_z, log_weights, logsumexp
 from snl_ebm.optim import AdamState, adam_step
@@ -424,3 +426,57 @@ class LinearNormalizer(FlatParameters):
     def values_vjp_prepared(self, h: np.ndarray, workspace=None):
         w = self._flat[:-1].copy()
         return self.values(h), lambda d_b: (np.append(d_b @ h, d_b.sum()), np.outer(d_b, w))
+
+
+# -- binary-cube oracle -------------------------------------------------------
+
+
+def cube_states(dim: int) -> np.ndarray:
+    """The 2^dim points of {0, 1}^dim, one per row, in binary counting order."""
+    return ((np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1).astype(np.float64)
+
+
+class UniformCube:
+    """Uniform on the 2^dim points of {0, 1}^dim (probability 2^-dim each)."""
+
+    def __init__(self, dim: int):
+        self.dim = int(dim)
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        on_cube = np.all(np.isin(x, (0.0, 1.0)), axis=1)
+        return np.where(on_cube, -self.dim * np.log(2.0), -np.inf)
+
+    def sample(self, rng: PortableRng, n: int) -> np.ndarray:
+        return rng.integers(n * self.dim, 2).astype(np.float64).reshape(n, self.dim)
+
+
+class ExhaustiveCube(UniformCube):
+    """Enumerates {0, 1}^dim instead of sampling: ``sample`` returns each state
+    once and reads no stream, so the weight mean sum_x e^{-E(x)} is Z exactly."""
+
+    def sample(self, rng: PortableRng, n: int) -> np.ndarray:
+        return cube_states(self.dim)
+
+
+class BinaryCubeModel(LinearOracle):
+    """Fully visible Boltzmann machine on {0, 1}^dim under counting measure:
+    T(x) = (x_i for each i; x_i x_j for i < j, row-major), dim(dim+1)/2
+    parameters (``theta`` may be one value for all), Z summed over the 2^dim
+    states. dim = 1 is the Bernoulli family, Z = 1 + e^theta."""
+
+    def __init__(self, dim: int, theta=0.0):
+        self.dim = int(dim)
+        super().__init__(np.broadcast_to(np.asarray(theta, dtype=np.float64), (self.dim * (self.dim + 1) // 2,)))
+
+    def statistic(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        i, j = np.triu_indices(self.dim, 1)
+        return np.concatenate([x, x[:, i] * x[:, j]], axis=1)
+
+    def exact_log_z(self) -> float:
+        return float(np.logaddexp.reduce(self.statistic(cube_states(self.dim)) @ self._theta))
+
+    def exact_log_z_grad(self) -> np.ndarray:
+        t = self.statistic(cube_states(self.dim))
+        u = t @ self._theta
+        return np.exp(u - np.logaddexp.reduce(u)) @ t

@@ -28,15 +28,12 @@ from scipy.optimize import minimize
 
 from snl_ebm.datasets import fit_standardizer, load_named
 from snl_ebm.evaluation import evaluate
-from snl_ebm.models import DENSITY_WIDTHS, BinaryCubeModel, GaussianMeanModel, MlpEnergy
+from snl_ebm.models import DENSITY_WIDTHS, GaussianMeanModel, MlpEnergy
 from snl_ebm.objectives import estimate_z
 from snl_ebm.proposals import (
-    ExhaustiveCube,
     FittedGaussian,
     StandardGaussian,
     UniformBox,
-    UniformCube,
-    cube_states,
     fit_gaussian,
     sample_and_score,
 )
@@ -53,8 +50,12 @@ from snl_ebm.rng import PortableRng
 from snl_ebm.training import TrainConfig, train_density
 from snl_ebm.proposals import MdnProposal
 from reference import (
+    BinaryCubeModel,
+    ExhaustiveCube,
     LinearNormalizer,
     TrainableBilinearModel,
+    UniformCube,
+    cube_states,
     generalized_kl,
     maximize_over_b,
     snl_gradients,
@@ -539,6 +540,11 @@ def test_bilinear_conditional_oracle_training_recovers_conditional_mle(seed):
 # -- benchmark reproductions (slow) ---------------------------------------------
 
 
+def _mean_se(values):
+    """'mean +- standard error' of per-seed values, the error over the seeds."""
+    return f"{np.mean(values):+.4f} +- {np.std(values, ddof=1) / math.sqrt(len(values)):.4f}"
+
+
 def _density_benchmark_run(name, objective, seed):
     split = load_named(name, 10000, seed)
     split = fit_standardizer(split.train).transform_split(split)
@@ -556,7 +562,7 @@ def _density_benchmark_run(name, objective, seed):
     result = train_density(model, proposal, split.train, split.val, cfg)
     rep = evaluate(model, result.state.b, {"test": split.test}, proposal,
                    n_samples=20000, seed=seed)
-    return rep.splits[0].l_is
+    return rep.splits[0]
 
 
 @pytest.mark.slow
@@ -567,14 +573,22 @@ def test_density_benchmark_levels_and_snl_nce_ordering():
     objective should do at least as well as the contrastive baseline."""
     t0 = time.perf_counter()
     reference = {"checkerboard": -1.902, "four_circles": -1.914}
-    means = {}
+    means, vals = {}, {}
     for name in ("checkerboard", "four_circles"):
         for objective in ("snl", "nce"):
-            vals = [_density_benchmark_run(name, objective, seed)
-                    for seed in range(5)]
-            means[name, objective] = float(np.mean(vals))
-            print(f"{name} {objective}: per-seed {np.round(vals, 4).tolist()} "
+            started = time.perf_counter()
+            reports = [_density_benchmark_run(name, objective, seed)
+                       for seed in range(5)]
+            seconds = time.perf_counter() - started
+            vals[name, objective] = np.array([r.l_is for r in reports])
+            means[name, objective] = float(np.mean(vals[name, objective]))
+            print(f"{name} {objective}: per-seed {np.round(vals[name, objective], 4).tolist()} "
                   f"mean {means[name, objective]:.4f}")
+            print(f"  mean {_mean_se(vals[name, objective])}, {seconds:.0f}s; per-seed "
+                  f"l_is_se {[round(r.l_is_se, 4) for r in reports]}, "
+                  f"l_is - l_snl {[round(r.l_is - r.l_snl, 4) for r in reports]}")
+        print(f"{name} snl - nce, paired over seeds: "
+              f"{_mean_se(vals[name, 'snl'] - vals[name, 'nce'])}")
     elapsed = time.perf_counter() - t0
 
     problems = []
@@ -592,11 +606,6 @@ def test_density_benchmark_levels_and_snl_nce_ordering():
     print(f"density benchmark: {elapsed:.0f}s, " +
           ("all checks passed" if not problems else "; ".join(problems)))
     assert not problems, "; ".join(problems)
-
-
-def _mean_se(values):
-    """'mean +- standard error' of per-seed values, the error over the seeds."""
-    return f"{np.mean(values):+.4f} +- {np.std(values, ddof=1) / math.sqrt(len(values)):.4f}"
 
 
 def _regression_benchmark_run(name, objective, proposal_kind, seed):

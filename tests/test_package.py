@@ -1,10 +1,12 @@
-"""Package-level contracts: what importing the library pulls in, and the
-library names the benchmark harness in ``perfbench/`` patches or counts."""
+"""Package-level contracts: what importing the library pulls in, the
+library names the benchmark harness in ``perfbench/`` patches or counts, and
+that the package holds no code only the tests reach."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,28 @@ def test_models_does_not_import_the_trainers_or_the_cli():
                 imported.add(node.module.split(".")[-1])
             imported.update(alias.name for alias in node.names)
     assert not imported & {"regression", "training", "evaluation", "cli"}
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each name appears in ``tree`` as a Name, an Attribute or an import alias."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return Counter(getattr(node, fields[type(node)]).split(".")[-1] for node in ast.walk(tree) if type(node) in fields)
+
+
+def test_every_module_level_definition_is_used_outside_the_tests():
+    """Each module-level class and function of the package (``__init__.py``
+    aside) is named in the package outside its own definition, or in the
+    benchmark harness ``perfbench/``: code that only the tests reach belongs
+    in ``tests/reference.py``. ``__init__.py``'s re-exports do not count as a
+    use. Methods are out of scope, since the oracles keep closed forms, such
+    as ``exact_log_z``, that only the tests call."""
+    modules = [p for p in sorted(Path(snl_ebm.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    trees = {path.stem: ast.parse(path.read_text()) for path in modules}
+    harness = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert harness, "perfbench/ not found next to tests/"
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    used += sum((_names(ast.parse(path.read_text())) for path in harness), Counter())
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+              and used[node.name] <= _names(node)[node.name]]
+    assert not unused, f"reached only from the tests: {unused}"

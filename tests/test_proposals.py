@@ -10,16 +10,14 @@ from snl_ebm.errors import DegenerateProposalError
 from snl_ebm.proposals import (
     FittedGaussian,
     MdnProposal,
-    ExhaustiveCube,
     StandardGaussian,
     UniformBox,
-    UniformCube,
     fit_gaussian,
     from_descriptor,
     sample_and_score,
 )
 from snl_ebm.rng import PortableRng
-from reference import mdn_log_likelihood, mdn_log_likelihood_and_fit
+from reference import ExhaustiveCube, UniformCube, mdn_log_likelihood, mdn_log_likelihood_and_fit
 
 
 class TestStandardGaussian:

@@ -6,11 +6,11 @@ import pytest
 from snl_ebm import regression, training
 from snl_ebm.errors import TrainingDivergedError
 from snl_ebm.datasets import fit_standardizer, load_named
-from snl_ebm.models import DENSITY_WIDTHS, BinaryCubeModel, GaussianMeanModel, MlpEnergy
+from snl_ebm.models import DENSITY_WIDTHS, GaussianMeanModel, MlpEnergy
 from snl_ebm.nets import Workspace
 from snl_ebm.objectives import divergence_diagnostics, estimate_z, log_weights, step_terms
 from snl_ebm.optim import AdamState, adam_step, check_finite_gradient, sgd_step
-from snl_ebm.proposals import ExhaustiveCube, MdnProposal, StandardGaussian, UniformCube, fit_gaussian, sample_and_score
+from snl_ebm.proposals import MdnProposal, StandardGaussian, fit_gaussian, sample_and_score
 from snl_ebm.regression import (
     FEATURE_WIDTHS,
     ConditionalEnergyModel,
@@ -29,7 +29,7 @@ from snl_ebm.training import (
     optimizer_step,
     train_density,
 )
-from reference import nce_gradients, nce_objective, snl_gradients, snl_objective
+from reference import BinaryCubeModel, ExhaustiveCube, UniformCube, nce_gradients, nce_objective, snl_gradients, snl_objective
 
 
 class TestOptim:
