@@ -31,7 +31,7 @@ import numpy as np
 from . import datasets, evaluation, regression, serialize, training
 from .errors import ConfigError, SnlError
 from .models import DENSITY_WIDTHS, MlpEnergy
-from .proposals import MdnProposal, StandardGaussian, UniformBox, fit_gaussian
+from .proposals import MdnProposal, StandardGaussian, fit_box, fit_gaussian
 from .rng import PortableRng
 
 CHECKPOINT_FORMAT = 1
@@ -335,8 +335,7 @@ def _build_proposal(config: dict, points: np.ndarray, rng: PortableRng | None):
     if kind == "standard":
         return StandardGaussian(points.shape[1])
     if kind == "uniform":
-        bounds = evaluation.data_bounds(points)
-        return UniformBox(bounds[:, 0], bounds[:, 1])
+        return fit_box(points)
     return fit_gaussian(points)
 
 
@@ -357,8 +356,8 @@ def _fit_density(config: dict, split):
 def _density_scorer(args, parts, splits, seed, dataset):
     """One seed of ``_cmd_eval``: the bound report of every split."""
     model, b, proposal = parts
-    report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed, dataset=dataset)
-    return report.lines(), {s.name: s for s in report.splits}
+    report = evaluation.evaluate(model, b, splits, proposal, n_samples=args.samples, seed=seed)
+    return [f"dataset {dataset}", *report.lines()], {s.name: s for s in report.splits}
 
 
 # -- regression pipeline ------------------------------------------------------

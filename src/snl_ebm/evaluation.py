@@ -29,9 +29,6 @@ from .objectives import bound_pair, log_weights
 from .proposals import sample_and_score
 from .rng import PortableRng
 
-BOX_MARGIN = 0.1  # relative padding per side of ``data_bounds``, the uniform proposal's box
-
-
 @dataclass(frozen=True)
 class SplitReport:
     name: str
@@ -50,7 +47,6 @@ class EvalReport:
     log_z_estimate: float
     n_samples: int
     splits: tuple[SplitReport, ...]
-    dataset: str = ""
     seed: int = 0
 
     def sandwich_violated(self) -> bool:
@@ -60,10 +56,7 @@ class EvalReport:
         return any(s.l_snl > s.l_is + 10.0 * (s.l_snl_se + s.l_is_se) for s in self.splits)
 
     def lines(self) -> list[str]:
-        out = []
-        if self.dataset:
-            out.append(f"dataset {self.dataset}")
-        out += [
+        out = [
             f"seed {self.seed}",
             f"b {self.b:.12g}",
             f"log_z_estimate {self.log_z_estimate:.12g}",
@@ -78,8 +71,7 @@ class EvalReport:
         return out
 
 
-def evaluate(model, b, splits, proposal, n_samples: int = 20000,
-             seed: int = 0, dataset: str = "") -> EvalReport:
+def evaluate(model, b, splits, proposal, n_samples: int = 20000, seed: int = 0) -> EvalReport:
     """Report both forms for every split against one shared sample set.
 
     splits maps names to data arrays; all splits reuse the same Z_hat, so
@@ -120,7 +112,6 @@ def evaluate(model, b, splits, proposal, n_samples: int = 20000,
         log_z_estimate=log_z,
         n_samples=batch.m,
         splits=tuple(reports),
-        dataset=dataset,
         seed=seed,
     )
 
@@ -164,12 +155,3 @@ def density_grid(model, b: float, bounds: np.ndarray, resolution: int) -> Densit
         unnorm_log_density=unnorm,
         log_density=unnorm - float(b),
     )
-
-
-def data_bounds(data: np.ndarray) -> np.ndarray:
-    """Bounding box of the data stretched by ``BOX_MARGIN`` of its width per side."""
-    data = np.asarray(data, dtype=np.float64)
-    lo = data.min(axis=0)
-    hi = data.max(axis=0)
-    pad = BOX_MARGIN * np.maximum(hi - lo, 1e-12)
-    return np.column_stack([lo - pad, hi + pad])

@@ -1,9 +1,9 @@
 """Adam and SGD ascent steps on flat parameter vectors.
 
-Both follow the gradient of an objective being maximized. ``adam_step``
-updates the parameter buffer and its moments in place; ``sgd_step`` returns
-the increment for the caller to add. Adam follows the standard update with
-bias correction:
+Both follow the gradient of an objective being maximized, and both update
+the parameter buffer in place (Adam its moments too); a non-finite gradient
+raises before anything is changed. SGD adds ``lr * grad``. Adam follows the
+standard update with bias correction:
 
     m_t = beta1 m_{t-1} + (1 - beta1) g
     v_t = beta2 v_{t-1} + (1 - beta2) g^2
@@ -51,8 +51,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
     """One Adam ascent step, in place on ``params`` and on ``state``.
 
     The operations are those of the update above in the same order, so the
-    result is bit-identical to evaluating it with fresh arrays. A non-finite
-    gradient raises before anything is changed.
+    result is bit-identical to evaluating it with fresh arrays.
     """
     check_finite_gradient(grad)
     t = state.t + 1
@@ -72,6 +71,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
     state.t = t
 
 
-def sgd_step(grad: np.ndarray, lr: float) -> np.ndarray:
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """One SGD ascent step, in place on ``params``."""
     check_finite_gradient(grad)
-    return lr * grad
+    params += lr * grad

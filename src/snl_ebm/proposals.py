@@ -1,7 +1,8 @@
 """Proposal and base distributions, and proposal fitting.
 
 Unconditional distributions expose log_density/sample, and those a
-checkpoint stores (the Gaussians and the box) serialize to plain descriptors.
+checkpoint stores (the Gaussians and the box) serialize to plain descriptors;
+``fit_gaussian`` and ``fit_box`` fit the last two to data.
 The mixture-density proposal is conditional: its parameter heads map a fixed
 feature vector per data point to mixture weights, means, and scales, and
 regression training refits it by one maximum-likelihood step
@@ -131,6 +132,15 @@ class UniformBox:
             "lo": serialize.fmt_vector(self.lo),
             "hi": serialize.fmt_vector(self.hi),
         }
+
+
+def fit_box(data: np.ndarray) -> UniformBox:
+    """The data's bounding box, widened by 10 % of its width on each side; a
+    constant column counts as 1e-12 wide."""
+    data = np.asarray(data, dtype=np.float64)
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    pad = 0.1 * np.maximum(hi - lo, 1e-12)
+    return UniformBox(lo - pad, hi + pad)
 
 
 def sample_and_score(proposal, rng: PortableRng, m: int, base=None) -> ImportanceBatch:

@@ -132,24 +132,16 @@ def init_b(model, batch: ImportanceBatch) -> float:
     return estimate_z(model, batch)
 
 
-def optimizer_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    kind: str = "adam",
-    opt_state: AdamState | None = None,
-) -> AdamState | None:
-    """One ascent step, in place on a flat parameter vector; returns the
-    optimizer state (None for SGD) and raises on non-finite gradients."""
+def optimizer_step(params: np.ndarray, grad: np.ndarray, lr: float, kind: str, adam: AdamState) -> None:
+    """One ascent step of optimizer ``kind``, in place on a flat parameter
+    vector (and on ``adam``, which SGD leaves alone); raises on non-finite
+    gradients."""
     if kind == "adam":
-        if opt_state is None:
-            opt_state = AdamState.fresh(params.shape[0])
-        adam_step(params, grad, opt_state, lr)
-        return opt_state
-    if kind == "sgd":
-        params += sgd_step(grad, lr)
-        return opt_state
-    raise ValueError(f"unknown optimizer {kind!r}")
+        adam_step(params, grad, adam, lr)
+    elif kind == "sgd":
+        sgd_step(params, grad, lr)
+    else:
+        raise ValueError(f"unknown optimizer {kind!r}")
 
 
 def fused_step(model, b: float, data: np.ndarray, batch: ImportanceBatch, objective: str, proposal=None, nu: float | None = None,
@@ -260,11 +252,11 @@ def train_density(
         b = init_b(model, sample_and_score(proposal, root.split("init-b"), m, base=model.base))
     val_batch = sample_and_score(proposal, root.split("validation"), m, base=model.base)
 
-    opt_state: AdamState | None = None
     workspaces = (Workspace(STEP_DTYPE), Workspace(STEP_DTYPE))
     params = np.empty(model.n_params + 1)  # [theta; b], the model views its part
     model.bind(params[:-1])
     params[-1] = float(b)
+    adam = AdamState.fresh(params.size)
 
     def step(rows):
         batch = sample_and_score(proposal, proposal_rng, m, base=model.base)
@@ -272,8 +264,7 @@ def train_density(
                           proposal=proposal, nu=config.nce_nu, workspaces=workspaces)
 
     def take(grad):
-        nonlocal opt_state
-        opt_state = optimizer_step(params, grad, config.learning_rate, config.optimizer, opt_state)
+        optimizer_step(params, grad, config.learning_rate, config.optimizer, adam)
 
     def validate(epoch):
         return step_terms(model.unnorm_log_density(val_data)[None], log_weights(model, val_batch)[None],

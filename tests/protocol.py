@@ -1,4 +1,4 @@
-"""The seven-run output protocol: train, eval and grid through the command
+"""The output protocol: generate, train, eval and grid through the command
 line, then print one SHA-256 per output file.
 
 Two versions of the package give the same outputs exactly when this script
@@ -8,19 +8,23 @@ prints the same lines for both, at the same BLAS thread count:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=../other/src python tests/protocol.py > before.txt
     diff before.txt after.txt
 
-The seven runs train for 3 epochs on built-in datasets at their default sizes:
-checkerboard SNL and NCE; four_circles SNL with a Gaussian base and the
-standard proposal; regression1 SNL and NCE with the MDN proposal; regression2
-SNL and NCE with the fitted proposal. ``eval --seeds 0,1`` scores each best
-checkpoint and ``eval --seeds 0`` each final one. ``grid`` tabulates each
-density best checkpoint at its defaults and each density final one at
-``--resolution 50 --bounds=-3,3,-2,2``. That makes 55 files: per run the train
-log, ``config.resolved``, ``metrics.csv`` and both checkpoints, then 14 eval
-reports and 6 grids. Each file is hashed with the temporary directory's path
-masked, and ``metrics.csv`` without its ``seconds`` column, the one value that
-differs between two runs of the same code. The package's location goes to
-stderr. pytest does not collect this file; it takes about 10 s on a 2-CPU
-machine.
+The eleven runs train for 3 epochs. Ten use built-in datasets at their
+default sizes: checkerboard SNL and NCE; four_circles SNL with a Gaussian base
+and the standard proposal; regression1 SNL and NCE with the MDN proposal;
+regression2 SNL and NCE with the fitted proposal; then the uniform proposal in
+checkerboard SGD, pinwheel NCE and regression1 without the normalizer head.
+The eleventh trains from ``data.path`` on the train file of a 2000-point
+funnel that ``generate`` wrote, and its evals score the generated test file
+with ``--data``. ``eval --seeds 0,1`` scores each best checkpoint and ``eval
+--seeds 0`` each final one. ``grid`` tabulates each density best checkpoint at
+its defaults and each density final one at ``--resolution 50
+--bounds=-3,3,-2,2``. That makes 93 files: the generate log and its three
+CSVs, then per run the train log, ``config.resolved``, ``metrics.csv`` and
+both checkpoints, 22 eval reports and 14 grids. Each file is hashed with the
+temporary directory's path masked, and ``metrics.csv`` without its
+``seconds`` column, the one value that differs between two runs of the same
+code. The package's location goes to stderr. pytest does not collect this
+file; it takes about 12 s on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -43,7 +47,14 @@ RUNS = {
     "regression1-nce": ["data.name=regression1", "proposal.kind=mdn", "train.objective=nce"],
     "regression2-snl": ["data.name=regression2"],
     "regression2-nce": ["data.name=regression2", "train.objective=nce"],
+    "checkerboard-sgd-uniform": ["data.name=checkerboard", "train.optimizer=sgd", "proposal.kind=uniform"],
+    "pinwheel-nce-uniform": ["data.name=pinwheel", "train.objective=nce", "proposal.kind=uniform"],
+    "regression1-uniform-nonormalizer": ["data.name=regression1", "proposal.kind=uniform", "model.normalizer=false"],
+    "funnel-path": ["data.path={train}"],
 }
+# the dataset ``generate`` writes, whose train file a data.path run trains on
+# and whose test file its evals score with ``--data``
+GENERATED = ["--dataset", "funnel", "--n", "2000"]
 EVAL_SEEDS = {"best": "0,1", "final": "0"}
 GRID_FLAGS = {"best": [], "final": ["--resolution", "50", "--bounds=-3,3,-2,2"]}
 
@@ -69,14 +80,21 @@ def digest(path: Path, root: Path) -> str:
 
 
 def run_protocol(root: Path) -> None:
+    data = root / "data"
+    data.mkdir()
+    call(data / "generate.log", "generate", *GENERATED, "--out-dir", str(data))
+    train_file, test_file = (data / f"{GENERATED[1]}_{part}.csv" for part in ("train", "test"))
     for name, settings in RUNS.items():
         out = root / name
-        overrides = [f"out.dir={out}", "train.epochs=3", *settings]
+        overrides = [f"out.dir={out}", "train.epochs=3", *(s.format(train=train_file) for s in settings)]
+        from_path = any(s.startswith("data.path=") for s in settings)
+        eval_data = ["--data", str(test_file)] if from_path else []
         out.mkdir()
         call(out / "train.log", "train", *(arg for s in overrides for arg in ("--set", s)))
         for which in ("best", "final"):
             checkpoint = str(out / f"checkpoint_{which}.json")
-            call(out / f"eval_{which}.txt", "eval", "--checkpoint", checkpoint, "--seeds", EVAL_SEEDS[which])
+            call(out / f"eval_{which}.txt", "eval", "--checkpoint", checkpoint, "--seeds", EVAL_SEEDS[which],
+                 *eval_data)
             if not name.startswith("regression"):
                 call(None, "grid", "--checkpoint", checkpoint, "--out", str(out / f"grid_{which}.csv"),
                      *GRID_FLAGS[which])

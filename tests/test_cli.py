@@ -146,6 +146,15 @@ def test_unset_train_keys_take_the_task_config_defaults(name, config_cls):
     assert config["train.optimizer"] == "adam" and config["train.mdn_learning_rate"] == 1e-3
 
 
+@pytest.mark.parametrize("name, setting", [("checkerboard", "data.standardize=auto"),
+                                           ("regression1", "data.standardize=auto"),
+                                           ("checkerboard", "train.nce_nu=auto"),
+                                           ("regression1", "train.nce_nu=auto")])
+def test_auto_resolves_as_the_unset_key(name, setting):
+    unset = [f"data.name={name}", "train.objective=nce", "out.dir=x"]
+    assert cli.read_config(None, [*unset, setting]) == cli.read_config(None, unset)
+
+
 def test_readme_key_table_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("Every config key, its default, and the runs that read it:", 1)[1].split("\n\n")[1]
@@ -366,6 +375,14 @@ class TestDensityPipeline:
         seed0 = section(out, "[seed 0]")
         assert field(seed0, "data.n") == 10
         assert np.isfinite(field(seed0, "data.l_is"))
+
+    def test_eval_of_a_path_run_needs_data(self, tmp_path, capsys):
+        data = write_points(tmp_path / "points.csv", 40, 2)
+        assert run(capsys, "train", "--config", path_config(tmp_path, data, extra=["model.widths = 2,8,1"]))[0] == 0
+        code, out, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "file" / "checkpoint_final.json"))
+        assert code == 2
+        assert out == ""
+        assert err == "checkpoint has no named dataset; pass --data\n"
 
     def test_eval_rejects_data_with_the_wrong_column_count(self, tmp_path, capsys):
         run(capsys, "train", "--config", density_config(tmp_path))
@@ -675,6 +692,7 @@ class TestUnreadKeys:
         ("density", "proposal.components=3"),         # regression with proposal.kind = mdn
         ("regression", "train.mdn_learning_rate=0.01"),  # regression with proposal.kind = mdn
         ("density", "train.nce_nu=2"),                # train.objective = nce
+        ("density", "train.nce_nu=auto"),             # train.objective = nce
         ("regression", "train.nce_nu=2"),             # train.objective = nce
         ("density", "data.has_header=true"),          # data.path set
         ("file", "data.n=100"),                       # data.name set

@@ -1,5 +1,5 @@
-"""Held-out reporting: the two likelihood forms on shared draws, the grid
-export, and the bounding-box helper."""
+"""Held-out reporting: the two likelihood forms on shared draws, and the
+grid export."""
 
 import warnings
 
@@ -10,7 +10,6 @@ from snl_ebm.evaluation import (
     DensityGrid,
     EvalReport,
     SplitReport,
-    data_bounds,
     density_grid,
     evaluate,
     grid_points,
@@ -43,6 +42,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="split 'val' is empty"):
             evaluate(model, 0.0, {"test": TWO_POINT, "val": np.empty((0, 1))}, StandardGaussian(1),
                      n_samples=50, seed=0)
+
+    def test_rejects_no_samples(self):
+        # the twin of the conditional evaluation's check
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="n_samples"):
+                evaluate(GaussianMeanModel(0.0), 0.0, {"test": TWO_POINT}, StandardGaussian(1), n_samples=bad)
 
     def test_matched_proposal_recovers_exact_likelihood(self):
         # q = N(theta, 1) makes the importance weights constant, so even a
@@ -89,11 +94,9 @@ class TestEvaluate:
 
     def test_report_lines(self):
         model = GaussianMeanModel(0.0)
-        report = evaluate(model, 0.0, {"test": TWO_POINT}, StandardGaussian(1),
-                          n_samples=20, seed=2, dataset="toy")
+        report = evaluate(model, 0.0, {"test": TWO_POINT}, StandardGaussian(1), n_samples=20, seed=2)
         lines = report.lines()
-        assert lines[0] == "dataset toy"
-        assert "seed 2" in lines
+        assert lines[0] == "seed 2"
         assert "n_samples 20" in lines
         keys = {ln.split()[0] for ln in lines}
         assert {"test.n", "test.data_term", "test.l_snl", "test.l_is", "test.l_is_se"} <= keys
@@ -223,13 +226,3 @@ class TestDensityGrid:
         model = GaussianMeanModel(0.0)
         with pytest.raises(ValueError):
             density_grid(model, 0.0, np.array([[-1.0, 1.0]] * 3), resolution=4)
-
-
-class TestDataBounds:
-    def test_relative_margin(self):
-        box = data_bounds(np.array([[0.0, 1.0], [2.0, 5.0]]))
-        np.testing.assert_allclose(box, np.array([[-0.2, 2.2], [0.6, 5.4]]), rtol=1e-12)
-
-    def test_degenerate_column_stays_ordered(self):
-        box = data_bounds(np.array([[1.0, 0.0], [1.0, 2.0]]))
-        assert box[0, 0] < box[0, 1]

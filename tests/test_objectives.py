@@ -19,7 +19,7 @@ from snl_ebm.errors import (
     NonFiniteObjectiveError,
 )
 from snl_ebm.evaluation import evaluate
-from snl_ebm.models import GaussianMeanModel, MlpEnergy
+from snl_ebm.models import GaussianMeanModel
 from snl_ebm.objectives import (
     ImportanceBatch,
     bound_pair,

@@ -12,6 +12,7 @@ from snl_ebm.proposals import (
     MdnProposal,
     StandardGaussian,
     UniformBox,
+    fit_box,
     fit_gaussian,
     from_descriptor,
     sample_and_score,
@@ -135,6 +136,17 @@ class TestUniformBox:
         box = UniformBox([-3.0], [4.0])
         again = from_descriptor(box.descriptor())
         assert np.array_equal(again.lo, box.lo) and np.array_equal(again.hi, box.hi)
+
+
+class TestFitBox:
+    def test_relative_margin(self):
+        box = fit_box(np.array([[0.0, 1.0], [2.0, 5.0]]))
+        np.testing.assert_allclose(box.lo, [-0.2, 0.6], rtol=1e-12)
+        np.testing.assert_allclose(box.hi, [2.2, 5.4], rtol=1e-12)
+
+    def test_degenerate_column_stays_ordered(self):
+        box = fit_box(np.array([[1.0, 0.0], [1.0, 2.0]]))
+        assert box.lo[0] < box.hi[0]
 
 
 class TestTwoPoint:

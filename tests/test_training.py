@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snl_ebm import regression, training
-from snl_ebm.errors import TrainingDivergedError
+from snl_ebm.errors import NonFiniteObjectiveError, TrainingDivergedError
 from snl_ebm.datasets import fit_standardizer, load_named
 from snl_ebm.models import DENSITY_WIDTHS, GaussianMeanModel, MlpEnergy
 from snl_ebm.nets import Workspace
@@ -34,8 +34,9 @@ from reference import BinaryCubeModel, ExhaustiveCube, UniformCube, nce_gradient
 
 class TestOptim:
     def test_sgd_step_is_scaled_gradient(self):
-        got = sgd_step(np.array([1.0, -2.0]), 0.1)
-        np.testing.assert_array_equal(got, [0.1, -0.2])
+        params = np.array([1.0, 1.0])
+        assert sgd_step(params, np.array([1.0, -2.0]), 0.1) is None
+        np.testing.assert_array_equal(params, [1.1, 0.8])
 
     def test_adam_first_step_magnitude_is_lr(self):
         # bias correction makes |step_1| = lr |g| / (|g| + eps) ~= lr
@@ -63,21 +64,24 @@ class TestOptim:
     def test_nonfinite_gradient_names_coordinate(self):
         with pytest.raises(ValueError, match="coordinate 1"):
             check_finite_gradient(np.array([0.0, np.nan, 1.0]))
+        params = np.zeros(1)
         with pytest.raises(ValueError):
-            sgd_step(np.array([np.inf]), 0.1)
+            sgd_step(params, np.array([np.inf]), 0.1)
         with pytest.raises(ValueError):
-            adam_step(np.zeros(1), np.array([np.nan]), AdamState.fresh(1), 0.1)
+            adam_step(params, np.array([np.nan]), AdamState.fresh(1), 0.1)
+        assert params[0] == 0.0
 
     def test_optimizer_step_dispatch(self):
         params = np.zeros(2)
         grad = np.ones(2)
-        state = optimizer_step(params, grad, 0.1, "sgd")
+        state = AdamState.fresh(2)
+        assert optimizer_step(params, grad, 0.1, "sgd", state) is None
         np.testing.assert_array_equal(params, [0.1, 0.1])
-        assert state is None
-        state = optimizer_step(params, grad, 0.1, "adam")
-        assert state is not None and state.t == 1
+        assert state.t == 0
+        assert optimizer_step(params, grad, 0.1, "adam", state) is None
+        assert state.t == 1
         with pytest.raises(ValueError):
-            optimizer_step(params, grad, 0.1, "lbfgs")
+            optimizer_step(params, grad, 0.1, "lbfgs", state)
 
 
 class TestInitB:
@@ -458,7 +462,7 @@ class TestValidation:
         assert result.history[0].val_snl == pytest.approx(want, rel=1e-12)
         assert result.best_epoch == 1
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "raise"])
     @pytest.mark.parametrize("family", ["density", "regression"])
     def test_non_finite_validation_is_nan_and_never_best(self, family, bad, monkeypatch):
         calls = []
@@ -467,7 +471,11 @@ class TestValidation:
             def wrapped(*args, **kwargs):
                 calls.append(None)
                 out = fn(*args, **kwargs)
-                return np.full_like(out, bad) if len(calls) == 2 else out
+                if len(calls) != 2:
+                    return out
+                if bad == "raise":  # a validation that raises SnlError counts as non-finite
+                    raise NonFiniteObjectiveError("validation", np.nan)
+                return np.full_like(out, bad)
             return wrapped
 
         if family == "density":
