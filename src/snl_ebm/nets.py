@@ -1,7 +1,7 @@
 """Small fully-connected networks with hand-written reverse mode.
 
 All architectures in this package are fixed, shallow MLPs, so rather than pull
-in an autodiff framework we keep explicit (W, b) arrays per layer and write
+in an autodiff framework we keep each layer's W and b in one array and write
 the backward pass by hand. ``forward`` returns a cache; ``backward`` consumes
 it together with an output cotangent and produces the flat parameter gradient
 (and optionally the gradient with respect to the inputs, which is what lets
@@ -11,10 +11,18 @@ loop passes a ``Workspace`` to both, so that its steps reuse their arrays.
 Parameter layout: each net keeps its parameters in one flat float64 buffer,
 ``params`` = concat(W1.ravel(), b1, W2.ravel(), b2, ...), row-major, layer
 order first-to-last; the flat gradient of ``backward`` has the same layout.
-``weights`` and ``biases`` are tuples of views into that buffer, so an
-in-place write to a layer array (``net.weights[0][...] = w``) or to the buffer
-changes the net, and a layer cannot be rebound. ``theta`` reads a copy of the
-buffer and writes into it. ``bind`` moves the parameters of several nets into
+So a layer's parameters are one (fan_in + 1, fan_out) block of the buffer,
+the rows of W and then b, and ``blocks`` holds these as views. A pass gives
+each layer's input a last column of ones, so a layer is one GEMM with its
+block and adds no bias of its own, and the one GEMM of its backward pass,
+input.T @ g, writes the block's whole gradient: BLAS sums the bias row over
+the rows of g in the pass's dtype. Only a net's own input is copied into
+such an array; a hidden layer writes its output into the first columns of
+the next layer's input, whose ones column ReLU leaves at 1. ``weights`` and
+``biases`` are tuples of views into the blocks, so an in-place write to a
+layer array (``net.weights[0][...] = w``) or to the buffer changes the net,
+and a layer cannot be rebound. ``theta`` reads a copy of the buffer and
+writes into it. ``bind`` moves the parameters of several nets into
 consecutive slices of one buffer, which a training loop then updates in place
 with one optimizer call. A ``NetGroup`` (a model or proposal made of nets)
 reads, writes and binds the parameters of its nets in that same order. ReLU
@@ -23,7 +31,7 @@ derivative at exactly 0 is taken to be 0.
 Precision: parameters, parameter gradients and the arithmetic around the
 passes are float64. A ``Workspace`` carries the precision of the passes made
 in it, float64 by default: a pass in a float32 workspace casts its input and
-each layer's weights and bias to float32 and keeps float32 activations. Its
+each layer's block to float32 and keeps float32 activations. Its
 backward pass hands back the flat parameter gradient in float64 and the input
 gradient in float32, so chained nets (feature net -> energy head -> y-branch)
 pass float32 arrays from one pass to the next with no float64 copy. The
@@ -83,6 +91,14 @@ def _scratch(workspace: Workspace | None, key, shape, dtype=None) -> np.ndarray 
     return None if workspace is None else workspace.array(key, shape, dtype)
 
 
+def _with_ones(workspace: Workspace | None, key, n: int, width: int, dtype) -> np.ndarray:
+    """An (n, width + 1) layer input of ``dtype`` whose last column is 1, from
+    the workspace's array for ``key`` when there is a workspace."""
+    a = np.empty((n, width + 1), dtype) if workspace is None else workspace.array(key, (n, width + 1))
+    a[:, -1] = 1.0
+    return a
+
+
 class Workspace:
     """Arrays that one caller reuses across the passes of its training loop.
 
@@ -139,13 +155,13 @@ class Mlp:
     def _view(self, buffer: np.ndarray) -> None:
         """Make ``buffer`` the parameter storage and the layers views into it."""
         self.params = buffer
-        weights, biases, pos = [], [], 0
+        blocks, pos = [], 0
         for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
-            weights.append(buffer[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-            pos += fan_in * fan_out
-            biases.append(buffer[pos : pos + fan_out])
-            pos += fan_out
-        self.weights, self.biases = tuple(weights), tuple(biases)
+            blocks.append(buffer[pos : pos + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+            pos += (fan_in + 1) * fan_out
+        self.blocks = tuple(blocks)
+        self.weights = tuple(block[:-1] for block in blocks)
+        self.biases = tuple(block[-1] for block in blocks)
 
     @property
     def theta(self) -> np.ndarray:
@@ -163,10 +179,10 @@ class Mlp:
         """Returns (output (n, out_width), cache for backward).
 
         ReLU runs in place, so a NaN pre-activation stays NaN. The cache holds
-        each layer's input and the output; a ReLU layer's derivative mask is
-        read back from its (post-ReLU) output. With a ``workspace`` the
-        activations, output included, are written into its arrays, in its
-        dtype (see the module docstring). With
+        each layer's input, with its ones column, and the output; a ReLU
+        layer's derivative mask is read back from its (post-ReLU) output.
+        With a ``workspace`` the activations, output included, are written
+        into its arrays, in its dtype (see the module docstring). With
         ``keep_cache`` off and no workspace the cache is None and the pass
         runs over the ``row_tiles`` of x through one workspace of its own,
         writing each tile's output into one fresh (n, out_width) array: at
@@ -183,22 +199,27 @@ class Mlp:
             out[lo:hi] = self._layers(h[lo:hi], False, workspace)[0]
         return out, None
 
-    def _layers(self, h: np.ndarray, keep_cache: bool, workspace: Workspace | None):
+    def _layers(self, x: np.ndarray, keep_cache: bool, workspace: Workspace | None):
         """The pass of ``forward`` over one checked input, in one piece, in the
         workspace's dtype (float64 without one)."""
         dtype = np.float64 if workspace is None else workspace.dtype
-        h = h.astype(dtype, copy=False)
-        acts = [h]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w.astype(dtype, copy=False),
-                          out=_scratch(workspace, (id(self), "act", i), (h.shape[0], w.shape[1])))
-            h += b.astype(dtype, copy=False)
+        n, last = x.shape[0], len(self.blocks) - 1
+        a = _with_ones(workspace, (id(self), "input"), n, x.shape[1], dtype)
+        a[:, :-1] = x
+        acts = [a]
+        for i, block in enumerate(self.blocks):
+            block = block.astype(dtype, copy=False)
+            if i < last:  # a hidden layer's output is the next layer's input, ones column and all
+                h = _with_ones(workspace, (id(self), "act", i), n, block.shape[1], dtype)
+                np.matmul(a, block, out=h[:, :-1])
+            else:
+                h = np.matmul(a, block, out=_scratch(workspace, (id(self), "act", i), (n, block.shape[1])))
             if i < last or self.relu_output:
-                np.maximum(h, 0.0, out=h)
+                np.maximum(h, 0.0, out=h)  # leaves the ones column at 1
             if keep_cache:
                 acts.append(h)
-        return h, acts if keep_cache else None
+            a = h
+        return a, acts if keep_cache else None
 
     def backward(self, cache: list, cotangent: np.ndarray, need_input_grad: bool = False,
                  workspace: Workspace | None = None):
@@ -213,21 +234,23 @@ class Mlp:
         """
         acts = cache
         g = np.asarray(cotangent, dtype=acts[-1].dtype)
-        last = len(self.weights) - 1
+        last = len(self.blocks) - 1
         flat = np.empty(self.n_params)
         end = flat.size
         for i in range(last, -1, -1):
-            w = self.weights[i].astype(g.dtype, copy=False)
+            block = self.blocks[i]
             if i < last or self.relu_output:
-                mask = np.greater(acts[i + 1], 0.0, out=_scratch(workspace, (id(self), "mask", i), g.shape, bool))
+                out_act = acts[i + 1] if i == last else acts[i + 1][:, :-1]
+                mask = np.greater(out_act, 0.0, out=_scratch(workspace, (id(self), "mask", i), g.shape, bool))
                 # below the top layer g is this pass's own array; the cotangent is the caller's
                 out = g if i < last else _scratch(workspace, (id(self), "top", i), g.shape)
                 g = np.multiply(g, mask, out=out)
-            g.sum(axis=0, out=flat[end - w.shape[1] : end])
-            end -= w.shape[1]
-            np.matmul(acts[i].T, g, out=flat[end - w.size : end].reshape(w.shape))
-            end -= w.size
+            # one GEMM gives the weights' and the bias's gradient: the input's
+            # ones column makes the block's last row the sum of g over the rows
+            np.matmul(acts[i].T, g, out=flat[end - block.size : end].reshape(block.shape))
+            end -= block.size
             if i > 0 or need_input_grad:
+                w = self.weights[i].astype(g.dtype, copy=False)
                 # the input gradient is returned, so it never lives in the workspace
                 out = _scratch(workspace, (id(self), "grad", i), (g.shape[0], w.shape[0])) if i > 0 else None
                 # a layer one unit wide makes this an outer product: a broadcast

@@ -198,15 +198,17 @@ class MdnProposal(NetGroup):
 
     @staticmethod
     def _joint(heads: MdnHeads, y: np.ndarray) -> np.ndarray:
-        """log pi_k + log N(y | mu_k, sigma_k) for y of shape (n, m); shape (n, m, K)."""
-        sigma = heads.sigma[:, None, :]
-        comp = -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * ((y[:, :, None] - heads.mu[:, None, :]) / sigma) ** 2
-        return heads.log_pi[:, None, :] + comp
+        """log pi_k + log N(y | mu_k, sigma_k) for y of shape (n, m); shape
+        (K, n, m). With the components leading, a reduction over them is K
+        elementwise passes over (n, m) slices."""
+        sigma = heads.sigma.T[:, :, None]
+        comp = -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * ((y - heads.mu.T[:, :, None]) / sigma) ** 2
+        return heads.log_pi.T[:, :, None] + comp
 
     def log_density(self, heads: MdnHeads, y: np.ndarray) -> np.ndarray:
         """Per-point conditional log q(y | features) at the features of ``heads``; y is (n,) or (n, m)."""
         y = np.asarray(y, dtype=np.float64)
-        out = logsumexp(self._joint(heads, y.reshape(y.shape[0], -1)), axis=2)
+        out = logsumexp(self._joint(heads, y.reshape(y.shape[0], -1)), axis=0)
         return out[:, 0] if y.ndim == 1 else out
 
     def sample(self, rng: PortableRng, heads: MdnHeads, m: int) -> np.ndarray:
@@ -214,8 +216,11 @@ class MdnProposal(NetGroup):
         n = heads.mu.shape[0]
         u = rng.uniform((n, m))
         cum = np.cumsum(np.exp(heads.log_pi), axis=1)
-        cum[:, -1] = 1.0  # guard rounding so every u lands in a component
-        k = np.sum(u[:, :, None] > cum[:, None, :], axis=2)
+        # the component is the number of the first K - 1 cumulative weights
+        # below u, so every u lands in one, whatever the rounding of the last
+        k = np.zeros((n, m), dtype=np.intp)
+        for j in range(self.components - 1):
+            k += u > cum[:, j, None]
         rows = np.arange(n)[:, None]
         z = rng.normal((n, m))
         return heads.mu[rows, k] + heads.sigma[rows, k] * z
@@ -226,9 +231,9 @@ class MdnProposal(NetGroup):
         y = np.asarray(y, dtype=np.float64).ravel()
         log_pi, mu, sigma, (cache_pi, cache_mu, cache_s), s_raw = heads
         n = mu.shape[0]
-        joint = self._joint(heads, y[:, None])[:, 0, :]
-        total = logsumexp(joint, axis=1)
-        resp = np.exp(joint - total[:, None])
+        joint = self._joint(heads, y[:, None])[:, :, 0]
+        total = logsumexp(joint, axis=0)
+        resp = np.exp(joint - total).T
         pi = np.exp(log_pi)
         d_logits = (resp - pi) / n
         d_mu = resp * (y[:, None] - mu) / sigma**2 / n

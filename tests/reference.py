@@ -4,8 +4,9 @@ These are the textbook forms of the SNL value and of the SNL and NCE
 gradients, the closed-form gradients of models with an exact normalizer, a
 1-D maximization over b, quadrature with the generalized KL divergence,
 single-point energy gradients and weight numerators, the importance-weight
-mean with its standard error, a maximum-likelihood fit of the MDN proposal,
-a trainable closed-form conditional oracle, and the binary-cube oracle: a
+mean with its standard error, dense layers as x @ W + b, the MDN proposal's
+mixture reduced over a trailing component axis and its maximum-likelihood
+fit, a trainable closed-form conditional oracle, and the binary-cube oracle: a
 fully visible Boltzmann machine with its uniform and enumerating proposals.
 The package trains and validates through ``objectives.step_terms`` and
 evaluates through ``objectives.bound_pair``; nothing in it imports this module.
@@ -281,7 +282,75 @@ def generalized_kl(f1, f2, quadrature: Quadrature) -> float:
     return float(np.sum(w[support] * v1[support] * log_ratio[support]) + mass2 - mass1)
 
 
+# -- dense layers -------------------------------------------------------------
+
+
+def dense_passes(net, x: np.ndarray, cotangent: np.ndarray):
+    """(output, flat parameter gradient, input gradient) of an ``Mlp`` by
+    plain numpy in the dtype of x: each layer is x @ W + b, and the bias
+    gradient is g.sum over the rows, laid out as ``Mlp.params`` is."""
+    dtype = x.dtype
+    last = len(net.weights) - 1
+    acts, h = [x], x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.astype(dtype) + b.astype(dtype)
+        if i < last or net.relu_output:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    g, parts = cotangent.astype(dtype), []
+    for i in range(last, -1, -1):
+        if i < last or net.relu_output:
+            g = g * (acts[i + 1] > 0.0)
+        parts[:0] = [(acts[i].T @ g).ravel(), g.sum(axis=0)]
+        g = g @ net.weights[i].T.astype(dtype)
+    return h, np.concatenate(parts), g
+
+
 # -- mixture density proposal ------------------------------------------------
+
+
+def _mdn_joint(heads, y: np.ndarray) -> np.ndarray:
+    sigma = heads.sigma[:, None, :]
+    comp = -0.5 * np.log(2.0 * np.pi) - np.log(sigma) - 0.5 * ((y[:, :, None] - heads.mu[:, None, :]) / sigma) ** 2
+    return heads.log_pi[:, None, :] + comp
+
+
+def mdn_log_density(heads, y: np.ndarray) -> np.ndarray:
+    """``MdnProposal.log_density`` with the mixture on a trailing component
+    axis: the joint (n, m, K) reduced over its last axis."""
+    y = np.asarray(y, dtype=np.float64)
+    return logsumexp(_mdn_joint(heads, y.reshape(y.shape[0], -1)), axis=2).reshape(y.shape)
+
+
+def mdn_sample(rng: PortableRng, heads, m: int) -> np.ndarray:
+    """``MdnProposal.sample``, the component of a draw counted over an
+    (n, m, K) comparison of u with every cumulative weight."""
+    n = heads.mu.shape[0]
+    u = rng.uniform((n, m))
+    cum = np.cumsum(np.exp(heads.log_pi), axis=1)
+    cum[:, -1] = 1.0
+    k = np.sum(u[:, :, None] > cum[:, None, :], axis=2)
+    rows = np.arange(n)[:, None]
+    z = rng.normal((n, m))
+    return heads.mu[rows, k] + heads.sigma[rows, k] * z
+
+
+def mdn_loglik_gradient(mdn, heads, y: np.ndarray):
+    """``MdnProposal.loglik_gradient`` with the responsibilities reduced over
+    a trailing component axis."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    log_pi, mu, sigma, (cache_pi, cache_mu, cache_s), s_raw = heads
+    n = mu.shape[0]
+    joint = _mdn_joint(heads, y[:, None])[:, 0, :]
+    total = logsumexp(joint, axis=1)
+    resp = np.exp(joint - total[:, None])
+    d_logits = (resp - np.exp(log_pi)) / n
+    d_mu = resp * (y[:, None] - mu) / sigma**2 / n
+    d_sigma = resp * (((y[:, None] - mu) ** 2) / sigma**3 - 1.0 / sigma) / n
+    d_s = d_sigma * np.exp(np.minimum(s_raw, mdn._SCALE_LOG_CAP)) * (s_raw <= mdn._SCALE_LOG_CAP)
+    grad = np.concatenate([mdn.pi_net.backward(cache_pi, d_logits), mdn.mu_net.backward(cache_mu, d_mu),
+                           mdn.scale_net.backward(cache_s, d_s)])
+    return float(np.mean(total)), grad
 
 
 def mdn_log_likelihood(mdn, features: np.ndarray, y: np.ndarray) -> float:

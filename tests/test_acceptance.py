@@ -12,8 +12,9 @@ the bilinear conditional oracle and its training through
 bundled two-dimensional and conditional benchmarks.
 
 The two benchmark tests at the bottom train full models across five seeds
-each and together need roughly ten minutes; run the suite on an otherwise
-idle machine so the wall-clock assertions are meaningful.
+each, in two worker processes (``side_by_side``), and together need about
+three minutes on a 2-CPU machine; run the suite on an otherwise idle
+machine so the wall-clock assertions are meaningful.
 """
 
 import math
@@ -63,6 +64,7 @@ from reference import (
     trapezoid_1d,
     z_estimate,
 )
+from side_by_side import run_side_by_side
 
 
 # -- closed-form training oracles ---------------------------------------------
@@ -573,13 +575,13 @@ def test_density_benchmark_levels_and_snl_nce_ordering():
     objective should do at least as well as the contrastive baseline."""
     t0 = time.perf_counter()
     reference = {"checkerboard": -1.902, "four_circles": -1.914}
+    runs = iter(run_side_by_side(_density_benchmark_run, [
+        (name, objective, seed) for name in reference for objective in ("snl", "nce") for seed in range(5)]))
     means, vals = {}, {}
     for name in ("checkerboard", "four_circles"):
         for objective in ("snl", "nce"):
-            started = time.perf_counter()
-            reports = [_density_benchmark_run(name, objective, seed)
-                       for seed in range(5)]
-            seconds = time.perf_counter() - started
+            reports, seconds = zip(*[next(runs) for _ in range(5)])
+            seconds = sum(seconds)  # of the cell's five runs, which ran side by side with others
             vals[name, objective] = np.array([r.l_is for r in reports])
             means[name, objective] = float(np.mean(vals[name, objective]))
             print(f"{name} {objective}: per-seed {np.round(vals[name, objective], 4).tolist()} "
@@ -645,12 +647,11 @@ def test_regression_benchmark_levels_and_snl_nce_ordering():
         ("regression2", "snl", "fitted"),
         ("regression2", "nce", "fitted"),
     ]
+    runs = iter(run_side_by_side(_regression_benchmark_run, [cell + (seed,) for cell in cells for seed in range(5)]))
     means, vals = {}, {}
     for name, objective, kind in cells:
-        started = time.perf_counter()
-        reports = [_regression_benchmark_run(name, objective, kind, seed)
-                   for seed in range(5)]
-        seconds = time.perf_counter() - started
+        reports, seconds = zip(*[next(runs) for _ in range(5)])
+        seconds = sum(seconds)  # of the cell's five runs, which ran side by side with others
         vals[name, objective] = np.array([r.l_is for r in reports])
         means[name, objective] = float(np.mean(vals[name, objective]))
         print(f"{name} {objective} {kind}: per-seed {np.round(vals[name, objective], 4).tolist()} "

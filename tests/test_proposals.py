@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from snl_ebm.errors import DegenerateProposalError
+from snl_ebm.objectives import logsumexp
 from snl_ebm.proposals import (
     FittedGaussian,
     MdnProposal,
@@ -18,7 +19,15 @@ from snl_ebm.proposals import (
     sample_and_score,
 )
 from snl_ebm.rng import PortableRng
-from reference import ExhaustiveCube, UniformCube, mdn_log_likelihood, mdn_log_likelihood_and_fit
+from reference import (
+    ExhaustiveCube,
+    UniformCube,
+    mdn_log_density,
+    mdn_log_likelihood,
+    mdn_log_likelihood_and_fit,
+    mdn_loglik_gradient,
+    mdn_sample,
+)
 
 
 class TestStandardGaussian:
@@ -305,6 +314,47 @@ class TestMdnProposal:
         mdn.scale_net.theta = mdn.scale_net.theta * 0.0 - 0.0
         mdn.scale_net.biases[-1][...] = np.full(2, -100.0)
         assert np.all(mdn.heads(np.ones((3, 2))).sigma >= MdnProposal.SCALE_FLOOR)
+
+
+class TestMixtureOnALeadingAxis:
+    """``MdnProposal`` reduces its mixture over a leading component axis, the
+    reference over a trailing one. numpy sums a leading axis as a chain and a
+    trailing axis of up to 7 entries the same way, so the two agree bit for
+    bit up to K = 7; from 8 entries numpy's trailing-axis sum is pairwise."""
+
+    @staticmethod
+    def fixed_heads(k: int):
+        """An MDN with k components and heads whose mixture parameters are
+        fixed arrays; the nets only supply the caches of the gradient."""
+        mdn = MdnProposal(10, k, PortableRng(k))
+        heads = mdn.heads(PortableRng(k + 1).normal((64, 10)))
+        rng = PortableRng(k + 2)
+        logits = 3.0 * rng.normal((64, k))
+        s_raw = rng.normal((64, k))
+        return mdn, heads._replace(log_pi=logits - logsumexp(logits, axis=1, keepdims=True),
+                                   mu=2.0 * rng.normal((64, k)), sigma=MdnProposal.SCALE_FLOOR + np.exp(s_raw),
+                                   s_raw=s_raw)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_bit_for_bit_up_to_seven_components(self, k):
+        mdn, heads = self.fixed_heads(k)
+        y = PortableRng(k + 3).normal((64, 16))
+        for got, want in ((mdn.log_density(heads, y), mdn_log_density(heads, y)),
+                          (mdn.log_density(heads, y[:, 0]), mdn_log_density(heads, y[:, 0])),
+                          (mdn.sample(PortableRng(k + 4), heads, 16), mdn_sample(PortableRng(k + 4), heads, 16))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        (value, grad), (want_value, want_grad) = mdn.loglik_gradient(heads, y[:, 0]), mdn_loglik_gradient(mdn, heads, y[:, 0])
+        assert value == want_value and grad.tobytes() == want_grad.tobytes()
+
+    def test_eight_components_within_rounding(self):
+        mdn, heads = self.fixed_heads(8)
+        y = PortableRng(11).normal((64, 16))
+        # a log-density near 0 is compared in absolute terms
+        np.testing.assert_allclose(mdn.log_density(heads, y), mdn_log_density(heads, y), rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(mdn.sample(PortableRng(12), heads, 16), mdn_sample(PortableRng(12), heads, 16))
+        (value, grad), (want_value, want_grad) = mdn.loglik_gradient(heads, y[:, 0]), mdn_loglik_gradient(mdn, heads, y[:, 0])
+        assert value == pytest.approx(want_value, rel=1e-15, abs=0)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-15 * np.max(np.abs(want_grad))
 
 
 def test_from_descriptor_rejects_unknown_kind():

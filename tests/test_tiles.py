@@ -149,7 +149,7 @@ class TestShortLastTile:
         got = model.energy(x)
         sizes = [hi - lo for lo, hi in row_tiles(n)]
         assert sizes[-1] < sizes[0]  # the last tile is the shorter one
-        assert len(allocations) == len(DENSITY_WIDTHS) - 1  # one per layer, by the first tile
+        assert len(allocations) == len(DENSITY_WIDTHS)  # the input's and one per layer, by the first tile
         assert np.array_equal(got, want)
 
 
